@@ -8,7 +8,9 @@ Conventions shared by all subcommands:
 * floating-point output is printed with 17 significant digits, and the same
   config plus seed yields byte-identical output;
 * exit codes: 0 pass, 2 check mismatch/failure, 3 flagged numerical
-  ambiguity, 4 invalid configuration;
+  ambiguity, 4 invalid configuration, including a ball radius whose
+  multiplication table would exceed the memory budget (the estimate goes to
+  stderr);
 * ``FEQLAB_THREADS`` caps worker threads in the Newton sweeps.
 """
 
@@ -22,8 +24,9 @@ from .families import (FamilyConstructionError, SolutionPair,
                        canned_half_trace, family_case_iv)
 from .feq import (read_function, residual_wilson, write_function,
                   zero_tolerance)
-from .groups import (CATALOG_NAMES, BallDomain, DiscreteHeisenberg, FreeGroup,
-                     IntegerLattice, build_catalog_group)
+from .groups import (CATALOG_NAMES, BallDomain, BallTooLarge,
+                     DiscreteHeisenberg, FreeGroup, IntegerLattice,
+                     build_catalog_group)
 from .morphisms import (AdditiveMap, ball_character, ball_involution,
                         enumerate_characters, enumerate_involutions,
                         identity_involution, inversion_involution,
@@ -220,10 +223,9 @@ def cmd_solve(args):
         with open(os.path.join(out_dir, "completeness.txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(report.table())
-        for k, (_, g, _ms) in enumerate(candidate_gs(G, sigma, chi)):
-            write_function(g, os.path.join(out_dir, f"g_{k:03d}.txt"))
-            res = solve_f_given_g(G, sigma, chi, g)
-            for j, b in enumerate(res.basis):
+        for k, row in enumerate(report.rows):
+            write_function(row.g, os.path.join(out_dir, f"g_{k:03d}.txt"))
+            for j, b in enumerate(row.basis):
                 write_function(b, os.path.join(out_dir, f"f_{k:03d}_{j:02d}.txt"))
     if report.any_ambiguous:
         return EXIT_AMBIGUOUS
@@ -410,10 +412,12 @@ def cmd_stability(args):
         target=_get(args, "target", "both"),
         point=_get(args, "point", 0, int),
     )
+    a = _get(args, "a", max_ball.identity, int)
+    if not 0 <= a < max_ball.n:
+        raise CliError(f"--a must be an element id in 0..{max_ball.n - 1}")
     result = perturb(pair, config)
     report = run_stability_battery(max_ball, sigma, chi, result.f, result.g,
-                                   result.measured_delta,
-                                   a=_get(args, "a", max_ball.identity, int))
+                                   result.measured_delta, a=a)
     print(f"measured_delta {_fmt(result.measured_delta)}")
     sys.stdout.write(report.table())
     f_map = {el: result.f.values[i] for i, el in enumerate(max_ball.elements)}
@@ -505,10 +509,7 @@ def main(argv=None):
     try:
         _merge_config(args)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BADCONFIG
-    except FamilyConstructionError as exc:
+    except (CliError, FamilyConstructionError, BallTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADCONFIG
 

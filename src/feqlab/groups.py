@@ -6,11 +6,16 @@ when the product falls outside a ball window), and ``inv[a]`` the inverse id.
 """
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 
-BALL_ELEMENT_CAP = 100_000
+# a ball's n x n int64 multiplication table may take at most this much; the
+# element cap follows from it and is enforced level by level during the BFS,
+# before any table is allocated
+BALL_TABLE_BYTES = 64 * 2**20
+BALL_ELEMENT_CAP = math.isqrt(BALL_TABLE_BYTES // 8)
 
 # keep n^2 residual sweeps under a second
 MAX_SYMMETRIC_N = 5
@@ -349,6 +354,11 @@ class FreeGroup:
         return tuple(sums)
 
 
+class BallTooLarge(ValueError):
+    """A ball has more elements than the cap allows; the message carries the
+    estimated size of its multiplication table."""
+
+
 class BallDomain:
     """Word-length ball of radius r in an infinite group.
 
@@ -387,7 +397,12 @@ class BallDomain:
             for y in nxt:
                 dist[y] = r
             if len(dist) > cap:
-                raise ValueError(f"ball exceeds element cap {cap}")
+                raise BallTooLarge(
+                    f"ball of radius {radius} exceeds the element cap {cap}: "
+                    f"radius {r} already holds {len(dist)} elements, so its "
+                    f"multiplication table needs at least "
+                    f"{8 * len(dist) ** 2 / 2**20:.1f} MiB "
+                    f"(budget {8 * cap ** 2 / 2**20:.1f} MiB)")
             frontier = sorted(nxt)
             levels.append(frontier)
         elements = [el for level in levels for el in level]

@@ -68,10 +68,11 @@ def solve_f_given_g(domain, sigma, chi, g, cutoff=SVD_KERNEL_CUTOFF):
     """Orthonormal basis of {f : pair residual 0} for this g, via SVD.
 
     Flags (instead of silently resolving) the case where singular values sit
-    on both sides of the cutoff within a factor of GUARD_BAND.
+    on both sides of the cutoff within a factor of GUARD_BAND. The thin SVD
+    gives the same s and vh as the full one without the n^2 x n^2 U.
     """
     A = wilson_system_matrix(domain, sigma, chi, g)
-    _, s, vh = np.linalg.svd(A)
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
     small = s <= cutoff
     near_low = small & (s > cutoff / GUARD_BAND)
     near_high = (~small) & (s < cutoff * GUARD_BAND)
@@ -178,6 +179,8 @@ class CompletenessRow:
     max_mismatch: float
     ambiguous: bool
     passed: bool
+    g: GroupFunction            # the candidate g this row checked
+    basis: list                 # its nullspace basis, as solved
 
 
 @dataclass
@@ -242,7 +245,8 @@ def completeness_check(G, sigma, chi, tol=1e-9):
             g_label=_key_label(key), solver_dim=res.f_dim,
             family_dim=int(fam_rank), max_mismatch=worst,
             ambiguous=res.ambiguous,
-            passed=(res.f_dim == fam_rank and worst <= tol))
+            passed=(res.f_dim == fam_rank and worst <= tol),
+            g=g, basis=res.basis)
         report.rows.append(row)
     return report
 

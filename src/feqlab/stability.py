@@ -19,6 +19,8 @@ from .groups import BallDomain, FiniteGroup, IntegerLattice
 from .morphisms import ball_character, ball_involution, satisfies_morphism_law
 
 AUDIT_TOL = 1e-9
+# entries per x-slice of the n^3 audit grids (~2 MB per int64 grid)
+AUDIT_CHUNK_ENTRIES = 1 << 18
 
 PERTURBATION_SHAPES = ("uniform-disk", "single-point", "character-phase")
 PERTURBATION_TARGETS = ("f", "g", "both")
@@ -133,17 +135,11 @@ class AuditInapplicable(ValueError):
     """The audited inequality's hypotheses do not cover this domain/sigma."""
 
 
-def _chain(mul, a, b):
-    """Product of index grids with outside (-1) propagation."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    ok = (a >= 0) & (b >= 0)
-    return np.where(ok, mul[np.maximum(a, 0), np.maximum(b, 0)], -1)
-
-
-def _map(table, idx):
-    idx = np.asarray(idx)
-    return np.where(idx >= 0, table[np.maximum(idx, 0)], -1)
+def _padded(table):
+    """The index table with a -1 appended along each axis. Indexing it with
+    -1 (outside the ball) lands on the pad, so -1 propagates through
+    products and sigma without masking; indices must lie in [-1, n)."""
+    return np.pad(table, [(0, 1)] * table.ndim, constant_values=-1)
 
 
 def _val(values, idx):
@@ -151,14 +147,42 @@ def _val(values, idx):
 
 
 def _row(name, bound, excess, valid, tol=AUDIT_TOL):
-    total = int(np.prod(valid.shape))
-    evaluated = int(valid.sum())
+    return _row_from_slices(name, bound, valid.shape, [(excess, valid)], tol)
+
+
+def _x_slices(n):
+    """Consecutive x-ranges of an n x n x n grid, each about
+    AUDIT_CHUNK_ENTRIES entries (at least one x per slice)."""
+    step = max(1, AUDIT_CHUNK_ENTRIES // (n * n))
+    for x0 in range(0, n, step):
+        yield np.arange(x0, min(x0 + step, n))
+
+
+def _row_from_slices(name, bound, shape, slices, tol=AUDIT_TOL):
+    """Audit row of a grid of this shape, given as consecutive slices
+    (excess, valid) along its first axis.
+
+    Gives what one argmax over the whole grid gives: the first C-order
+    witness wins ties (a later slice must be strictly larger) and NaN beats
+    any number, as in np.argmax.
+    """
+    evaluated = offset = 0
+    worst, flat = None, None
+    for excess, valid in slices:
+        count = int(valid.sum())
+        if count:
+            masked = np.where(valid, excess, -np.inf)
+            i = int(np.argmax(masked))
+            v = masked.flat[i]
+            if flat is None or v > worst or (np.isnan(v) and not np.isnan(worst)):
+                worst, flat = v, offset + i
+        evaluated += count
+        offset += valid.size
+    total = int(np.prod(shape))
     if evaluated == 0:
         return StabilityAuditRow(name, bound, 0.0, (), 0, total, True)
-    masked = np.where(valid, excess, -np.inf)
-    flat = int(np.argmax(masked))
-    witness = tuple(int(i) for i in np.unravel_index(flat, valid.shape))
-    worst = float(masked.flat[flat])
+    witness = tuple(int(i) for i in np.unravel_index(flat, shape))
+    worst = float(worst)
     return StabilityAuditRow(name, bound, worst, witness, evaluated,
                              total - evaluated, worst <= tol)
 
@@ -168,50 +192,60 @@ def audit_centrality_bound(domain, sigma, chi, f, g, delta):
 
     Certificate: the difference is a combination of eight pair residuals at
     points built from x, y, z; windows where any of them leaves the ball are
-    skipped.
+    skipped. The n^3 grid is evaluated in slices of x, so peak memory is
+    O(n^2) for any ball size.
     """
     n = domain.n
-    mul, st = domain.mul, sigma.table
-    X = np.arange(n)[:, None, None]
+    mp, sp = _padded(domain.mul), _padded(sigma.table)
     Y = np.arange(n)[None, :, None]
     Z = np.arange(n)[None, None, :]
-    zy, yz = _chain(mul, Z, Y), _chain(mul, Y, Z)
-    xy, xz = _chain(mul, X, Y), _chain(mul, X, Z)
-    xzy = _chain(mul, xz, Y)
-    xyz = _chain(mul, xy, Z)
-    syx = _chain(mul, _map(st, Y), X)
-    szx = _chain(mul, _map(st, Z), X)
-    points = [
-        zy, yz, xy, xz, xzy, xyz,
-        _chain(mul, X, zy), _chain(mul, X, yz),
-        syx, szx,
-        _chain(mul, syx, Z), _chain(mul, szx, Y),
-        _chain(mul, _map(st, Y), xz), _chain(mul, _map(st, Z), xy),
-        _chain(mul, _map(st, zy), X), _chain(mul, _map(st, yz), X),
-        _chain(mul, _map(st, Y), szx), _chain(mul, _map(st, Z), syx),
-    ]
-    valid = np.ones((n, n, n), dtype=bool)
-    for p in points:
-        valid &= p >= 0
+    # points that do not involve x: (1, n, n) grids over (y, z)
+    zy, yz = mp[Z, Y], mp[Y, Z]
+    sy, sz = sp[Y], sp[Z]
+    szy, syz = sp[zy], sp[yz]
+    yz_ok = (zy >= 0) & (yz >= 0)
+    g_gap = np.abs(_val(g.values, zy) - _val(g.values, yz))
     gv = np.abs(g.values)
-    lhs = np.abs(_val(g.values, zy) - _val(g.values, yz)) * np.abs(f.values)[:, None, None]
     rhs = (2.0 * gv[None, None, :] + 2.0 * gv[None, :, None] + 6.0) * delta
-    return _row("centrality_defect", "2|g(z)|d + 2|g(y)|d + 6d", lhs - rhs, valid)
+    fv = np.abs(f.values)
+
+    def slices():
+        for xs in _x_slices(n):
+            X = xs[:, None, None]
+            xy, xz = mp[X, Y], mp[X, Z]
+            syx, szx = mp[sy, X], mp[sz, X]
+            valid = yz_ok & (xy >= 0) & (xz >= 0) & (syx >= 0) & (szx >= 0)
+            valid &= mp[xz, Y] >= 0
+            valid &= mp[xy, Z] >= 0
+            valid &= mp[X, zy] >= 0
+            valid &= mp[X, yz] >= 0
+            valid &= mp[syx, Z] >= 0
+            valid &= mp[szx, Y] >= 0
+            valid &= mp[sy, xz] >= 0
+            valid &= mp[sz, xy] >= 0
+            valid &= mp[szy, X] >= 0
+            valid &= mp[syz, X] >= 0
+            valid &= mp[sy, szx] >= 0
+            valid &= mp[sz, syx] >= 0
+            yield g_gap * fv[X] - rhs, valid
+
+    return _row_from_slices("centrality_defect", "2|g(z)|d + 2|g(y)|d + 6d",
+                            (n, n, n), slices())
 
 
 def audit_mg_shift_bound(domain, sigma, chi, f, g, delta):
     """|m_g(y) f(x) - chi(y) f(sigma(y) x y)| <= |g(y)| delta + 1.5 delta."""
     n = domain.n
-    mul, st = domain.mul, sigma.table
+    mul = domain.mul
+    mp, sp = _padded(mul), _padded(sigma.table)
     X = np.arange(n)[:, None]
     Y = np.arange(n)[None, :]
     sq = mul[np.arange(n), np.arange(n)]
-    xy = _chain(mul, X, Y)
+    xy = mp[X, Y]
     y2 = np.broadcast_to(sq[None, :], (n, n))
-    syx = _chain(mul, _map(st, Y), X)
-    syxy = _chain(mul, syx, Y)
-    points = [xy, y2, _chain(mul, xy, Y), _chain(mul, X, y2),
-              syx, syxy, _chain(mul, _map(st, y2), X)]
+    syx = mp[sp[Y], X]
+    syxy = mp[syx, Y]
+    points = [xy, y2, mp[xy, Y], mp[X, y2], syx, syxy, mp[sp[y2], X]]
     valid = np.ones((n, n), dtype=bool)
     for p in points:
         valid &= p >= 0
@@ -226,21 +260,22 @@ def audit_mg_shift_bound(domain, sigma, chi, f, g, delta):
 def audit_parity_bound(domain, sigma, chi, f, g, delta):
     """|2 f(x) (g(y) - m_g(y) g(y^{-1}))| <= |m_g(y)| d + 2|g(y)| d + 4d."""
     n = domain.n
-    mul, st, inv = domain.mul, sigma.table, domain.inv
+    mul, inv = domain.mul, domain.inv
+    mp, sp = _padded(mul), _padded(sigma.table)
     X = np.arange(n)[:, None]
     Y = np.arange(n)[None, :]
     Yi = np.broadcast_to(inv[None, :], (n, n))
     sq = mul[np.arange(n), np.arange(n)]
     y2 = np.broadcast_to(sq[None, :], (n, n))
-    xy = _chain(mul, X, Y)
-    xyi = _chain(mul, X, Yi)
-    syix = _chain(mul, _map(st, Yi), X)
+    xy = mp[X, Y]
+    xyi = mp[X, Yi]
+    syix = mp[sp[Yi], X]
     points = [
         xy, xyi, y2, syix,
-        _chain(mul, _map(st, Y), X),
-        _chain(mul, syix, Y), _chain(mul, syix, y2),
-        _chain(mul, _map(st, Y), xyi), _chain(mul, _map(st, y2), xyi),
-        _chain(mul, xyi, y2),
+        mp[sp[Y], X],
+        mp[syix, Y], mp[syix, y2],
+        mp[sp[Y], xyi], mp[sp[y2], xyi],
+        mp[xyi, y2],
     ]
     valid = np.ones((n, n), dtype=bool)
     for p in points:
@@ -274,15 +309,16 @@ def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
         raise AuditInapplicable("sigma is not a homomorphism on this domain")
     n = domain.n
     mul, st = domain.mul, sigma.table
+    mp, sp = _padded(mul), _padded(st)
     X, Y, ax, ay = _section_grids(domain, sigma, a)
-    xy = _chain(mul, X, Y)
-    axy = _chain(mul, ax, Y)
+    xy = mp[X, Y]
+    axy = mp[ax, Y]
     sya = np.broadcast_to(mul[st, a][None, :], (n, n))  # sigma(y) a
     points = [
-        xy, ax, ay, axy, _chain(mul, np.broadcast_to(a, (n, n)), xy),
-        sya, _chain(mul, sya, X),
-        _map(st, xy), _chain(mul, _map(st, xy), np.broadcast_to(a, (n, n))),
-        _chain(mul, _map(st, X), sya),
+        xy, ax, ay, axy, mp[a, xy],
+        sya, mp[sya, X],
+        sp[xy], mp[sp[xy], a],
+        mp[sp[X], sya],
     ]
     valid = np.ones((n, n), dtype=bool)
     for p in points:
@@ -306,19 +342,19 @@ def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     """
     n = domain.n
     mul, st = domain.mul, sigma.table
+    mp, sp = _padded(mul), _padded(st)
     X, Y, ax, ay = _section_grids(domain, sigma, a)
-    xy, yx = _chain(mul, X, Y), _chain(mul, Y, X)
-    axy, ayx = _chain(mul, ax, Y), _chain(mul, ay, X)
+    xy, yx = mp[X, Y], mp[Y, X]
+    axy, ayx = mp[ax, Y], mp[ay, X]
     sya = np.broadcast_to(mul[st, a][None, :], (n, n))
     sxa = np.broadcast_to(mul[st, a][:, None], (n, n))
-    aa = np.broadcast_to(a, (n, n))
     points = [
         xy, yx, ax, ay, axy, ayx,
-        _chain(mul, aa, xy), _chain(mul, aa, yx),
-        sya, sxa, _chain(mul, sya, X), _chain(mul, sxa, Y),
-        _map(st, xy), _map(st, yx),
-        _chain(mul, _map(st, xy), aa), _chain(mul, _map(st, yx), aa),
-        _chain(mul, _map(st, X), sya), _chain(mul, _map(st, Y), sxa),
+        mp[a, xy], mp[a, yx],
+        sya, sxa, mp[sya, X], mp[sxa, Y],
+        sp[xy], sp[yx],
+        mp[sp[xy], a], mp[sp[yx], a],
+        mp[sp[X], sya], mp[sp[Y], sxa],
     ]
     valid = np.ones((n, n), dtype=bool)
     for p in points:
@@ -347,11 +383,17 @@ def audit_scaled_residual_chain(domain, sigma, chi, f, g, delta):
         raise AuditInapplicable("chain audit needs a total multiplication table")
     from .feq import residual_matrix_wilson
     resid, _ = residual_matrix_wilson(domain, sigma, chi, f, g)
+    n = domain.n
     gv = np.abs(g.values)
-    lhs = 2.0 * gv[None, None, :] * resid[:, :, None]
     rhs = (6.0 + 2.0 * gv[None, :, None]) * delta
-    valid = np.ones(lhs.shape, dtype=bool)
-    return _row("scaled_residual_chain", "6d + 2|g(y)|d", lhs - rhs, valid)
+
+    def slices():
+        for xs in _x_slices(n):
+            lhs = 2.0 * gv[None, None, :] * resid[xs, :, None]
+            yield lhs - rhs, np.ones(lhs.shape, dtype=bool)
+
+    return _row_from_slices("scaled_residual_chain", "6d + 2|g(y)|d",
+                            (n, n, n), slices())
 
 
 CORE_AUDITS = ("centrality", "companion_shift", "parity", "section_sine")

@@ -4,6 +4,7 @@ determinism. Everything runs in-process through main(argv)."""
 import numpy as np
 import pytest
 
+from feqlab import cli, solver
 from feqlab.cli import (
     EXIT_AMBIGUOUS,
     EXIT_BADCONFIG,
@@ -12,11 +13,11 @@ from feqlab.cli import (
     main,
 )
 from feqlab.feq import GroupFunction, read_function, write_function
-from feqlab.groups import build_catalog_group
+from feqlab.groups import BALL_ELEMENT_CAP, build_catalog_group
 from feqlab.morphisms import enumerate_characters, inversion_involution, \
     trivial_character, write_character
 from feqlab.families import canned_half_trace
-from feqlab.solver import solve_f_given_g
+from feqlab.solver import candidate_gs, completeness_check, solve_f_given_g
 
 
 def run(capsys, *argv):
@@ -92,6 +93,47 @@ def test_solve_writes_solution_files(capsys, tmp_path):
     Z4 = build_catalog_group("Z4")
     g0 = read_function(Z4, g_files[0])
     assert np.all(g0.values == 0)  # m = 0 candidate comes first
+
+
+def test_solve_out_dir_reuses_the_completeness_bases(capsys, tmp_path,
+                                                     monkeypatch):
+    G = build_catalog_group("Z2xZ4")
+    sigma = inversion_involution(G)
+    chi = enumerate_characters(G)[0]
+    # the files as written by solving every candidate afresh
+    want = {"completeness.txt":
+            completeness_check(G, sigma, chi, tol=1e-9).table().encode()}
+    for k, (_, g, _ms) in enumerate(candidate_gs(G, sigma, chi)):
+        write_function(g, tmp_path / "g.txt")
+        want[f"g_{k:03d}.txt"] = (tmp_path / "g.txt").read_bytes()
+        for j, b in enumerate(solve_f_given_g(G, sigma, chi, g).basis):
+            write_function(b, tmp_path / "f.txt")
+            want[f"f_{k:03d}_{j:02d}.txt"] = (tmp_path / "f.txt").read_bytes()
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_f_given_g(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_f_given_g", counted)
+    monkeypatch.setattr(cli, "solve_f_given_g", counted)
+    out_dir = tmp_path / "sols"
+    code, _, _ = run(capsys, "solve", "--group", "Z2xZ4", "--sigma", "inv",
+                     "--chi", "0", "--out-dir", str(out_dir))
+    assert code == EXIT_OK
+    n_candidates = len(candidate_gs(G, sigma, chi))
+    assert len(calls) == n_candidates == sum(
+        name.startswith("g_") for name in want)
+    got = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert got == want
+
+
+def test_solve_on_s5_fits_in_memory(capsys):
+    # the full SVD would allocate a 14400 x 14400 complex U per candidate
+    code, out, _ = run(capsys, "solve", "--group", "S5", "--sigma", "id")
+    assert code == EXIT_OK
+    assert out.splitlines()[1].startswith("S5 ")
 
 
 def test_solve_output_is_byte_identical_across_runs(capsys):
@@ -294,11 +336,32 @@ def test_stability_rejects_bad_radii(capsys):
     assert code == EXIT_BADCONFIG
 
 
+@pytest.mark.parametrize("a", ["-2", "13"])
+def test_stability_rejects_a_base_point_outside_the_ball(capsys, a):
+    code, out, err = run(capsys, "stability", "--domain", "lattice:2",
+                         "--radii", "2", "--a", a, "--epsilon", "0.01")
+    assert code == EXIT_BADCONFIG
+    assert out == "" and "0..12" in err
+
+
 def test_stability_unknown_domain(capsys):
     code, _, err = run(capsys, "stability", "--domain", "tree:3",
                        "--epsilon", "0.01")
     assert code == EXIT_BADCONFIG
     assert "tree:3" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("stability", "--domain", "lattice:2", "--radii", "300"),
+    ("perturb", "--domain", "free:2", "--radius", "40", "--epsilon", "0.01"),
+])
+def test_over_budget_ball_exits_with_the_estimate(capsys, argv):
+    # the BFS stops at the element cap, before any table is allocated
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert f"element cap {BALL_ELEMENT_CAP}" in err
+    assert "MiB" in err and "Traceback" not in err
 
 
 def test_exit_codes_are_distinct():

@@ -5,14 +5,18 @@ import pytest
 
 from feqlab.families import canned_half_trace
 from feqlab.feq import GroupFunction, residual_wilson
-from feqlab.groups import BallDomain, IntegerLattice, build_catalog_group
+from feqlab.groups import (CATALOG_NAMES, BallDomain, IntegerLattice,
+                           build_catalog_group)
 from feqlab.morphisms import (
+    compatible_characters,
     enumerate_characters,
+    enumerate_involutions,
     identity_involution,
     inversion_involution,
     trivial_character,
 )
 from feqlab.solver import (
+    SVD_KERNEL_CUTOFF,
     AuditNotApplicable,
     BruteForceResult,
     brute_force_dalembert,
@@ -105,6 +109,28 @@ def test_span_distance_basics():
     combo = 2.0 * basis[0] - 1j * basis[1]
     assert span_distance(basis, combo) <= 1e-12
     assert span_distance([np.array([1.0, 0, 0])], np.array([0, 0, 1.0])) >= 0.9
+
+
+def test_thin_svd_matches_the_full_svd_bit_for_bit():
+    compared = 0
+    for name in CATALOG_NAMES:
+        G = build_catalog_group(name)
+        if G.order > 16:
+            continue
+        chars = enumerate_characters(G)
+        for sigma in enumerate_involutions(G, "automorphism"):
+            for chi in compatible_characters(G, sigma, chars):
+                for _, g, _ms in candidate_gs(G, sigma, chi):
+                    res = solve_f_given_g(G, sigma, chi, g)
+                    A = wilson_system_matrix(G, sigma, chi, g)
+                    _, s, vh = np.linalg.svd(A, full_matrices=True)
+                    assert np.array_equal(res.singular_values, s), name
+                    kernel = np.flatnonzero(s <= SVD_KERNEL_CUTOFF)
+                    assert len(res.basis) == len(kernel)
+                    for b, i in zip(res.basis, kernel):
+                        assert np.array_equal(b.values, vh[i].conj()), name
+                    compared += 1
+    assert compared > 100
 
 
 def test_completeness_frozen_run_on_z4():
