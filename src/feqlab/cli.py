@@ -10,8 +10,7 @@ Conventions shared by all subcommands:
 * exit codes: 0 pass, 2 check mismatch/failure, 3 flagged numerical
   ambiguity, 4 invalid configuration, including a ball radius whose
   multiplication table would exceed the memory budget (the estimate goes to
-  stderr);
-* ``FEQLAB_THREADS`` caps worker threads in the Newton sweeps.
+  stderr).
 """
 
 import argparse
@@ -235,8 +234,9 @@ def cmd_solve(args):
 
 
 def _exact_pairs_for_audit(G, sigma, chi):
-    """(label, f, g) for every solver-found pair with f != 0, plus the
-    canned half-trace candidate when the group has one."""
+    """Yield (label, f, g) for every solver-found pair with f != 0, plus the
+    canned half-trace candidate when the group has one. Each g's nullspace
+    is solved only when its pairs are asked for."""
     tol = zero_tolerance(G)
     gs = [(f"g{k}", g) for k, (_, g, _m) in enumerate(candidate_gs(G, sigma, chi))]
     half = canned_half_trace(G)
@@ -245,14 +245,14 @@ def _exact_pairs_for_audit(G, sigma, chi):
         if rep.sup <= tol and not any(
                 np.abs(g.values - half.values).max() <= 1e-9 for _, g in gs):
             gs.append(("half-trace", half))
-    out = []
     for label, g in gs:
+        if not g.values.any():
+            continue    # y = e gives 2 f(x) = 2 f(x) g(e), so g = 0 forces f = 0
         res = solve_f_given_g(G, sigma, chi, g)
         for j, f in enumerate(res.basis):
             rep = residual_wilson(G, sigma, chi, f, g)
             if rep.sup <= tol:
-                out.append((f"{label}:f{j}", f, g))
-    return out
+                yield (f"{label}:f{j}", f, g)
 
 
 def cmd_audit(args):
@@ -269,7 +269,7 @@ def cmd_audit(args):
         except (OSError, ValueError) as exc:
             raise CliError(f"bad function file: {exc}") from None
     else:
-        pairs = _exact_pairs_for_audit(G, sigma, chi)
+        pairs = list(_exact_pairs_for_audit(G, sigma, chi))
     if not pairs:
         print("no exact pairs with f != 0 found")
         return EXIT_OK
@@ -379,10 +379,10 @@ def cmd_perturb(args):
         G = _resolve_group(getattr(args, "group", None) or domain_spec)
         sigma = _resolve_sigma(G, getattr(args, "sigma", None))
         chi = _resolve_chi(G, sigma, args)
-        pairs = _exact_pairs_for_audit(G, sigma, chi)
-        if not pairs:
+        first = next(_exact_pairs_for_audit(G, sigma, chi), None)
+        if first is None:
             raise CliError("no exact pair with f != 0 available to perturb")
-        label, f, g = pairs[0]
+        _, f, g = first
         pair = SolutionPair(f, g, "External", sigma=sigma, chi=chi)
     result = perturb(pair, config)
     print(f"measured_delta {_fmt(result.measured_delta)}")

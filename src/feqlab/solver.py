@@ -9,11 +9,10 @@ formulas, and a multistart Newton solver recovers the self-paired solution
 set without using the formula at all.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .families import dalembert_family, twisted_companion
 from .feq import (GroupFunction, companion_mg, parity_parts, residual_wilson,
@@ -24,14 +23,12 @@ SVD_KERNEL_CUTOFF = 1e-10
 GUARD_BAND = 10.0
 
 
-def thread_count():
-    """Worker cap from FEQLAB_THREADS; defaults to 1 (deterministic enough
-    either way, workers are pure and reduced in submission order)."""
-    raw = os.environ.get("FEQLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# byte budget of one stacked Jacobian block in the Newton search
+NEWTON_BLOCK_BYTES = 2**18
+
+# the stacked least-squares gufunc behind np.linalg.lstsq (numpy 1.x names
+# the tall-matrix variant lstsq_n)
+_LSTSQ_GUFUNC = getattr(_umath_linalg, "lstsq", None) or _umath_linalg.lstsq_n
 
 
 class NumericalAmbiguity(RuntimeError):
@@ -268,6 +265,7 @@ class BruteForceResult:
     n_starts: int
     n_converged: int
     flagged: bool
+    hits: list                  # converged starts that landed on each solution
 
 
 def _disk_starts(rng, count, n, radius=2.0):
@@ -276,49 +274,115 @@ def _disk_starts(rng, count, n, radius=2.0):
     return r * np.exp(1j * theta)
 
 
-def _newton_polish(v0, base, mul_idx, shift_idx, chi_vals, max_iter=60):
-    """Damped Gauss-Newton on the self-paired residual with f(e) pinned to 1.
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
-    The system is holomorphic in f, so the complex Jacobian is exact.
+
+def _lstsq_stack(J, r):
+    """np.linalg.lstsq(J[i], r[i], rcond=None)[0] for every i, in one call.
+
+    np.linalg.lstsq refuses stacked input; its gufunc (one zgelsd per item)
+    takes it, so each item's solution is the same bits as the single call.
     """
-    n = v0.shape[0]
-    rows = np.arange(n * n)
-    xs, ys = rows // n, rows % n
-    e0 = np.zeros(n, dtype=np.complex128)
-    e0[0] = 1.0
+    m, n = J.shape[-2:]
+    rcond = np.finfo(np.float64).eps * max(n, m)
+    with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x, _, _, _ = _LSTSQ_GUFUNC(J, r[..., None], rcond,
+                                   signature="DDd->Ddid")
+    return x[..., 0]
 
-    def res_vec(v):
-        r = (v[mul_idx].reshape(-1)
-             + chi_vals[ys] * v[shift_idx].reshape(-1)
-             - 2.0 * v[xs] * v[ys])
-        return np.concatenate([r, [v[0] - 1.0]])
 
-    def jac(v):
-        J = base.copy()
-        np.add.at(J, (rows, xs), -2.0 * v[ys])
-        np.add.at(J, (rows, ys), -2.0 * v[xs])
-        return np.vstack([J, e0[None, :]])
+class _SelfPairedSystem:
+    """Residual and Jacobian of the self-paired equation with f(e) pinned to 1,
+    for a stack of iterates v of shape (B, n).
 
-    v = v0.copy()
-    v[0] = 1.0
-    F = res_vec(v)
-    norm = np.linalg.norm(F)
+    Row x*n + y of the residual is f(xy) + chi(y) f(sigma(y) x) - 2 f(x) f(y);
+    the last row is f(e) - 1. The system is holomorphic in f, so the complex
+    Jacobian is exact.
+    """
+
+    def __init__(self, G, sigma, chi):
+        n = G.order
+        rows = np.arange(n * n)
+        self.rows = rows
+        self.xs, self.ys = rows // n, rows % n
+        self.mul_flat = G.mul.reshape(-1)
+        self.shift_flat = G.mul[sigma.table].T.reshape(-1)  # sigma(y) x
+        self.chi_ys = chi.values[self.ys]
+        base = np.zeros((n * n + 1, n), dtype=np.complex128)
+        np.add.at(base, (rows, self.mul_flat), 1.0)
+        np.add.at(base, (rows, self.shift_flat), self.chi_ys)
+        base[-1, 0] = 1.0
+        self.base = base
+
+    def residuals(self, V):
+        R = np.empty((V.shape[0], len(self.base)), dtype=np.complex128)
+        R[:, :-1] = (V[:, self.mul_flat] + self.chi_ys * V[:, self.shift_flat]
+                     - 2.0 * V[:, self.xs] * V[:, self.ys])
+        R[:, -1] = V[:, 0] - 1.0
+        return R
+
+    def jacobians(self, V, out):
+        """Fill out[:len(V)] with the Jacobians at V; return that view."""
+        J = out[:V.shape[0]]
+        J[...] = self.base
+        # two separate adds, in this order, as on the diagonal x = y both
+        # land on the same entry
+        J[:, self.rows, self.xs] += -2.0 * V[:, self.ys]
+        J[:, self.rows, self.ys] += -2.0 * V[:, self.xs]
+        return J
+
+
+def _norms(F):
+    """Row norms of a complex stack, bit for bit as np.linalg.norm per row."""
+    return np.sqrt(np.vecdot(F.real, F.real) + np.vecdot(F.imag, F.imag))
+
+
+def _converged(F):
+    return np.abs(F).max(axis=1) <= 1e-13
+
+
+def _newton_polish(system, V, max_iter=60):
+    """Damped Gauss-Newton from every row of V at once; V is updated in place.
+
+    Each start follows its own sequential run exactly: it leaves the active
+    set when its residual is below 1e-13, when its line search runs out
+    (t <= 1e-7) or after max_iter steps. All pending starts of one line
+    search share the same t, as each starts at 1 and halves per rejection.
+    Returns the per-start convergence flags.
+    """
+    V[:, 0] = 1.0
+    F = system.residuals(V)
+    norm = _norms(F)
+    ok = np.zeros(V.shape[0], dtype=bool)
+    active = np.arange(V.shape[0])
+    J_buf = np.empty((V.shape[0],) + system.base.shape, dtype=np.complex128)
     for _ in range(max_iter):
-        if np.abs(F).max() <= 1e-13:
-            return v, True
-        step, *_ = np.linalg.lstsq(jac(v), -F, rcond=None)
+        done = _converged(F[active])
+        ok[active[done]] = True
+        active = active[~done]
+        if not active.size:
+            return ok
+        step = _lstsq_stack(system.jacobians(V[active], J_buf), -F[active])
+        pending = np.arange(active.size)     # positions in active
         t = 1.0
-        while t > 1e-7:
-            cand = v + t * step
-            Fc = res_vec(cand)
-            nc = np.linalg.norm(Fc)
-            if nc < norm * (1.0 - 1e-4 * t) or nc < 1e-13:
-                v, F, norm = cand, Fc, nc
-                break
+        while pending.size and t > 1e-7:
+            idx = active[pending]
+            cand = V[idx] + t * step[pending]
+            Fc = system.residuals(cand)
+            nc = _norms(Fc)
+            accept = (nc < norm[idx] * (1.0 - 1e-4 * t)) | (nc < 1e-13)
+            took = idx[accept]
+            V[took], F[took], norm[took] = cand[accept], Fc[accept], nc[accept]
+            pending = pending[~accept]
             t /= 2.0
-        else:
-            return v, bool(np.abs(F).max() <= 1e-13)
-    return v, bool(np.abs(F).max() <= 1e-13)
+        # an exhausted line search ends that start's run here
+        out = active[pending]
+        ok[out] = _converged(F[out])
+        active = np.delete(active, pending)
+    ok[active] = _converged(F[active])
+    return ok
 
 
 def brute_force_dalembert(G, sigma, chi, n_starts=200, seed=0):
@@ -326,43 +390,35 @@ def brute_force_dalembert(G, sigma, chi, n_starts=200, seed=0):
 
     f(e) is forced into {0, 1} (set x = y = e), and f(e) = 0 forces f = 0,
     so the search fixes f(e) = 1 and multistarts damped Newton from complex
-    points uniform in the radius-2 disk. Results are deduplicated at 1e-6.
+    points uniform in the radius-2 disk. The starts run as stacked batches
+    whose Jacobians fit NEWTON_BLOCK_BYTES. Results are deduplicated at 1e-6
+    in start order.
     """
     if G.order > 8:
         raise ValueError("brute force is for groups of order <= 8")
-    n = G.order
-    mul_idx = G.mul
-    shift_idx = G.mul[sigma.table].T  # [x, y] -> sigma(y) x
-    rows = np.arange(n * n)
-    xs, ys = rows // n, rows % n
-    base = np.zeros((n * n, n), dtype=np.complex128)
-    np.add.at(base, (rows, mul_idx.reshape(-1)), 1.0)
-    np.add.at(base, (rows, shift_idx.reshape(-1)), chi.values[ys])
-
+    system = _SelfPairedSystem(G, sigma, chi)
     rng = np.random.default_rng(seed)
-    starts = _disk_starts(rng, n_starts, n)
-
-    def run(start):
-        return _newton_polish(start.astype(np.complex128), base, mul_idx,
-                              shift_idx, chi.values)
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(s) for s in starts]
+    starts = _disk_starts(rng, n_starts, G.order)
+    block = max(1, NEWTON_BLOCK_BYTES // system.base.nbytes)
 
     solutions = [GroupFunction.zero(G)]
+    hits = [0]
     n_conv = 0
-    for v, ok in results:
-        if not ok:
-            continue
-        n_conv += 1
-        if all(np.abs(v - s.values).max() >= 1e-6 for s in solutions):
-            solutions.append(GroupFunction(G, v))
+    for lo in range(0, n_starts, block):
+        V = starts[lo:lo + block].copy()
+        ok = _newton_polish(system, V)
+        for v in V[ok]:
+            n_conv += 1
+            for k, s in enumerate(solutions):
+                if np.abs(v - s.values).max() < 1e-6:
+                    hits[k] += 1
+                    break
+            else:
+                # a copy, so the kept solution does not pin the block's rows
+                solutions.append(GroupFunction(G, v.copy()))
+                hits.append(1)
     flagged = n_conv <= n_starts // 2
-    return BruteForceResult(solutions, n_starts, n_conv, flagged)
+    return BruteForceResult(solutions, n_starts, n_conv, flagged, hits)
 
 
 def function_sets_equal(set_a, set_b, tol=1e-6):

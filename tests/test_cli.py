@@ -278,6 +278,22 @@ def test_perturb_on_a_finite_group(capsys):
     assert again[1] == out  # default seed is fixed
 
 
+def test_perturb_solves_only_the_first_exact_pair(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_f_given_g(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_f_given_g", counted)
+    code, out, _ = run(capsys, "perturb", "--group", "Z2xZ4", "--sigma", "inv",
+                       "--chi", "0", "--epsilon", "1e-2")
+    assert code == EXIT_OK
+    # the stdout recorded when all 7 candidate g's were solved
+    assert out == "measured_delta 0.038503536164702493\n"
+    assert len(calls) == 1
+
+
 def test_perturb_on_a_lattice_ball_writes_files(capsys, tmp_path):
     prefix = str(tmp_path / "run")
     code, out, _ = run(capsys, "perturb", "--domain", "lattice:2",

@@ -27,18 +27,8 @@ from feqlab.solver import (
     solve_f_given_g,
     span_distance,
     theorem22_audit,
-    thread_count,
     wilson_system_matrix,
 )
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("FEQLAB_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("FEQLAB_THREADS", "not-a-number")
-    assert thread_count() == 1
-    monkeypatch.setenv("FEQLAB_THREADS", "0")
-    assert thread_count() == 1
 
 
 def test_system_matrix_matches_hand_computation():
@@ -214,6 +204,17 @@ def test_brute_force_flags_low_convergence_honestly():
     assert res.n_converged == 96
     assert res.flagged
     assert len(res.solutions) == 6  # zero plus the five characters
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z5", "S3"])
+def test_brute_force_counts_hits_per_solution(name):
+    G = build_catalog_group(name)
+    res = brute_force_dalembert(G, identity_involution(G), trivial_character(G))
+    assert len(res.hits) == len(res.solutions)
+    assert sum(res.hits) == res.n_converged
+    # f(e) is pinned to 1, so no start can land on f = 0
+    assert res.hits[0] == 0
+    assert all(h > 0 for h in res.hits[1:])
 
 
 def test_brute_force_rejects_large_groups():
