@@ -32,8 +32,8 @@ from .morphisms import (AdditiveMap, ball_character, ball_involution,
                         read_character)
 from .solver import (AuditNotApplicable, candidate_gs, completeness_check,
                      solve_f_given_g, theorem22_audit)
-from .stability import (PerturbationConfig, dichotomy_experiment, perturb,
-                        run_stability_battery)
+from .stability import (PerturbationConfig, _fmt, dichotomy_experiment,
+                        perturb, run_stability_battery)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -53,10 +53,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         sys.exit(EXIT_BADCONFIG)
-
-
-def _fmt(x):
-    return f"{x:.17g}"
 
 
 def _fmt_c(z):
@@ -353,23 +349,36 @@ def _ball_exact_pair(ball, sigma, chi, zs):
         raise CliError(str(exc)) from None
 
 
-def cmd_perturb(args):
-    domain_spec = getattr(args, "domain", None)
-    eps = _get(args, "epsilon", None, float)
+def _perturbation_config(args, domain, default_epsilon=None):
+    """The PerturbationConfig the flags ask for; --epsilon falls back to
+    default_epsilon (required when that is None) and --point must name an
+    element of the domain."""
+    eps = _get(args, "epsilon", default_epsilon, float)
     if eps is None:
         raise CliError("--epsilon is required")
-    config = PerturbationConfig(
-        epsilon=eps,
-        seed=_get(args, "seed", 42, int),
-        shape=_get(args, "shape", "uniform-disk"),
-        target=_get(args, "target", "both"),
-        point=_get(args, "point", 0, int),
-    )
+    try:
+        config = PerturbationConfig(
+            epsilon=eps,
+            seed=_get(args, "seed", 42, int),
+            shape=_get(args, "shape", "uniform-disk"),
+            target=_get(args, "target", "both"),
+            point=_get(args, "point", 0, int),
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    if not 0 <= config.point < domain.n:
+        raise CliError(f"--point must be an element id in 0..{domain.n - 1}")
+    return config
+
+
+def cmd_perturb(args):
+    domain_spec = getattr(args, "domain", None)
     if domain_spec and (domain_spec.startswith(("lattice:", "free:"))
                         or domain_spec == "heisenberg"):
-        kind, key = _ball_kind(domain_spec)
+        kind, _ = _ball_kind(domain_spec)
         radius = _get(args, "radius", 4, int)
         ball = BallDomain(kind, radius)
+        config = _perturbation_config(args, ball)
         sigma = ball_involution(ball, getattr(args, "sigma", None) or "inv")
         k = len(kind.abelian_coords(ball.elements[0]))
         zs = _parse_zs(args, k)
@@ -377,6 +386,7 @@ def cmd_perturb(args):
         pair = _ball_exact_pair(ball, sigma, chi, zs)
     else:
         G = _resolve_group(getattr(args, "group", None) or domain_spec)
+        config = _perturbation_config(args, G)
         sigma = _resolve_sigma(G, getattr(args, "sigma", None))
         chi = _resolve_chi(G, sigma, args)
         first = next(_exact_pairs_for_audit(G, sigma, chi), None)
@@ -405,13 +415,7 @@ def cmd_stability(args):
     if not chi.unitary:
         raise CliError("stability audits need a unitary chi (|z| = 1)")
     pair = _ball_exact_pair(max_ball, sigma, chi, zs)
-    config = PerturbationConfig(
-        epsilon=_get(args, "epsilon", 1e-2, float),
-        seed=_get(args, "seed", 42, int),
-        shape=_get(args, "shape", "uniform-disk"),
-        target=_get(args, "target", "both"),
-        point=_get(args, "point", 0, int),
-    )
+    config = _perturbation_config(args, max_ball, default_epsilon=1e-2)
     a = _get(args, "a", max_ball.identity, int)
     if not 0 <= a < max_ball.n:
         raise CliError(f"--a must be an element id in 0..{max_ball.n - 1}")

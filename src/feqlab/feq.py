@@ -7,8 +7,7 @@ only when every product it needs stays inside the ball; such skips are
 counted, never silently dropped.
 """
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,16 +58,6 @@ class GroupFunction:
     def at_identity(self):
         return complex(self.values[self.domain.identity])
 
-    def compose_involution(self, sigma):
-        """x -> f(sigma(x))."""
-        return GroupFunction(self.domain, self.values[sigma.table],
-                             self.defined[sigma.table])
-
-    def check_inverse(self):
-        """x -> f(x^{-1})."""
-        inv = self.domain.inv
-        return GroupFunction(self.domain, self.values[inv], self.defined[inv])
-
     def __add__(self, other):
         return GroupFunction(self.domain, self.values + other.values,
                              self.defined & other.defined)
@@ -114,13 +103,6 @@ class ResidualReport:
     argmax_y: int
     pairs: int
     skipped: int
-
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
 
 
 def _report(resid, valid):
@@ -199,78 +181,3 @@ def parity_parts(f, sigma, chi):
     fe = GroupFunction(f.domain, (f.values + twisted) / 2.0, f.defined)
     fo = GroupFunction(f.domain, (f.values - twisted) / 2.0, f.defined)
     return fe, fo
-
-
-def conjugate_shift(h, sigma, y):
-    """x -> h(sigma(y) x y)."""
-    domain = h.domain
-    sy_x = domain.mul[sigma(y)]
-    ok = sy_x >= 0
-    full = np.where(ok, domain.mul[np.maximum(sy_x, 0), y], -1)
-    defined = ok & (full >= 0)
-    vals = np.where(defined, h.values[np.maximum(full, 0)], 0.0)
-    return GroupFunction(domain, vals, defined)
-
-
-def left_translate(h, sigma, y):
-    """x -> h(sigma(y) x)."""
-    domain = h.domain
-    idx = domain.mul[sigma(y)]
-    defined = idx >= 0
-    vals = np.where(defined, h.values[np.maximum(idx, 0)], 0.0)
-    return GroupFunction(domain, vals, defined)
-
-
-def right_translate(h, y):
-    """x -> h(x y)."""
-    domain = h.domain
-    idx = domain.mul[:, y]
-    defined = idx >= 0
-    vals = np.where(defined, h.values[np.maximum(idx, 0)], 0.0)
-    return GroupFunction(domain, vals, defined)
-
-
-PRESET_TAGS = ("WilsonVariant", "DAlembertVariant", "SymmetrizedCauchy",
-               "ClassicDAlembert", "ClassicWilson")
-
-
-@dataclass
-class EquationPreset:
-    """Equation selector: which residual to run and with which sigma, chi.
-
-    The classic presets pin sigma and chi: ClassicWilson/ClassicDAlembert use
-    sigma = inversion with trivial chi; SymmetrizedCauchy is sigma = identity
-    with trivial chi, which turns the pair equation into
-    f(xy) + f(yx) = 2 f(x) g(y).
-    """
-    tag: str
-    sigma: object = None
-    chi: object = None
-
-    def __post_init__(self):
-        if self.tag not in PRESET_TAGS:
-            raise ValueError(f"unknown preset {self.tag!r}")
-
-    def resolve(self, domain):
-        from .morphisms import (ball_involution, identity_involution,
-                                inversion_involution, trivial_character)
-        sigma, chi = self.sigma, self.chi
-        if self.tag in ("ClassicDAlembert", "ClassicWilson"):
-            if isinstance(domain, FiniteGroup):
-                sigma = inversion_involution(domain)
-            else:
-                sigma = ball_involution(domain, "inv")
-            chi = trivial_character(domain)
-        elif self.tag == "SymmetrizedCauchy":
-            sigma = identity_involution(domain)
-            chi = trivial_character(domain)
-        if sigma is None or chi is None:
-            raise ValueError(f"preset {self.tag} needs explicit sigma and chi")
-        return sigma, chi
-
-    def residual(self, domain, f, g=None):
-        sigma, chi = self.resolve(domain)
-        if self.tag in ("DAlembertVariant", "ClassicDAlembert", "SymmetrizedCauchy") \
-                and g is None:
-            g = f
-        return residual_wilson(domain, sigma, chi, f, g)

@@ -7,7 +7,6 @@ when the product falls outside a ball window), and ``inv[a]`` the inverse id.
 
 import itertools
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -273,9 +272,6 @@ class IntegerLattice:
     def invert(self, a):
         return tuple(-x for x in a)
 
-    def coords(self, a):
-        return a
-
     def abelian_coords(self, a):
         return a
 
@@ -303,9 +299,6 @@ class DiscreteHeisenberg:
     def invert(self, u):
         a, b, c = u
         return (-a, -b, -c + a * b)
-
-    def coords(self, u):
-        return u
 
     def abelian_coords(self, u):
         # the center (c coordinate) is the commutator subgroup
@@ -343,9 +336,6 @@ class FreeGroup:
 
     def invert(self, a):
         return tuple(-letter for letter in reversed(a))
-
-    def coords(self, a):
-        return a
 
     def abelian_coords(self, a):
         sums = [0] * self.rank
@@ -431,36 +421,3 @@ class BallDomain:
 
     def __repr__(self):
         return f"BallDomain({self.name}, n={self.n})"
-
-
-# --- file formats ---------------------------------------------------------
-
-
-def write_cayley(G, path):
-    lines = [str(G.order)]
-    lines += [" ".join(str(v) for v in row) for row in G.mul]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_cayley(path, name=None):
-    lines = Path(path).read_text().split()
-    n = int(lines[0])
-    vals = [int(v) for v in lines[1:]]
-    if len(vals) != n * n:
-        raise ValueError("Cayley file has wrong entry count")
-    mul = np.array(vals, dtype=np.int64).reshape(n, n)
-    return FiniteGroup(mul, name=name or Path(path).stem)
-
-
-def write_ball(ball, path):
-    lines = [" ".join(str(c) for c in ball.kind.coords(el)) for el in ball.elements]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_ball_coords(path):
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            rows.append(tuple(int(c) for c in line.split()))
-    return rows

@@ -11,7 +11,7 @@ from pathlib import Path
 import cmath
 import numpy as np
 
-from .groups import BallDomain, FiniteGroup, abelianization
+from .groups import FiniteGroup, abelianization
 
 INVOLUTION_SEARCH_BUDGET = 2_000_000
 
@@ -326,13 +326,6 @@ class MultiplicativeFunction:
     def __call__(self, a):
         return self.values[a]
 
-    def compose(self, sigma):
-        """m o sigma as a MultiplicativeFunction."""
-        vals = self.values[sigma.table]
-        ang = None if self.angles is None else [self.angles[sigma(a)]
-                                               for a in range(self.domain.n)]
-        return MultiplicativeFunction(self.domain, vals, angles=ang, is_zero=self.is_zero)
-
     def __repr__(self):
         if self.is_zero:
             return "MultiplicativeFunction(0)"
@@ -415,44 +408,7 @@ class AdditiveMap:
         return f"AdditiveMap({self.coefficients})"
 
 
-def additive_maps_basis(domain):
-    """Basis of the additive maps: one coordinate form per abelianized
-    coordinate; empty on finite groups."""
-    if isinstance(domain, FiniteGroup):
-        return []
-    k = len(domain.kind.abelian_coords(domain.elements[0]))
-    basis = []
-    for i in range(k):
-        coeff = np.zeros(k, dtype=np.complex128)
-        coeff[i] = 1.0
-        basis.append(AdditiveMap(domain, coeff))
-    return basis
-
-
 # --- file formats ---------------------------------------------------------
-
-
-def write_morphism(sigma, path):
-    lines = [f"{i} -> {sigma(i)}" for i in range(len(sigma.table))]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_morphism(path, domain, kind):
-    table = np.full(domain.n, -1, dtype=np.int64)
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        src, _, dst = line.partition("->")
-        table[int(src)] = int(dst)
-    if (table < 0).any():
-        raise ValueError("morphism file does not cover the domain")
-    sigma = Involution(table, kind, label=_classify_label(domain, table))
-    if not is_involutive(domain, table):
-        raise ValueError("map in file is not involutive")
-    if not satisfies_morphism_law(domain, table, kind):
-        raise ValueError(f"map in file is not an {kind}")
-    return sigma
 
 
 def write_character(chi, path):

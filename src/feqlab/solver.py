@@ -78,27 +78,6 @@ def solve_f_given_g(domain, sigma, chi, g, cutoff=SVD_KERNEL_CUTOFF):
     return SolveResult(basis, s, ambiguous)
 
 
-@dataclass
-class SolutionEntry:
-    g: GroupFunction
-    m_angle_keys: list          # angle tuples of the m's that generate this g
-    f_basis: list
-    f_dim: int
-    ambiguous: bool
-
-
-@dataclass
-class SolutionSet:
-    domain: object
-    entries: list
-    # (g arbitrary, f = 0) is always a solution; recorded once, symbolically
-    zero_f_note: str = "f = 0 solves the equation for every g"
-
-    @property
-    def any_ambiguous(self):
-        return any(e.ambiguous for e in self.entries)
-
-
 def _angle_key(m):
     if m.is_zero:
         return "zero"
@@ -136,21 +115,6 @@ def candidate_gs(G, sigma, chi):
         else:
             seen[key][1].append(m)
     return [(key, *seen[key]) for key in order]
-
-
-def enumerate_solutions(G, sigma, chi):
-    """Solve the pair equation for every candidate g."""
-    entries = []
-    for _, g, ms in candidate_gs(G, sigma, chi):
-        res = solve_f_given_g(G, sigma, chi, g)
-        entries.append(SolutionEntry(
-            g=g,
-            m_angle_keys=[_angle_key(m) for m in ms],
-            f_basis=res.basis,
-            f_dim=res.f_dim,
-            ambiguous=res.ambiguous,
-        ))
-    return SolutionSet(G, entries)
 
 
 def span_distance(vectors, target, tol_scale=True):

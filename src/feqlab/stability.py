@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .feq import (GroupFunction, companion_mg, residual_symmetrized_cauchy,
-                  residual_wilson)
-from .groups import BallDomain, FiniteGroup, IntegerLattice
+                  residual_wilson, section_function)
+from .groups import BallDomain, IntegerLattice
 from .morphisms import ball_character, ball_involution, satisfies_morphism_law
 
 AUDIT_TOL = 1e-9
@@ -35,8 +35,10 @@ class PerturbationConfig:
     point: int = 0  # bump location for single-point; identity by default
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.shape not in PERTURBATION_SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}")
         if self.target not in PERTURBATION_TARGETS:
@@ -215,14 +217,12 @@ def audit_centrality_bound(domain, sigma, chi, f, g, delta):
             xy, xz = mp[X, Y], mp[X, Z]
             syx, szx = mp[sy, X], mp[sz, X]
             valid = yz_ok & (xy >= 0) & (xz >= 0) & (syx >= 0) & (szx >= 0)
+            # x(zy), x(yz), sigma(y)(xz), sigma(z)(xy) are the same elements
+            # as the next four points, so they need no gather of their own
             valid &= mp[xz, Y] >= 0
             valid &= mp[xy, Z] >= 0
-            valid &= mp[X, zy] >= 0
-            valid &= mp[X, yz] >= 0
             valid &= mp[syx, Z] >= 0
             valid &= mp[szx, Y] >= 0
-            valid &= mp[sy, xz] >= 0
-            valid &= mp[sz, xy] >= 0
             valid &= mp[szy, X] >= 0
             valid &= mp[syz, X] >= 0
             valid &= mp[sy, szx] >= 0
@@ -289,9 +289,9 @@ def audit_parity_bound(domain, sigma, chi, f, g, delta):
     return _row("parity_defect", "|m_g(y)|d + 2|g(y)|d + 4d", lhs - rhs, valid)
 
 
-def _section_grids(domain, sigma, a):
+def _section_grids(domain, a):
     n = domain.n
-    mul, st = domain.mul, sigma.table
+    mul = domain.mul
     X = np.arange(n)[:, None]
     Y = np.arange(n)[None, :]
     ax = np.broadcast_to(mul[a][:, None], (n, n))
@@ -310,7 +310,7 @@ def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     n = domain.n
     mul, st = domain.mul, sigma.table
     mp, sp = _padded(mul), _padded(st)
-    X, Y, ax, ay = _section_grids(domain, sigma, a)
+    X, Y, ax, ay = _section_grids(domain, a)
     xy = mp[X, Y]
     axy = mp[ax, Y]
     sya = np.broadcast_to(mul[st, a][None, :], (n, n))  # sigma(y) a
@@ -324,9 +324,9 @@ def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     for p in points:
         valid &= p >= 0
     fv, gv = f.values, g.values
-    fa = _val(fv, mul[a]) - fv[a] * gv  # f_a as a vector (may be partial)
-    fa_def = mul[a] >= 0
-    valid &= fa_def[:, None] & fa_def[None, :]
+    section = section_function(f, g, a)
+    fa = section.values
+    valid &= section.defined[:, None] & section.defined[None, :]
     lhs = np.abs(_val(fv, axy) - fv[a] * _val(gv, xy)
                  - fa[:, None] * gv[None, :] - fa[None, :] * gv[:, None])
     rhs = (np.abs(gv)[:, None] + 1.5) * delta
@@ -343,7 +343,7 @@ def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     n = domain.n
     mul, st = domain.mul, sigma.table
     mp, sp = _padded(mul), _padded(st)
-    X, Y, ax, ay = _section_grids(domain, sigma, a)
+    X, Y, ax, ay = _section_grids(domain, a)
     xy, yx = mp[X, Y], mp[Y, X]
     axy, ayx = mp[ax, Y], mp[ay, X]
     sya = np.broadcast_to(mul[st, a][None, :], (n, n))
@@ -360,9 +360,9 @@ def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     for p in points:
         valid &= p >= 0
     fv, gv = f.values, g.values
-    fa = _val(fv, mul[a]) - fv[a] * gv
-    fa_def = mul[a] >= 0
-    valid &= fa_def[:, None] & fa_def[None, :]
+    section = section_function(f, g, a)
+    fa = section.values
+    valid &= section.defined[:, None] & section.defined[None, :]
     fa_xy = _val(fv, axy) - fv[a] * _val(gv, xy)
     fa_yx = _val(fv, ayx) - fv[a] * _val(gv, yx)
     lhs = np.abs(fa_xy + fa_yx - 2.0 * fa[:, None] * gv[None, :]
@@ -394,9 +394,6 @@ def audit_scaled_residual_chain(domain, sigma, chi, f, g, delta):
 
     return _row_from_slices("scaled_residual_chain", "6d + 2|g(y)|d",
                             (n, n, n), slices())
-
-
-CORE_AUDITS = ("centrality", "companion_shift", "parity", "section_sine")
 
 
 def run_stability_battery(domain, sigma, chi, f, g, delta, a=0,
@@ -626,7 +623,6 @@ def theorem37_case_scan(kind, radii, f_provider, g_provider, sigma_spec="inv",
         return ScanRecord("iii", "", details, table)
 
     # both growing: try the three structured sub-branches in order
-    ratio = None
     fe, ge = f.values[0], g.values[0]
     if ge != 0 and np.abs(f.values - (fe / ge) * g.values).max() <= tol * max(1.0, f.sup()):
         details["proportionality"] = fe / ge

@@ -1,4 +1,5 @@
-"""The x-sliced triple audits against the monolithic n^3 evaluation.
+"""The x-sliced triple audits against the monolithic n^3 evaluation, and the
+sine audits against their inline section vector.
 
 The oracle below builds every point grid of the certificate over the whole
 n x n x n window, with explicit masks for points outside the ball, and takes
@@ -17,9 +18,13 @@ from feqlab.feq import GroupFunction, residual_matrix_wilson
 from feqlab.groups import (BallDomain, DiscreteHeisenberg, FreeGroup,
                            IntegerLattice, build_catalog_group)
 from feqlab.morphisms import (ball_character, ball_involution,
-                              inversion_involution, trivial_character)
-from feqlab.stability import (StabilityAuditRow, _val, audit_centrality_bound,
-                              audit_scaled_residual_chain)
+                              enumerate_involutions, inversion_involution,
+                              trivial_character)
+from feqlab.stability import (AuditInapplicable, StabilityAuditRow, _val,
+                              audit_centrality_bound,
+                              audit_scaled_residual_chain,
+                              audit_sine_addition_bound,
+                              audit_symmetrized_sine_addition_bound)
 
 
 def _chain(mul, a, b):
@@ -175,6 +180,54 @@ def test_ties_across_slices_keep_the_first_witness(monkeypatch, name):
         got = audit_scaled_residual_chain(domain, sigma, chi, zero, zero, 0.1)
         assert got == oracle_chain(domain, sigma, chi, zero, zero, 0.1)
         assert got.witness == (0, 0, 0)
+
+
+def inline_section(f, g, a):
+    """f_a(y) = f(ay) - f(a) g(y) as both sine audits computed it inline
+    before they called feq.section_function."""
+    mul = f.domain.mul
+    fv, gv = f.values, g.values
+    return SimpleNamespace(values=_val(fv, mul[a]) - fv[a] * gv,
+                           defined=mul[a] >= 0)
+
+
+def catalog_setup(name, kind):
+    G = build_catalog_group(name)
+    return G, enumerate_involutions(G, kind)[-1], trivial_character(G)
+
+
+SINE_SETUPS = {
+    "Q8_inv": q8_setup,
+    "S3_auto": lambda: catalog_setup("S3", "automorphism"),
+    "S3_anti": lambda: catalog_setup("S3", "anti-automorphism"),
+    "H3_r2_inv": lambda: ball_setup(DiscreteHeisenberg(), 2, "inv"),
+    "H3_r2_id": lambda: ball_setup(DiscreteHeisenberg(), 2, "id"),
+    "Z2_r4_inv": lambda: ball_setup(IntegerLattice(2), 4, "inv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINE_SETUPS))
+@pytest.mark.parametrize("where", ["identity", "boundary"])
+def test_sine_audits_match_the_inline_section(monkeypatch, name, where):
+    domain, sigma, chi = SINE_SETUPS[name]()
+    # BFS order puts the last element on the sphere of the largest radius
+    a = 0 if where == "identity" else domain.n - 1
+    f, g = random_pair(domain, seed=5)
+    rows = []
+    for section in (stability.section_function, inline_section):
+        monkeypatch.setattr(stability, "section_function", section)
+        row = [audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g,
+                                                     0.1, a=a)]
+        try:
+            row.append(audit_sine_addition_bound(domain, sigma, chi, f, g,
+                                                 0.1, a=a))
+        except AuditInapplicable:
+            row.append(None)
+        rows.append(row)
+    assert rows[0] == rows[1]
+    assert rows[0][0].evaluated > 0
+    if name in ("S3_auto", "H3_r2_id", "Z2_r4_inv"):
+        assert rows[0][1].evaluated > 0
 
 
 def _split_rows(excess, valid, cuts):

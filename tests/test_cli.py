@@ -16,8 +16,9 @@ from feqlab.feq import GroupFunction, read_function, write_function
 from feqlab.groups import BALL_ELEMENT_CAP, build_catalog_group
 from feqlab.morphisms import enumerate_characters, inversion_involution, \
     trivial_character, write_character
-from feqlab.families import canned_half_trace
+from feqlab.families import SolutionPair, canned_half_trace
 from feqlab.solver import candidate_gs, completeness_check, solve_f_given_g
+from feqlab.stability import PerturbationConfig, perturb
 
 
 def run(capsys, *argv):
@@ -310,6 +311,45 @@ def test_perturb_requires_epsilon(capsys):
     code, _, err = run(capsys, "perturb", "--group", "Z4", "--sigma", "inv")
     assert code == EXIT_BADCONFIG
     assert "epsilon" in err
+
+
+PERTURB_Z4 = ("perturb", "--group", "Z4", "--sigma", "inv", "--epsilon", "0.01")
+STABILITY_Z2 = ("stability", "--domain", "lattice:2", "--radii", "2",
+                "--epsilon", "0.01")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (PERTURB_Z4 + ("--shape", "nope"), "unknown shape 'nope'"),
+    (PERTURB_Z4 + ("--target", "x"), "unknown target 'x'"),
+    (PERTURB_Z4 + ("--epsilon", "-1"), "epsilon must be finite and >= 0"),
+    (PERTURB_Z4 + ("--epsilon", "nan"), "epsilon must be finite and >= 0"),
+    (PERTURB_Z4 + ("--seed", "-1"), "seed must be >= 0"),
+    (PERTURB_Z4 + ("--shape", "single-point", "--point", "99"), "0..3"),
+    (STABILITY_Z2 + ("--point", "999"), "0..12"),
+    (STABILITY_Z2 + ("--shape", "single-point", "--point", "-1"), "0..12"),
+], ids=["shape", "target", "negative-epsilon", "nan-epsilon", "negative-seed",
+        "point-past-the-group", "point-past-the-ball", "negative-point"])
+def test_bad_perturbation_flags_are_config_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_perturb_passes_shape_target_and_point_to_the_library(capsys):
+    code, out, _ = run(capsys, *PERTURB_Z4, "--shape", "single-point",
+                       "--target", "g", "--point", "2")
+    assert code == EXIT_OK
+    Z4 = build_catalog_group("Z4")
+    sigma, chi = inversion_involution(Z4), enumerate_characters(Z4)[0]
+    _, f, g = next(cli._exact_pairs_for_audit(Z4, sigma, chi))
+    pair = SolutionPair(f, g, "External", sigma=sigma, chi=chi)
+    config = PerturbationConfig(epsilon=0.01, seed=42, shape="single-point",
+                                target="g", point=2)
+    delta = perturb(pair, config).measured_delta
+    assert out == f"measured_delta {delta:.17g}\n"
+    default = PerturbationConfig(epsilon=0.01, seed=42)
+    assert delta != perturb(pair, default).measured_delta
 
 
 def test_stability_run_passes_and_emits_csv(capsys):

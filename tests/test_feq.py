@@ -1,4 +1,4 @@
-"""Residual evaluators, derived functions, and equation presets.
+"""Residual evaluators and derived functions.
 
 The frozen vectors below were derived by hand from the closed forms
 (fourth-root characters on Z4, half-sums on Z6) and double-checked against
@@ -9,18 +9,13 @@ import numpy as np
 import pytest
 
 from feqlab.feq import (
-    EquationPreset,
     GroupFunction,
-    ResidualReport,
     companion_mg,
-    conjugate_shift,
-    left_translate,
     parity_parts,
     read_function,
     residual_dalembert,
     residual_symmetrized_cauchy,
     residual_wilson,
-    right_translate,
     section_function,
     write_function,
     zero_tolerance,
@@ -100,11 +95,6 @@ def test_ball_residual_counts_skipped_pairs():
     assert rep.sup == 0.0
 
 
-def test_report_json_round_trip():
-    rep = ResidualReport(0.5, 1, 2, 16, 0)
-    assert ResidualReport.from_json(rep.to_json()) == rep
-
-
 def test_group_function_validation_and_algebra():
     Z4 = build_catalog_group("Z4")
     with pytest.raises(ValueError):
@@ -115,14 +105,6 @@ def test_group_function_validation_and_algebra():
     assert f.sup() == 3.0
     assert f.at_identity() == 1.0
     assert np.array_equal((2 * f - f).values, f.values)
-    assert np.array_equal(f.check_inverse().values, [1, 0, -3, 2j])
-
-
-def test_compose_involution_permutes():
-    Z4 = build_catalog_group("Z4")
-    f = GroupFunction(Z4, [0, 1, 2, 3])
-    comp = f.compose_involution(inversion_involution(Z4))
-    assert np.array_equal(comp.values, [0, 3, 2, 1])
 
 
 def test_function_file_round_trip_is_exact(tmp_path):
@@ -218,70 +200,3 @@ def test_odd_vector_has_zero_even_part():
     f = GroupFunction(Z4, [0, 2j, 0, -2j])  # i^k - i^{-k}
     fe, _ = parity_parts(f, inversion_involution(Z4), trivial_character(Z4))
     assert np.allclose(fe.values, 0.0)
-
-
-def test_conjugate_shift_identity_and_abelian_cases():
-    Z6 = build_catalog_group("Z6")
-    rng = np.random.default_rng(0)
-    h = GroupFunction(Z6, rng.normal(size=6) + 1j * rng.normal(size=6))
-    sigma = inversion_involution(Z6)
-    assert np.array_equal(conjugate_shift(h, sigma, 0).values, h.values)
-    for y in range(6):  # -y + x + y = x on an abelian group
-        assert np.array_equal(conjugate_shift(h, sigma, y).values, h.values)
-
-
-def test_conjugate_shift_matches_pointwise_oracle_on_s3():
-    S3 = build_catalog_group("S3")
-    sigma = inversion_involution(S3)
-    h = GroupFunction(S3, np.arange(6, dtype=float))
-    for y in range(6):
-        shifted = conjugate_shift(h, sigma, y)
-        for x in range(6):
-            expected = h.values[S3.op(S3.op(sigma(y), x), y)]
-            assert shifted.values[x] == expected
-
-
-def test_left_and_right_translations_commute():
-    S3 = build_catalog_group("S3")
-    sigma = inversion_involution(S3)
-    rng = np.random.default_rng(1)
-    h = GroupFunction(S3, rng.normal(size=6))
-    for y in range(6):
-        for z in range(6):
-            lr = right_translate(left_translate(h, sigma, y), z)
-            rl = left_translate(right_translate(h, z), sigma, y)
-            assert np.array_equal(lr.values, rl.values)
-
-
-# --- presets --------------------------------------------------------------
-
-
-def test_preset_tags_validated():
-    with pytest.raises(ValueError):
-        EquationPreset("Pexider")
-
-
-def test_classic_presets_pin_sigma_and_chi():
-    Q8 = build_catalog_group("Q8")
-    sigma, chi = EquationPreset("ClassicDAlembert").resolve(Q8)
-    assert sigma.is_inversion and chi.is_trivial()
-    Z4 = build_catalog_group("Z4")
-    sigma, chi = EquationPreset("SymmetrizedCauchy").resolve(Z4)
-    assert sigma.is_identity and chi.is_trivial()
-
-
-def test_variant_presets_need_explicit_data():
-    Z4 = build_catalog_group("Z4")
-    with pytest.raises(ValueError):
-        EquationPreset("WilsonVariant").resolve(Z4)
-    sigma = inversion_involution(Z4)
-    chi = trivial_character(Z4)
-    s, c = EquationPreset("WilsonVariant", sigma=sigma, chi=chi).resolve(Z4)
-    assert s is sigma and c is chi
-
-
-def test_preset_residual_defaults_g_to_f_for_self_paired_tags():
-    Z6 = build_catalog_group("Z6")
-    g = GroupFunction(Z6, np.cos(np.pi * np.arange(6) / 3))
-    rep = EquationPreset("ClassicDAlembert").residual(Z6, g)
-    assert rep.sup <= 1e-12

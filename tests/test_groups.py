@@ -16,10 +16,6 @@ from feqlab.groups import (
     commutator_subgroup,
     direct_product,
     CATALOG_NAMES,
-    read_ball_coords,
-    read_cayley,
-    write_ball,
-    write_cayley,
 )
 
 KNOWN_ORDERS = {
@@ -127,21 +123,6 @@ def test_abelianization_examples():
     assert all(Q.op(a, a) == Q.identity for a in range(4))
 
 
-def test_cayley_file_round_trip(tmp_path):
-    S3 = build_catalog_group("S3")
-    path = tmp_path / "s3.txt"
-    write_cayley(S3, path)
-    back = read_cayley(path)
-    assert (back.mul == S3.mul).all()
-
-
-def test_cayley_file_wrong_count_rejected(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("3\n0 1 2\n1 2 0\n")
-    with pytest.raises(ValueError):
-        read_cayley(path)
-
-
 # --- balls ----------------------------------------------------------------
 
 
@@ -200,13 +181,6 @@ def test_heisenberg_is_noncommutative():
     assert H.mult(x, y) == (1, 1, 1)
     assert H.mult(y, x) == (1, 1, 0)
     assert H.mult(H.mult(x, y), H.invert(H.mult(x, y))) == (0, 0, 0)
-
-
-def test_ball_file_round_trip(tmp_path):
-    ball = BallDomain(IntegerLattice(2), 1)
-    path = tmp_path / "ball.txt"
-    write_ball(ball, path)
-    assert read_ball_coords(path) == [ball.kind.coords(el) for el in ball.elements]
 
 
 vectors = st.lists(st.integers(-20, 20), min_size=2, max_size=2).map(tuple)

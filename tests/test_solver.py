@@ -22,7 +22,6 @@ from feqlab.solver import (
     brute_force_dalembert,
     candidate_gs,
     completeness_check,
-    enumerate_solutions,
     function_sets_equal,
     solve_f_given_g,
     span_distance,
@@ -82,14 +81,6 @@ def test_candidate_gs_merge_twisted_partners():
     assert len(out) == 4
     merged = [ms for _, _, ms in out if len(ms) == 2]
     assert len(merged) == 1  # i^k and i^{-k} share one g
-
-
-def test_enumerate_solutions_on_the_trivial_group():
-    Z1 = build_catalog_group("Z1")
-    sols = enumerate_solutions(Z1, identity_involution(Z1), trivial_character(Z1))
-    assert "f = 0" in sols.zero_f_note
-    dims = sorted(e.f_dim for e in sols.entries)
-    assert dims == [0, 1]  # g = 0 admits only f = 0; g = 1 admits any value
 
 
 def test_span_distance_basics():

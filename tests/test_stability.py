@@ -1,5 +1,7 @@
 """Perturbation machinery, inequality audits, dichotomy and branch scans."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,11 @@ def test_perturbation_config_validation():
         PerturbationConfig(epsilon=0.1, shape="gaussian")
     with pytest.raises(ValueError):
         PerturbationConfig(epsilon=0.1, target="h")
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PerturbationConfig(epsilon=eps)
+    with pytest.raises(ValueError):
+        PerturbationConfig(epsilon=0.1, seed=-1)
 
 
 def test_zero_epsilon_leaves_the_pair_exact():
