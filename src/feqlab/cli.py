@@ -117,7 +117,10 @@ def _resolve_sigma(G, spec):
         return inversion_involution(G)
     for prefix, kind in (("auto:", "automorphism"), ("anti:", "anti-automorphism")):
         if spec.startswith(prefix):
-            idx = int(spec[len(prefix):])
+            try:
+                idx = int(spec[len(prefix):])
+            except ValueError as exc:
+                raise CliError(f"bad sigma selector {spec!r}: {exc}") from None
             found = enumerate_involutions(G, kind)
             if not 0 <= idx < len(found):
                 raise CliError(f"{kind} index {idx} out of range "
@@ -291,12 +294,15 @@ def cmd_audit(args):
 
 def _ball_kind(spec):
     spec = spec or "lattice:2"
-    if spec.startswith("lattice:"):
-        return IntegerLattice(int(spec.split(":", 1)[1])), spec
-    if spec == "heisenberg":
-        return DiscreteHeisenberg(), spec
-    if spec.startswith("free:"):
-        return FreeGroup(int(spec.split(":", 1)[1])), spec
+    try:
+        if spec.startswith("lattice:"):
+            return IntegerLattice(int(spec.split(":", 1)[1])), spec
+        if spec == "heisenberg":
+            return DiscreteHeisenberg(), spec
+        if spec.startswith("free:"):
+            return FreeGroup(int(spec.split(":", 1)[1])), spec
+    except ValueError as exc:
+        raise CliError(f"bad ball domain {spec!r}: {exc}") from None
     raise CliError(f"unknown ball domain {spec!r}")
 
 
@@ -322,6 +328,17 @@ def _parse_zs(args, k):
     if len(zs) != k:
         raise CliError(f"--chi-z needs {k} comma-separated values")
     return zs
+
+
+def _ball_maps(ball, sigma_spec, args):
+    """sigma, chi and the chi bases on a ball from --sigma and --chi-z; a bad
+    spec is a configuration error."""
+    zs = _parse_zs(args, ball.coords.shape[1])
+    try:
+        return (ball_involution(ball, sigma_spec or "inv"),
+                ball_character(ball, zs), zs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _ball_exact_pair(ball, sigma, chi, zs):
@@ -377,12 +394,11 @@ def cmd_perturb(args):
                         or domain_spec == "heisenberg"):
         kind, _ = _ball_kind(domain_spec)
         radius = _get(args, "radius", 4, int)
+        if radius < 0:
+            raise CliError("--radius must be >= 0")
         ball = BallDomain(kind, radius)
         config = _perturbation_config(args, ball)
-        sigma = ball_involution(ball, getattr(args, "sigma", None) or "inv")
-        k = len(kind.abelian_coords(ball.elements[0]))
-        zs = _parse_zs(args, k)
-        chi = ball_character(ball, zs)
+        sigma, chi, zs = _ball_maps(ball, getattr(args, "sigma", None), args)
         pair = _ball_exact_pair(ball, sigma, chi, zs)
     else:
         G = _resolve_group(getattr(args, "group", None) or domain_spec)
@@ -408,10 +424,7 @@ def cmd_stability(args):
     radii = _parse_radii(args, key)
     max_ball = BallDomain(kind, radii[-1])
     sigma_spec = getattr(args, "sigma", None) or "inv"
-    sigma = ball_involution(max_ball, sigma_spec)
-    k = len(kind.abelian_coords(max_ball.elements[0]))
-    zs = _parse_zs(args, k)
-    chi = ball_character(max_ball, zs)
+    sigma, chi, zs = _ball_maps(max_ball, sigma_spec, args)
     if not chi.unitary:
         raise CliError("stability audits need a unitary chi (|z| = 1)")
     pair = _ball_exact_pair(max_ball, sigma, chi, zs)

@@ -14,7 +14,6 @@ import numpy as np
 
 from .feq import (GroupFunction, residual_dalembert, residual_wilson,
                   zero_tolerance)
-from .groups import FiniteGroup
 from .morphisms import MultiplicativeFunction
 
 # c and f(e) samples used by exhaustive family sweeps; the families are
@@ -176,7 +175,7 @@ def canned_half_trace(G):
     Value 1 at the identity; on S3 the 3-cycles get -1/2; on D4 and Q8 the
     unique central square of an order-4 element gets -1; everything else 0.
     """
-    if not isinstance(G, FiniteGroup):
+    if G.kind is not None:
         raise ValueError("finite groups only")
     orders = [G.element_order(a) for a in range(G.order)]
     vals = np.zeros(G.order, dtype=np.complex128)

@@ -12,15 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import FiniteGroup
-
 # "residual is zero" tolerances; larger sweeps accumulate more rounding
 ZERO_TOL_FINITE = 1e-12
 ZERO_TOL_BALL = 1e-9
 
 
 def zero_tolerance(domain):
-    return ZERO_TOL_FINITE if isinstance(domain, FiniteGroup) else ZERO_TOL_BALL
+    return ZERO_TOL_FINITE if domain.kind is None else ZERO_TOL_BALL
 
 
 class GroupFunction:

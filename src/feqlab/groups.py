@@ -1,10 +1,12 @@
-"""Finite groups as Cayley tables and balls of finitely generated infinite groups.
+"""Finite groups and word-length balls of finitely generated infinite groups,
+both as one table-backed Domain type.
 
 Every domain exposes the same indexed interface: elements are dense integer
 ids with the identity at index 0, ``mul[a, b]`` gives the product id (or -1
 when the product falls outside a ball window), and ``inv[a]`` the inverse id.
 """
 
+import functools
 import itertools
 import math
 
@@ -21,32 +23,51 @@ MAX_SYMMETRIC_N = 5
 MAX_DIHEDRAL_N = 8
 
 
-class FiniteGroup:
-    """A finite group given by its multiplication table.
+class Domain:
+    """A finite group (kind None; its table is checked against the group
+    axioms) or a word-length ball of the infinite group `kind`, with its
+    BFS-ordered `elements`, their `index`, word `length` and `radius`.
+    coords[a] holds a's abelianized integer coordinates: width 0 on a finite
+    group, whose only additive map is zero."""
 
-    mul is an order x order array of element indices; identity is index 0.
-    """
-
-    def __init__(self, mul, name="G", check=True):
+    def __init__(self, mul, name="G", kind=None, elements=None, length=None,
+                 radius=None, coords=None):
         self.mul = np.asarray(mul, dtype=np.int64)
         if self.mul.ndim != 2 or self.mul.shape[0] != self.mul.shape[1]:
             raise ValueError("multiplication table must be square")
-        self.order = self.mul.shape[0]
-        self.n = self.order
+        self.order = self.n = self.mul.shape[0]
         self.identity = 0
         self.name = name
-        self.inv = self._build_inverses()
-        if check:
+        self.kind = kind
+        self.elements = elements
+        self.index = None if elements is None else \
+            {el: i for i, el in enumerate(elements)}
+        self.length = length
+        self.radius = radius
+        self.coords = np.zeros((self.n, 0), np.int64) if coords is None else coords
+        self.inv = _inverses(self.mul)
+        if kind is None:
             self.check()
 
-    def _build_inverses(self):
-        inv = np.full(self.order, -1, dtype=np.int64)
-        for a in range(self.order):
-            hits = np.flatnonzero(self.mul[a] == self.identity)
-            if len(hits) != 1:
-                raise ValueError(f"element {a} has {len(hits)} right inverses")
-            inv[a] = hits[0]
-        return inv
+    @functools.cached_property
+    def is_total(self):
+        """True when no product leaves the domain."""
+        return bool((self.mul >= 0).all())
+
+    def restrict(self, r):
+        """The radius-r ball inside this one, equal to a fresh build: BFS order
+        makes it a prefix, so products past the prefix leave it. At this
+        ball's own radius it is this ball itself, not a copy."""
+        if self.kind is None or not 0 <= r <= self.radius:
+            raise ValueError(f"{self.name} has no sub-ball of radius {r}")
+        if r == self.radius:
+            return self
+        k = int(np.searchsorted(self.length, r, side="right"))
+        head = self.mul[:k, :k]
+        return Domain(np.where(head < k, head, -1),
+                      name=f"{self.kind.name}_ball{r}", kind=self.kind,
+                      elements=self.elements[:k], length=self.length[:k],
+                      radius=r, coords=self.coords[:k])
 
     def check(self):
         """Assert the group axioms on the table. Exact integer checks."""
@@ -80,7 +101,7 @@ class FiniteGroup:
         return k
 
     def __repr__(self):
-        return f"FiniteGroup({self.name}, order={self.order})"
+        return f"Domain({self.name}, n={self.n})"
 
     # --- constructors -----------------------------------------------------
 
@@ -160,14 +181,14 @@ def direct_product(G, H):
     mulG = G.mul[:, None, :, None]
     mulH = H.mul[None, :, None, :]
     mul = (mulG * nH + mulH).reshape(nG * nH, nG * nH)
-    return FiniteGroup(mul, name=f"{G.name}x{H.name}")
+    return Domain(mul, name=f"{G.name}x{H.name}")
 
 
 def build_catalog_group(spec):
     """Build a group from a short name: Zn, ZmxZn, Sn (n<=5), Dn (n<=8), Q8."""
     s = spec.strip()
     if s.upper() == "Q8":
-        return FiniteGroup.quaternion()
+        return Domain.quaternion()
     if "x" in s:
         left, _, right = s.partition("x")
         return direct_product(build_catalog_group(left), build_catalog_group(right))
@@ -176,11 +197,11 @@ def build_catalog_group(spec):
         raise ValueError(f"unknown group spec {spec!r}")
     n = int(num)
     if kind == "Z":
-        return FiniteGroup.cyclic(n)
+        return Domain.cyclic(n)
     if kind == "S":
-        return FiniteGroup.symmetric(n)
+        return Domain.symmetric(n)
     if kind == "D":
-        return FiniteGroup.dihedral(n)
+        return Domain.dihedral(n)
     raise ValueError(f"unknown group spec {spec!r}")
 
 
@@ -235,7 +256,7 @@ def abelianization(G):
     for i, a in enumerate(reps):
         for j, b in enumerate(reps):
             mul[i, j] = proj[G.op(a, b)]
-    Q = FiniteGroup(mul, name=f"{G.name}_ab")
+    Q = Domain(mul, name=f"{G.name}_ab")
     if not Q.is_abelian():
         raise AssertionError("quotient by commutator subgroup must be abelian")
     return Q, proj
@@ -269,9 +290,6 @@ class IntegerLattice:
     def mult(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def invert(self, a):
-        return tuple(-x for x in a)
-
     def abelian_coords(self, a):
         return a
 
@@ -295,10 +313,6 @@ class DiscreteHeisenberg:
         a, b, c = u
         ap, bp, cp = v
         return (a + ap, b + bp, c + cp + a * bp)
-
-    def invert(self, u):
-        a, b, c = u
-        return (-a, -b, -c + a * b)
 
     def abelian_coords(self, u):
         # the center (c coordinate) is the commutator subgroup
@@ -334,9 +348,6 @@ class FreeGroup:
                 out.append(letter)
         return tuple(out)
 
-    def invert(self, a):
-        return tuple(-letter for letter in reversed(a))
-
     def abelian_coords(self, a):
         sums = [0] * self.rank
         for letter in a:
@@ -349,75 +360,62 @@ class BallTooLarge(ValueError):
     estimated size of its multiplication table."""
 
 
-class BallDomain:
-    """Word-length ball of radius r in an infinite group.
+def _inverses(mul):
+    """inv[a] = the one column of row a holding the identity (a ball is
+    inverse-closed, since word length is inversion-invariant)."""
+    hits = mul == 0
+    counts = hits.sum(axis=1)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        raise ValueError(f"element {bad[0]} has {counts[bad[0]]} right inverses")
+    return hits.argmax(axis=1)
 
-    Products that leave the ball are marked -1 in mul; inverses always stay
-    inside (word length is inversion-invariant), so inv is total.
-    """
 
-    def __init__(self, kind, radius, cap=BALL_ELEMENT_CAP):
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
-        self.kind = kind
-        self.radius = radius
-        self.elements, self.length = self._enumerate(kind, radius, cap)
-        self.index = {el: i for i, el in enumerate(self.elements)}
-        self.n = len(self.elements)
-        self.order = self.n
-        self.identity = 0
-        self.name = f"{kind.name}_ball{radius}"
-        self._build_tables()
+def ball_elements(kind, radius, cap=BALL_ELEMENT_CAP):
+    """The elements of the radius ball in BFS order (level-sorted, so each
+    ball is a prefix of every larger one) and their word lengths."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    gens = kind.generators()
+    e = kind.identity()
+    dist = {e: 0}
+    levels = [[e]]
+    frontier = [e]
+    for r in range(1, radius + 1):
+        nxt = set()
+        for x in frontier:
+            for g in gens:
+                y = kind.mult(x, g)
+                if y not in dist:
+                    nxt.add(y)
+        for y in nxt:
+            dist[y] = r
+        if len(dist) > cap:
+            raise BallTooLarge(
+                f"ball of radius {radius} exceeds the element cap {cap}: "
+                f"radius {r} already holds {len(dist)} elements, so its "
+                f"multiplication table needs at least "
+                f"{8 * len(dist) ** 2 / 2**20:.1f} MiB "
+                f"(budget {8 * cap ** 2 / 2**20:.1f} MiB)")
+        frontier = sorted(nxt)
+        levels.append(frontier)
+    elements = [el for level in levels for el in level]
+    lengths = np.array([dist[el] for el in elements], dtype=np.int64)
+    return elements, lengths
 
-    @staticmethod
-    def _enumerate(kind, radius, cap):
-        """BFS over generator multiplication; level-sorted for determinism."""
-        gens = kind.generators()
-        e = kind.identity()
-        dist = {e: 0}
-        levels = [[e]]
-        frontier = [e]
-        for r in range(1, radius + 1):
-            nxt = set()
-            for x in frontier:
-                for g in gens:
-                    y = kind.mult(x, g)
-                    if y not in dist:
-                        nxt.add(y)
-            for y in nxt:
-                dist[y] = r
-            if len(dist) > cap:
-                raise BallTooLarge(
-                    f"ball of radius {radius} exceeds the element cap {cap}: "
-                    f"radius {r} already holds {len(dist)} elements, so its "
-                    f"multiplication table needs at least "
-                    f"{8 * len(dist) ** 2 / 2**20:.1f} MiB "
-                    f"(budget {8 * cap ** 2 / 2**20:.1f} MiB)")
-            frontier = sorted(nxt)
-            levels.append(frontier)
-        elements = [el for level in levels for el in level]
-        lengths = np.array([dist[el] for el in elements], dtype=np.int64)
-        return elements, lengths
 
-    def _build_tables(self):
-        n = self.n
-        self.mul = np.full((n, n), -1, dtype=np.int64)
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                p = self.kind.mult(a, b)
-                self.mul[i, j] = self.index.get(p, -1)
-        self.inv = np.zeros(n, dtype=np.int64)
-        for i, a in enumerate(self.elements):
-            q = self.kind.invert(a)
-            if q not in self.index:
-                raise AssertionError("ball is not inverse-closed")
-            self.inv[i] = self.index[q]
-
-    def op(self, a, b):
-        return int(self.mul[a, b])
-
-    def inverse(self, a):
-        return int(self.inv[a])
-
-    def __repr__(self):
-        return f"BallDomain({self.name}, n={self.n})"
+# a function named like a class: the benchmark tracer wraps it by this name
+def BallDomain(kind, radius, cap=BALL_ELEMENT_CAP):
+    """The word-length ball of this radius in `kind`, as a Domain."""
+    elements, length = ball_elements(kind, radius, cap)
+    index = {el: i for i, el in enumerate(elements)}
+    n = len(elements)
+    mul = np.full((n, n), -1, dtype=np.int64)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            mul[i, j] = index.get(kind.mult(a, b), -1)
+    coords = np.array([kind.abelian_coords(el) for el in elements],
+                      dtype=np.int64)
+    return Domain(mul, name=f"{kind.name}_ball{radius}", kind=kind,
+                  elements=elements, length=length, radius=radius,
+                  coords=coords)

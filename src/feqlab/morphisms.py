@@ -11,7 +11,7 @@ from pathlib import Path
 import cmath
 import numpy as np
 
-from .groups import FiniteGroup, abelianization
+from .groups import abelianization
 
 INVOLUTION_SEARCH_BUDGET = 2_000_000
 
@@ -284,7 +284,7 @@ def enumerate_characters(G):
 
 
 def trivial_character(domain):
-    if isinstance(domain, FiniteGroup):
+    if domain.kind is None:
         return Character.from_angles(domain, [Fraction(0)] * domain.n)
     return Character(domain, np.ones(domain.n), unitary=True)
 
@@ -352,10 +352,7 @@ def ball_involution(ball, spec):
     if spec in ("id", "identity"):
         return identity_involution(ball)
     if spec in ("inv", "inversion", "neg"):
-        tab = ball.inv.copy()
-        kind = "automorphism" if satisfies_morphism_law(ball, tab, "automorphism") \
-            else "anti-automorphism"
-        return Involution(tab, kind, label="inversion")
+        return inversion_involution(ball)
     raise ValueError(f"unknown ball involution {spec!r}")
 
 
@@ -365,8 +362,7 @@ def ball_character(ball, zs):
     Unitary iff every |z_i| = 1; non-unitary values model unbounded
     multiplicative functions on the infinite group.
     """
-    coords = np.array([ball.kind.abelian_coords(el) for el in ball.elements],
-                      dtype=np.int64)
+    coords = ball.coords
     zs = [complex(z) for z in zs]
     if coords.shape[1] != len(zs):
         raise ValueError(f"expected {coords.shape[1]} base values, got {len(zs)}")
@@ -386,23 +382,20 @@ def ball_multiplicative(ball, zs):
 class AdditiveMap:
     """a(x) = sum_i coeff_i * c_i(x) over abelianized integer coordinates.
 
-    Finite groups only admit a = 0 (torsion), so the coefficient vector is
-    empty there.
+    Finite groups only admit a = 0 (torsion): their coords have width 0, so
+    the coefficient vector is empty there.
     """
 
     def __init__(self, domain, coefficients):
         self.domain = domain
         self.coefficients = np.asarray(coefficients, dtype=np.complex128)
-        if isinstance(domain, FiniteGroup):
-            if len(self.coefficients) != 0:
-                raise ValueError("finite groups admit only the zero additive map")
+        k = domain.coords.shape[1]
+        if len(self.coefficients) != k:
+            raise ValueError(f"expected {k} coefficients, got "
+                             f"{len(self.coefficients)}")
 
     def values(self):
-        if isinstance(self.domain, FiniteGroup):
-            return np.zeros(self.domain.n, dtype=np.complex128)
-        coords = np.array([self.domain.kind.abelian_coords(el)
-                           for el in self.domain.elements], dtype=np.int64)
-        return coords @ self.coefficients
+        return self.domain.coords @ self.coefficients
 
     def __repr__(self):
         return f"AdditiveMap({self.coefficients})"

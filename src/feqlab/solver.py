@@ -50,7 +50,7 @@ def wilson_system_matrix(domain, sigma, chi, g):
     """The n^2 x n matrix A with A f = 0 iff f solves the pair equation."""
     n = domain.n
     mul = domain.mul
-    if (mul < 0).any():
+    if not domain.is_total:
         raise ValueError("linear solve needs a total multiplication table")
     A = np.zeros((n * n, n), dtype=np.complex128)
     rows = np.arange(n * n)
@@ -439,7 +439,7 @@ def theorem22_audit(domain, sigma, chi, f, g, tol=1e-10):
     Requires f != 0 (the properties say nothing otherwise) and a total
     multiplication table.
     """
-    if (domain.mul < 0).any():
+    if not domain.is_total:
         raise AuditNotApplicable("audit needs a total multiplication table")
     if np.abs(f.values).max() == 0:
         raise AuditNotApplicable("audit does not apply to f = 0")

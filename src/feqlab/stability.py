@@ -15,7 +15,7 @@ import numpy as np
 
 from .feq import (GroupFunction, companion_mg, residual_symmetrized_cauchy,
                   residual_wilson, section_function)
-from .groups import BallDomain, IntegerLattice
+from .groups import BallDomain, IntegerLattice, ball_elements
 from .morphisms import ball_character, ball_involution, satisfies_morphism_law
 
 AUDIT_TOL = 1e-9
@@ -379,7 +379,7 @@ def audit_scaled_residual_chain(domain, sigma, chi, f, g, delta):
     one can fail for pairs whose |g| spread exceeds 3; it is reported
     honestly either way. Total tables only.
     """
-    if (domain.mul < 0).any():
+    if not domain.is_total:
         raise AuditInapplicable("chain audit needs a total multiplication table")
     from .feq import residual_matrix_wilson
     resid, _ = residual_matrix_wilson(domain, sigma, chi, f, g)
@@ -468,31 +468,25 @@ def multiplicative_distance(ball, f):
     best = float(np.abs(fv).max())  # distance to the zero function
     fe = fv[ball.identity]
     if fe != 0:
-        gens = ball.kind.generators()
-        k = len(ball.kind.abelian_coords(ball.elements[0]))
-        zs = []
-        for i in range(k):
-            coordvec = [0] * k
-            coordvec[i] = 1
-            gen = None
-            for cand in gens:
-                if list(ball.kind.abelian_coords(cand)) == coordvec:
-                    gen = cand
-                    break
-            if gen is None or gen not in ball.index:
-                zs = None
-                break
-            z = fv[ball.index[gen]] / fe
-            if z == 0:
-                zs = None
-                break
-            zs.append(z)
-        if zs:
+        # z_i is read off at the first generator with coordinates e_i
+        k = ball.coords.shape[1]
+        at = {}
+        for gen in reversed(ball.kind.generators()):
+            at[tuple(ball.kind.abelian_coords(gen))] = ball.index.get(gen)
+        ids = [at.get(tuple(int(j == i) for j in range(k))) for i in range(k)]
+        zs = None if None in ids else [fv[i] / fe for i in ids]
+        if zs and all(z != 0 for z in zs):
             m = ball_character(ball, zs).values
             denom = np.vdot(m, m)
             lam = np.vdot(m, fv) / denom
             best = min(best, float(np.abs(fv - lam * m).max()))
     return best
+
+
+def _provided(ball, provider):
+    """A provider's values on the ball's elements, as one complex vector."""
+    return np.asarray([provider(el) for el in ball.elements],
+                      dtype=np.complex128)
 
 
 def dichotomy_experiment(kind, radii, f_provider, g_provider=None,
@@ -504,17 +498,18 @@ def dichotomy_experiment(kind, radii, f_provider, g_provider=None,
     radii = sorted(radii)
     rows = []
     sups_f = []
+    largest = BallDomain(kind, radii[-1])
+    fv = _provided(largest, f_provider)
+    gv = fv if g_provider is None else _provided(largest, g_provider)
     for r in radii:
-        ball = BallDomain(kind, r)
-        f = GroupFunction(ball, [f_provider(el) for el in ball.elements])
-        g = f if g_provider is None else \
-            GroupFunction(ball, [g_provider(el) for el in ball.elements])
+        ball = largest.restrict(r)
+        f = GroupFunction(ball, fv[:ball.n])
+        g = f if g_provider is None else GroupFunction(ball, gv[:ball.n])
         if preset == "SymmetrizedCauchy":
             delta = residual_symmetrized_cauchy(ball, f).sup
         else:
             sigma = ball_involution(ball, sigma_spec)
-            chi = ball_character(ball, chi_zs) if chi_zs else \
-                ball_character(ball, [1.0] * len(ball.kind.abelian_coords(ball.elements[0])))
+            chi = ball_character(ball, chi_zs or [1.0] * ball.coords.shape[1])
             delta = residual_wilson(ball, sigma, chi, f, g).sup
         dist = multiplicative_distance(ball, f)
         rows.append(DichotomyRow(r, f.sup(), g.sup(), delta, dist, ""))
@@ -529,10 +524,10 @@ def dichotomy_experiment(kind, radii, f_provider, g_provider=None,
 def bounded_noise_candidate(kind, max_radius, seed, epsilon, base=1.0):
     """A deterministic bounded function: base + epsilon * unit phases, fixed
     once on the largest ball so smaller radii see restrictions of it."""
-    ball = BallDomain(kind, max_radius)
+    elements, _ = ball_elements(kind, max_radius)
     rng = np.random.default_rng(seed)
-    phases = np.exp(2j * np.pi * rng.uniform(size=ball.n))
-    table = {el: base + epsilon * phases[i] for i, el in enumerate(ball.elements)}
+    phases = np.exp(2j * np.pi * rng.uniform(size=len(elements)))
+    table = {el: base + epsilon * phases[i] for i, el in enumerate(elements)}
 
     def provider(el):
         return table[el]
@@ -561,8 +556,7 @@ def _g_multiplicative_defect(ball, g):
 def _additive_fit(ball, h_values, with_intercept=True):
     """Least-squares fit of h by an additive form over the abelianized
     coordinates (plus an optional constant)."""
-    coords = np.array([ball.kind.abelian_coords(el) for el in ball.elements],
-                      dtype=np.float64)
+    coords = ball.coords.astype(np.float64)
     cols = [coords]
     if with_intercept:
         cols.append(np.ones((ball.n, 1)))
@@ -586,18 +580,17 @@ def theorem37_case_scan(kind, radii, f_provider, g_provider, sigma_spec="inv",
     """
     radii = sorted(radii)
     table = []
-    last = None
+    largest = BallDomain(kind, radii[-1])
+    fv, gv = _provided(largest, f_provider), _provided(largest, g_provider)
+    # the last pass, on the largest ball itself, leaves the pair that the
+    # branch checks below examine
     for r in radii:
-        ball = BallDomain(kind, r)
-        f = GroupFunction(ball, [f_provider(el) for el in ball.elements])
-        g = GroupFunction(ball, [g_provider(el) for el in ball.elements])
+        ball = largest.restrict(r)
+        f, g = GroupFunction(ball, fv[:ball.n]), GroupFunction(ball, gv[:ball.n])
         sigma = ball_involution(ball, sigma_spec)
-        k = len(ball.kind.abelian_coords(ball.elements[0]))
-        chi = ball_character(ball, chi_zs if chi_zs else [1.0] * k)
+        chi = ball_character(ball, chi_zs or [1.0] * ball.coords.shape[1])
         delta = residual_wilson(ball, sigma, chi, f, g).sup
         table.append((r, f.sup(), g.sup(), delta))
-        last = (ball, f, g, sigma, chi)
-    ball, f, g, sigma, chi = last
     f_growth = classify_growth([t[1] for t in table])
     g_growth = classify_growth([t[2] for t in table])
 
@@ -633,8 +626,7 @@ def theorem37_case_scan(kind, radii, f_provider, g_provider, sigma_spec="inv",
         coef, intercept, resid = _additive_fit(ball, h)
         scale = max(1.0, float(np.abs(h).max()))
         if resid <= tol * scale and abs(intercept) <= tol * scale:
-            a_vals = np.array([ball.kind.abelian_coords(el) for el in
-                               ball.elements]) @ coef
+            a_vals = ball.coords @ coef
             odd = float(np.abs(a_vals[sigma.table] + a_vals).max())
             details["additive_fit_coefficients"] = list(coef)
             details["a_sigma_antisymmetry_defect"] = odd

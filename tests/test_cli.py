@@ -407,6 +407,31 @@ def test_stability_unknown_domain(capsys):
     assert "tree:3" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("perturb", "--domain", "lattice:2", "--radius", "-1", "--epsilon", "1e-2"),
+     "--radius must be >= 0"),
+    (("perturb", "--domain", "lattice:0", "--epsilon", "1e-2"),
+     "dimension must be >= 1"),
+    (("stability", "--domain", "free:0"), "rank must be >= 1"),
+    (("stability", "--domain", "lattice:x"), "bad ball domain 'lattice:x'"),
+    (("perturb", "--group", "S3", "--sigma", "auto:x", "--epsilon", "1e-2"),
+     "bad sigma selector 'auto:x'"),
+    (("solve", "--group", "S3", "--sigma", "anti:x"),
+     "bad sigma selector 'anti:x'"),
+    (("stability", "--domain", "lattice:2", "--sigma", "conj"),
+     "unknown ball involution 'conj'"),
+    (("stability", "--domain", "lattice:1", "--radii", "2", "--chi-z", "0"),
+     "character base values must be nonzero"),
+], ids=["negative-radius", "lattice-dimension-0", "free-rank-0",
+        "lattice-dimension-x", "auto-index-x", "anti-index-x", "ball-sigma",
+        "zero-chi-base"])
+def test_bad_ball_and_sigma_specs_are_config_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("stability", "--domain", "lattice:2", "--radii", "300"),
     ("perturb", "--domain", "free:2", "--radius", "40", "--epsilon", "0.01"),

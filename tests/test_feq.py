@@ -20,7 +20,7 @@ from feqlab.feq import (
     write_function,
     zero_tolerance,
 )
-from feqlab.groups import BallDomain, FiniteGroup, IntegerLattice, build_catalog_group
+from feqlab.groups import BallDomain, IntegerLattice, build_catalog_group
 from feqlab.morphisms import (
     ball_involution,
     enumerate_characters,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from feqlab.groups import (
     BallDomain,
     DiscreteHeisenberg,
-    FiniteGroup,
+    Domain,
     FreeGroup,
     IntegerLattice,
     abelianization,
@@ -25,7 +25,7 @@ KNOWN_ORDERS = {
 
 
 def test_cyclic_addition_wraps():
-    Z4 = FiniteGroup.cyclic(4)
+    Z4 = Domain.cyclic(4)
     assert Z4.op(1, 3) == 0
     assert Z4.op(2, 3) == 1
     assert Z4.inverse(1) == 3
@@ -91,13 +91,13 @@ def test_non_associative_table_rejected():
     mul = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     mul[2, 2] = 2  # breaks associativity while staying in range
     with pytest.raises(ValueError):
-        FiniteGroup(mul)
+        Domain(mul)
 
 
 def test_duplicate_inverse_rejected():
     mul = np.array([[0, 1], [1, 1]])  # 1*1 = 1 leaves 1 with no inverse
-    with pytest.raises(ValueError):
-        FiniteGroup(mul)
+    with pytest.raises(ValueError, match="element 1 has 0 right inverses"):
+        Domain(mul)
 
 
 def test_commutator_subgroup_s3_is_the_three_cycles():
@@ -142,12 +142,36 @@ def test_ball_radius_zero_is_identity_only():
     assert ball.elements == [(0, 0)]
 
 
-def test_smaller_ball_is_a_prefix_of_larger():
-    # restriction consistency: experiments rely on stable element order
-    small = BallDomain(IntegerLattice(2), 2)
-    large = BallDomain(IntegerLattice(2), 4)
-    assert large.elements[: small.n] == small.elements
-    assert (large.length[: small.n] == small.length).all()
+@pytest.mark.parametrize("kind", [IntegerLattice(1), IntegerLattice(2),
+                                  DiscreteHeisenberg(), FreeGroup(2)],
+                         ids=lambda kind: kind.name)
+def test_restricted_ball_equals_a_fresh_build(kind):
+    # the growth experiments build their largest ball once and restrict it
+    large = BallDomain(kind, 4)
+    for r in range(5):
+        small, fresh = large.restrict(r), BallDomain(kind, r)
+        assert np.array_equal(small.mul, fresh.mul)
+        assert np.array_equal(small.inv, fresh.inv)
+        assert small.elements == fresh.elements
+        assert small.index == fresh.index
+        assert np.array_equal(small.length, fresh.length)
+        assert np.array_equal(small.coords, fresh.coords)
+        assert small.coords.dtype == fresh.coords.dtype == np.int64
+        assert (small.name, small.radius) == (fresh.name, fresh.radius)
+        assert small.is_total == fresh.is_total
+    assert large.restrict(4) is large  # no copy of the table
+    with pytest.raises(ValueError):
+        large.restrict(5)
+    with pytest.raises(ValueError):
+        large.restrict(-1)
+
+
+def test_finite_group_has_no_sub_balls_and_no_coordinates():
+    Z4 = build_catalog_group("Z4")
+    assert Z4.kind is None and Z4.is_total
+    assert Z4.coords.shape == (4, 0)
+    with pytest.raises(ValueError):
+        Z4.restrict(0)
 
 
 def test_ball_products_outside_are_marked():
@@ -180,7 +204,6 @@ def test_heisenberg_is_noncommutative():
     x, y = (1, 0, 0), (0, 1, 0)
     assert H.mult(x, y) == (1, 1, 1)
     assert H.mult(y, x) == (1, 1, 0)
-    assert H.mult(H.mult(x, y), H.invert(H.mult(x, y))) == (0, 0, 0)
 
 
 vectors = st.lists(st.integers(-20, 20), min_size=2, max_size=2).map(tuple)
@@ -190,7 +213,6 @@ vectors = st.lists(st.integers(-20, 20), min_size=2, max_size=2).map(tuple)
 def test_lattice_mult_is_componentwise(a, b):
     L = IntegerLattice(2)
     assert L.mult(a, b) == (a[0] + b[0], a[1] + b[1])
-    assert L.mult(a, L.invert(a)) == L.identity()
 
 
 triples = st.lists(st.integers(-5, 5), min_size=3, max_size=3).map(tuple)
@@ -214,8 +236,6 @@ def test_free_group_words_reduce(raw):
         w = F.mult(w, (letter,))
     # reduced: no adjacent letter cancels
     assert all(w[i] != -w[i + 1] for i in range(len(w) - 1))
-    assert F.mult(w, F.invert(w)) == ()
-    assert F.mult(F.invert(w), w) == ()
 
 
 @settings(max_examples=25)

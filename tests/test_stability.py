@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from feqlab import stability
 from feqlab.families import SolutionPair, canned_half_trace, family_case_ii
-from feqlab.feq import GroupFunction, residual_matrix_wilson, residual_wilson
-from feqlab.groups import BallDomain, DiscreteHeisenberg, IntegerLattice, \
-    build_catalog_group
+from feqlab.feq import (GroupFunction, residual_matrix_wilson,
+                        residual_symmetrized_cauchy, residual_wilson)
+from feqlab.groups import BallDomain, DiscreteHeisenberg, FreeGroup, \
+    IntegerLattice, build_catalog_group
 from feqlab.morphisms import (
     AdditiveMap,
     MultiplicativeFunction,
@@ -380,3 +382,163 @@ def test_scan_radii_table_is_recorded():
                               lambda el: 0.0, lambda el: 1.0)
     assert [t[0] for t in rec.radii_table] == [2, 4]
     assert all(len(t) == 4 for t in rec.radii_table)
+
+
+# --- the largest ball, restricted, against a fresh ball per radius --------
+
+
+def _dichotomy_per_radius(kind, radii, f_provider, g_provider=None,
+                          preset="SymmetrizedCauchy", sigma_spec="id",
+                          chi_zs=None):
+    """dichotomy_experiment as it was before restriction: a fresh ball for
+    every radius and the providers evaluated on each one."""
+    rows, sups_f = [], []
+    for r in sorted(radii):
+        ball = BallDomain(kind, r)
+        f = GroupFunction(ball, [f_provider(el) for el in ball.elements])
+        g = f if g_provider is None else \
+            GroupFunction(ball, [g_provider(el) for el in ball.elements])
+        if preset == "SymmetrizedCauchy":
+            delta = residual_symmetrized_cauchy(ball, f).sup
+        else:
+            sigma = ball_involution(ball, sigma_spec)
+            k = len(ball.kind.abelian_coords(ball.elements[0]))
+            chi = ball_character(ball, chi_zs if chi_zs else [1.0] * k)
+            delta = residual_wilson(ball, sigma, chi, f, g).sup
+        dist = multiplicative_distance(ball, f)
+        rows.append(stability.DichotomyRow(r, f.sup(), g.sup(), delta, dist, ""))
+        sups_f.append(f.sup())
+    label = classify_growth(sups_f)
+    for row in rows:
+        row.branch_label = label
+    delta_max = max((row.delta for row in rows), default=0.0)
+    return stability.StabilityReport(measured_delta=delta_max, growth_rows=rows)
+
+
+def _scan_per_radius(kind, radii, f_provider, g_provider, sigma_spec="inv",
+                     chi_zs=None, tol=1e-8):
+    """theorem37_case_scan as it was before restriction: a fresh ball for
+    every radius, the branch checks on the last one built."""
+    ScanRecord = stability.ScanRecord
+    table = []
+    last = None
+    for r in sorted(radii):
+        ball = BallDomain(kind, r)
+        f = GroupFunction(ball, [f_provider(el) for el in ball.elements])
+        g = GroupFunction(ball, [g_provider(el) for el in ball.elements])
+        sigma = ball_involution(ball, sigma_spec)
+        k = len(ball.kind.abelian_coords(ball.elements[0]))
+        chi = ball_character(ball, chi_zs if chi_zs else [1.0] * k)
+        delta = residual_wilson(ball, sigma, chi, f, g).sup
+        table.append((r, f.sup(), g.sup(), delta))
+        last = (ball, f, g, sigma, chi)
+    ball, f, g, sigma, chi = last
+    f_growth = classify_growth([t[1] for t in table])
+    g_growth = classify_growth([t[2] for t in table])
+    if all(t[1] == 0 for t in table):
+        return ScanRecord("i", "", {"note": "f = 0, g arbitrary"}, table)
+    if "inconclusive" in (f_growth, g_growth):
+        return ScanRecord("inconclusive", "",
+                          {"f_growth": f_growth, "g_growth": g_growth}, table)
+    if f_growth == "bounded":
+        return ScanRecord("ii", "", {"f_growth": f_growth,
+                                     "g_growth": g_growth}, table)
+    details = {"f_growth": f_growth, "g_growth": g_growth}
+    if g_growth == "bounded":
+        details["g_multiplicative_defect"] = \
+            stability._g_multiplicative_defect(ball, g)
+        sym = np.abs(g.values - chi.values * g.values[sigma.table]).max()
+        details["g_sigma_symmetry_defect"] = float(sym)
+        coef, intercept, resid = stability._additive_fit(ball, f.values / g.values)
+        details["additive_fit_coefficients"] = list(coef)
+        details["additive_fit_intercept"] = intercept
+        details["additive_fit_residual"] = resid
+        return ScanRecord("iii", "", details, table)
+    fe, ge = f.values[0], g.values[0]
+    if ge != 0 and np.abs(f.values - (fe / ge) * g.values).max() <= tol * max(1.0, f.sup()):
+        details["proportionality"] = fe / ge
+        return ScanRecord("iv", "1", details, table)
+    if (np.abs(g.values) > 0).all():
+        h = f.values / g.values
+        coef, intercept, resid = stability._additive_fit(ball, h)
+        scale = max(1.0, float(np.abs(h).max()))
+        if resid <= tol * scale and abs(intercept) <= tol * scale:
+            a_vals = np.array([ball.kind.abelian_coords(el) for el in
+                               ball.elements]) @ coef
+            odd = float(np.abs(a_vals[sigma.table] + a_vals).max())
+            details["additive_fit_coefficients"] = list(coef)
+            details["a_sigma_antisymmetry_defect"] = odd
+            if odd <= tol * scale:
+                return ScanRecord("iv", "2", details, table)
+    rec = stability._recover_mixed_form(ball, f, g, sigma, chi, tol)
+    if rec is not None:
+        details.update(rec)
+        return ScanRecord("iv", "3", details, table)
+    return ScanRecord("iv", "unclassified", details, table)
+
+
+GROWTH_KINDS = [IntegerLattice(2), DiscreteHeisenberg(), FreeGroup(2)]
+
+
+@pytest.mark.parametrize("kind", GROWTH_KINDS, ids=lambda kind: kind.name)
+def test_dichotomy_on_the_restricted_ball_matches_fresh_balls(kind):
+    radii = [1, 2, 3]
+    f = bounded_noise_candidate(kind, 3, seed=11, epsilon=0.02)
+    g = bounded_noise_candidate(kind, 3, seed=12, epsilon=0.02)
+    for args, kwargs in [((f,), {}),
+                         ((f, g), {"preset": "WilsonVariant", "sigma_spec": "inv"}),
+                         ((f,), {"preset": "WilsonVariant"})]:
+        new = dichotomy_experiment(kind, radii, *args, **kwargs)
+        assert new == _dichotomy_per_radius(kind, radii, *args, **kwargs)
+        assert [row.radius for row in new.growth_rows] == radii
+
+
+def test_dichotomy_on_an_exponential_matches_fresh_balls():
+    radii = [2, 5, 9]
+    kind = IntegerLattice(1)
+    exp = lambda el: 1.7 ** el[0]
+    new = dichotomy_experiment(kind, radii, exp, preset="WilsonVariant",
+                               sigma_spec="inv", chi_zs=[1j])
+    assert new == _dichotomy_per_radius(kind, radii, exp, preset="WilsonVariant",
+                                        sigma_spec="inv", chi_zs=[1j])
+    assert new.growth_rows[0].branch_label == "growing"
+
+
+@pytest.mark.parametrize("kind", GROWTH_KINDS, ids=lambda kind: kind.name)
+def test_scan_on_the_restricted_ball_matches_fresh_balls(kind):
+    radii = [1, 2, 3]
+    f = bounded_noise_candidate(kind, 3, seed=21, epsilon=0.01)
+    g = bounded_noise_candidate(kind, 3, seed=22, epsilon=0.01)
+    for sigma_spec in ("inv", "id"):
+        rec = theorem37_case_scan(kind, radii, f, g, sigma_spec=sigma_spec)
+        assert rec == _scan_per_radius(kind, radii, f, g, sigma_spec=sigma_spec)
+        assert rec.branch == "ii"
+
+
+@pytest.mark.parametrize("kind, radii, f, g, branch", [
+    (IntegerLattice(2), [1, 3, 9],
+     lambda el: (0.7 * el[0] - 1.3 * el[1] + 0.4) * 1j ** el[0], lambda el: 1j ** el[0],
+     ("iii", "")),
+    (IntegerLattice(1), [2, 4, 6],
+     lambda el: 2.0 * 2.0 ** el[0] - 2.0 ** (-el[0]),
+     lambda el: (2.0 ** el[0] + 2.0 ** (-el[0])) / 2.0, ("iv", "3")),
+], ids=["additive", "mixture"])
+def test_scan_branch_details_match_fresh_balls(kind, radii, f, g, branch):
+    rec = theorem37_case_scan(kind, radii, f, g, sigma_spec="inv")
+    assert rec == _scan_per_radius(kind, radii, f, g, sigma_spec="inv")
+    assert (rec.branch, rec.sub_branch) == branch
+
+
+def test_growth_experiments_build_only_the_largest_ball(monkeypatch):
+    built = []
+
+    def counting(kind, radius):
+        built.append(radius)
+        return BallDomain(kind, radius)
+
+    monkeypatch.setattr(stability, "BallDomain", counting)
+    kind = IntegerLattice(2)
+    f = bounded_noise_candidate(kind, 4, seed=3, epsilon=0.01)
+    dichotomy_experiment(kind, [4, 1, 2], f)
+    theorem37_case_scan(kind, [2, 4, 3], f, f)
+    assert built == [4, 4]
