@@ -14,6 +14,7 @@ Conventions shared by all subcommands:
 """
 
 import argparse
+import cmath
 import os
 import sys
 
@@ -327,18 +328,26 @@ def _parse_zs(args, k):
         raise CliError(f"bad --chi-z: {exc}") from None
     if len(zs) != k:
         raise CliError(f"--chi-z needs {k} comma-separated values")
+    if not all(cmath.isfinite(z) for z in zs):
+        raise CliError("--chi-z values must be finite")
     return zs
 
 
 def _ball_maps(ball, sigma_spec, args):
     """sigma, chi and the chi bases on a ball from --sigma and --chi-z; a bad
-    spec is a configuration error."""
+    spec, or a chi whose powers overflow on the ball, is a configuration
+    error."""
     zs = _parse_zs(args, ball.coords.shape[1])
     try:
-        return (ball_involution(ball, sigma_spec or "inv"),
-                ball_character(ball, zs), zs)
+        sigma = ball_involution(ball, sigma_spec or "inv")
+        with np.errstate(over="ignore", invalid="ignore"):
+            chi = ball_character(ball, zs)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    if not np.isfinite(chi.values).all():
+        raise CliError(f"--chi-z values overflow on the ball of radius "
+                       f"{ball.radius}")
+    return sigma, chi, zs
 
 
 def _ball_exact_pair(ball, sigma, chi, zs):

@@ -31,10 +31,6 @@ NEWTON_BLOCK_BYTES = 2**18
 _LSTSQ_GUFUNC = getattr(_umath_linalg, "lstsq", None) or _umath_linalg.lstsq_n
 
 
-class NumericalAmbiguity(RuntimeError):
-    """Singular values straddle the kernel cutoff within the guard band."""
-
-
 @dataclass
 class SolveResult:
     basis: list

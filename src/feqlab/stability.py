@@ -1,14 +1,16 @@
 """Quantitative stability checks: perturbations, delta-inequality audits,
 and the bounded-or-exact dichotomy experiments on growing balls.
 
-Each inequality audit follows the proof that produced it: the left-hand side
-at a point is an explicit combination of pair residuals F(.,.) at derived
-points, so the stated bound holds wherever all of those points exist. On a
-ball, a window (pair or triple) is evaluated only when its full point set
-stays inside; skipped windows are counted and reported.
+Each inequality audit is stated with its certificate: the pair-residual
+windows F(u, v) whose signed sum is its left-hand side, so the stated bound
+holds wherever every point of those residuals exists. One evaluator derives
+the validity mask from the windows: on a ball, a window (pair or triple) is
+skipped exactly when a point of its certificate's residuals leaves the
+ball. Skipped windows are counted and reported.
 """
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,14 +150,10 @@ def _val(values, idx):
     return np.where(idx >= 0, values[np.maximum(idx, 0)], 0.0)
 
 
-def _row(name, bound, excess, valid, tol=AUDIT_TOL):
-    return _row_from_slices(name, bound, valid.shape, [(excess, valid)], tol)
-
-
-def _x_slices(n):
-    """Consecutive x-ranges of an n x n x n grid, each about
+def _x_slices(n, ndim):
+    """Consecutive x-ranges of an n^ndim grid, each about
     AUDIT_CHUNK_ENTRIES entries (at least one x per slice)."""
-    step = max(1, AUDIT_CHUNK_ENTRIES // (n * n))
+    step = max(1, AUDIT_CHUNK_ENTRIES // n ** (ndim - 1))
     for x0 in range(0, n, step):
         yield np.arange(x0, min(x0 + step, n))
 
@@ -189,114 +187,143 @@ def _row_from_slices(name, bound, shape, slices, tol=AUDIT_TOL):
                              total - evaluated, worst <= tol)
 
 
-def audit_centrality_bound(domain, sigma, chi, f, g, delta):
-    """|g(zy) - g(yz)| |f(x)| <= 2|g(z)| delta + 2|g(y)| delta + 6 delta.
+# Each audit's certificate: the pair-residual windows (u, v) whose signed sum
+# is its left-hand side. Words use the letters x, y, z, a, a capital for an
+# inverse (Y = y^-1) and s(w) for sigma(w); w, and so v, holds no s. The
+# first window to reach a node fixes how it is built, which matters for
+# speed only: (xz)y gathers faster from the small grid xz than x(zy) does.
+CENTRALITY_WINDOWS = (("s(y)x", "z"), ("s(z)x", "y"), ("xz", "y"), ("xy", "z"),
+                      ("x", "zy"), ("x", "yz"), ("x", "z"), ("x", "y"))
+COMPANION_SHIFT_WINDOWS = (("x", "y"), ("xy", "y"), ("s(y)x", "y"),
+                           ("x", "yy"))
+PARITY_WINDOWS = (("x", "Y"), ("xY", "y"), ("s(y)xY", "y"), ("xY", "yy"),
+                  ("s(Y)x", "y"), ("s(Y)xy", "y"), ("s(Y)x", "yy"))
+SECTION_SINE_WINDOWS = (("a", "xy"), ("ax", "y"), ("s(y)a", "x"), ("a", "y"))
+SYMMETRIZED_SINE_WINDOWS = SECTION_SINE_WINDOWS + (
+    ("a", "yx"), ("ay", "x"), ("s(x)a", "y"), ("a", "x"))
 
-    Certificate: the difference is a combination of eight pair residuals at
-    points built from x, y, z; windows where any of them leaves the ball are
-    skipped. The n^3 grid is evaluated in slices of x, so peak memory is
-    O(n^2) for any ball size.
+
+def _program(windows):
+    """Every node of the windows' residuals F(u, v), in evaluation order:
+    the prefixes of u and v, u v, sigma(v) and sigma(v) u. A node is keyed by
+    its word written flat, so (xz)y and x(zy) are one node, and maps to the
+    keys it is built from: one for sigma, two for a product."""
+    steps = {}
+
+    def node(word):
+        fs = re.findall(r"s\(\w+\)|\w", word)
+        for f in fs:
+            if f.startswith("s("):
+                node(f[2:-1])
+                steps.setdefault(f, (f[2:-1],))
+        for i in range(1, len(fs)):
+            steps.setdefault("".join(fs[:i + 1]), ("".join(fs[:i]), fs[i]))
+
+    for u, v in windows:
+        node(u)
+        node(f"s({v})")
+        steps.setdefault(u + v, (u, v))
+        steps.setdefault(f"s({v}){u}", (f"s({v})", u))
+    return steps
+
+
+def _certified_row(name, bound, domain, sigma, windows, excess, a=0):
+    """Audit row over the (x, y[, z]) grid of a certificate's windows.
+
+    A window is evaluated exactly when every product node of its residuals
+    lies in the ball (is >= 0 in the padded table); for any grouping of a
+    word that is when the element itself lies in it, since every factor is
+    a node too. excess(node) gives LHS - RHS on one x-slice, where
+    node(word) is the index grid of a node on that slice. Nodes without x
+    are built once; only nodes that are factors of another node are kept.
     """
     n = domain.n
     mp, sp = _padded(domain.mul), _padded(sigma.table)
-    Y = np.arange(n)[None, :, None]
-    Z = np.arange(n)[None, None, :]
-    # points that do not involve x: (1, n, n) grids over (y, z)
-    zy, yz = mp[Z, Y], mp[Y, Z]
-    sy, sz = sp[Y], sp[Z]
-    szy, syz = sp[zy], sp[yz]
-    yz_ok = (zy >= 0) & (yz >= 0)
-    g_gap = np.abs(_val(g.values, zy) - _val(g.values, yz))
-    gv = np.abs(g.values)
-    rhs = (2.0 * gv[None, None, :] + 2.0 * gv[None, :, None] + 6.0) * delta
-    fv = np.abs(f.values)
+    steps = _program(windows)
+    factors = {k for ops in steps.values() for k in ops}
+    axes = [c for c in "xyz" if any(c in (u + v).lower() for u, v in windows)]
+    ndim = len(axes)
+    env = {"a": a}
+    for i, c in enumerate(axes[1:], 1):
+        grid = np.arange(n).reshape([n if j == i else 1 for j in range(ndim)])
+        env[c], env[c.upper()] = grid, domain.inv[grid]
+
+    def gather(env, key):
+        ops = [env[k] for k in steps[key]]
+        return sp[ops[0]] if len(ops) == 1 else mp[ops[0], ops[1]]
+
+    def run(keys, env, valid):
+        for key in keys:
+            grid = gather(env, key)
+            if len(steps[key]) == 2:
+                valid &= grid >= 0
+            if key in factors:
+                env[key] = grid
+            del grid  # free before the next gather allocates
+
+    with_x = [k for k in steps if "x" in k.lower()]
+    base = np.ones((1,) + (n,) * (ndim - 1), dtype=bool)
+    run([k for k in steps if k not in with_x], env, base)
 
     def slices():
-        for xs in _x_slices(n):
-            X = xs[:, None, None]
-            xy, xz = mp[X, Y], mp[X, Z]
-            syx, szx = mp[sy, X], mp[sz, X]
-            valid = yz_ok & (xy >= 0) & (xz >= 0) & (syx >= 0) & (szx >= 0)
-            # x(zy), x(yz), sigma(y)(xz), sigma(z)(xy) are the same elements
-            # as the next four points, so they need no gather of their own
-            valid &= mp[xz, Y] >= 0
-            valid &= mp[xy, Z] >= 0
-            valid &= mp[syx, Z] >= 0
-            valid &= mp[szx, Y] >= 0
-            valid &= mp[szy, X] >= 0
-            valid &= mp[syz, X] >= 0
-            valid &= mp[sy, szx] >= 0
-            valid &= mp[sz, syx] >= 0
-            yield g_gap * fv[X] - rhs, valid
+        for xs in _x_slices(n, ndim):
+            X = xs.reshape([-1] + [1] * (ndim - 1))
+            local = dict(env, x=X, X=domain.inv[X])
+            valid = np.empty((len(xs),) + base.shape[1:], dtype=bool)
+            valid[...] = base
+            run(with_x, local, valid)
 
-    return _row_from_slices("centrality_defect", "2|g(z)|d + 2|g(y)|d + 6d",
-                            (n, n, n), slices())
+            def node(key):
+                return local[key] if key in local else gather(local, key)
+
+            yield excess(node), valid
+
+    return _row_from_slices(name, bound, (n,) * ndim, slices())
+
+
+def audit_centrality_bound(domain, sigma, chi, f, g, delta):
+    """|g(zy) - g(yz)| |f(x)| <= 2|g(z)| delta + 2|g(y)| delta + 6 delta.
+
+    Certificate: when sigma is an anti-automorphism, f(x) (g(zy) - g(yz))
+    is a combination of the eight residuals of CENTRALITY_WINDOWS. The n^3
+    grid is evaluated in slices of x, so peak memory is O(n^2) for any ball
+    size.
+    """
+    gv = g.values
+    g_yz = _val(gv, domain.mul)
+    g_gap = np.abs(g_yz.T - g_yz)[None]  # [., y, z] -> |g(zy) - g(yz)|
+    rhs = (2.0 * np.abs(gv)[None, None, :] + 2.0 * np.abs(gv)[None, :, None]
+           + 6.0) * delta
+    fv = np.abs(f.values)
+    return _certified_row("centrality_defect", "2|g(z)|d + 2|g(y)|d + 6d",
+                          domain, sigma, CENTRALITY_WINDOWS,
+                          lambda node: g_gap * fv[node("x")] - rhs)
 
 
 def audit_mg_shift_bound(domain, sigma, chi, f, g, delta):
     """|m_g(y) f(x) - chi(y) f(sigma(y) x y)| <= |g(y)| delta + 1.5 delta."""
-    n = domain.n
-    mul = domain.mul
-    mp, sp = _padded(mul), _padded(sigma.table)
-    X = np.arange(n)[:, None]
-    Y = np.arange(n)[None, :]
-    sq = mul[np.arange(n), np.arange(n)]
-    xy = mp[X, Y]
-    y2 = np.broadcast_to(sq[None, :], (n, n))
-    syx = mp[sp[Y], X]
-    syxy = mp[syx, Y]
-    points = [xy, y2, mp[xy, Y], mp[X, y2], syx, syxy, mp[sp[y2], X]]
-    valid = np.ones((n, n), dtype=bool)
-    for p in points:
-        valid &= p >= 0
-    mg = companion_mg(g)
-    valid &= mg.defined[None, :]
-    lhs = np.abs(mg.values[None, :] * f.values[:, None]
-                 - chi.values[None, :] * _val(f.values, syxy))
+    mg = companion_mg(g).values[None, :]
     rhs = (np.abs(g.values)[None, :] + 1.5) * delta
-    return _row("companion_shift_defect", "|g(y)|d + 1.5d", lhs - rhs, valid)
+
+    def excess(node):
+        lhs = np.abs(mg * f.values[node("x")]
+                     - chi.values[None, :] * _val(f.values, node("s(y)xy")))
+        return lhs - rhs
+
+    return _certified_row("companion_shift_defect", "|g(y)|d + 1.5d", domain,
+                          sigma, COMPANION_SHIFT_WINDOWS, excess)
 
 
 def audit_parity_bound(domain, sigma, chi, f, g, delta):
     """|2 f(x) (g(y) - m_g(y) g(y^{-1}))| <= |m_g(y)| d + 2|g(y)| d + 4d."""
-    n = domain.n
-    mul, inv = domain.mul, domain.inv
-    mp, sp = _padded(mul), _padded(sigma.table)
-    X = np.arange(n)[:, None]
-    Y = np.arange(n)[None, :]
-    Yi = np.broadcast_to(inv[None, :], (n, n))
-    sq = mul[np.arange(n), np.arange(n)]
-    y2 = np.broadcast_to(sq[None, :], (n, n))
-    xy = mp[X, Y]
-    xyi = mp[X, Yi]
-    syix = mp[sp[Yi], X]
-    points = [
-        xy, xyi, y2, syix,
-        mp[sp[Y], X],
-        mp[syix, Y], mp[syix, y2],
-        mp[sp[Y], xyi], mp[sp[y2], xyi],
-        mp[xyi, y2],
-    ]
-    valid = np.ones((n, n), dtype=bool)
-    for p in points:
-        valid &= p >= 0
-    mg = companion_mg(g)
-    valid &= mg.defined[None, :]
+    mg = companion_mg(g).values
     gv = g.values
-    lhs = np.abs(2.0 * f.values[:, None]
-                 * (gv[None, :] - mg.values[None, :] * gv[inv][None, :]))
-    rhs = (np.abs(mg.values)[None, :] + 2.0 * np.abs(gv)[None, :] + 4.0) * delta
-    return _row("parity_defect", "|m_g(y)|d + 2|g(y)|d + 4d", lhs - rhs, valid)
-
-
-def _section_grids(domain, a):
-    n = domain.n
-    mul = domain.mul
-    X = np.arange(n)[:, None]
-    Y = np.arange(n)[None, :]
-    ax = np.broadcast_to(mul[a][:, None], (n, n))
-    ay = np.broadcast_to(mul[a][None, :], (n, n))
-    return X, Y, ax, ay
+    gap = (gv - mg * gv[domain.inv])[None, :]
+    rhs = (np.abs(mg)[None, :] + 2.0 * np.abs(gv)[None, :] + 4.0) * delta
+    return _certified_row(
+        "parity_defect", "|m_g(y)|d + 2|g(y)|d + 4d", domain, sigma,
+        PARITY_WINDOWS,
+        lambda node: np.abs(2.0 * f.values[node("x")] * gap) - rhs)
 
 
 def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
@@ -307,30 +334,17 @@ def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     """
     if not satisfies_morphism_law(domain, sigma.table, "automorphism"):
         raise AuditInapplicable("sigma is not a homomorphism on this domain")
-    n = domain.n
-    mul, st = domain.mul, sigma.table
-    mp, sp = _padded(mul), _padded(st)
-    X, Y, ax, ay = _section_grids(domain, a)
-    xy = mp[X, Y]
-    axy = mp[ax, Y]
-    sya = np.broadcast_to(mul[st, a][None, :], (n, n))  # sigma(y) a
-    points = [
-        xy, ax, ay, axy, mp[a, xy],
-        sya, mp[sya, X],
-        sp[xy], mp[sp[xy], a],
-        mp[sp[X], sya],
-    ]
-    valid = np.ones((n, n), dtype=bool)
-    for p in points:
-        valid &= p >= 0
     fv, gv = f.values, g.values
-    section = section_function(f, g, a)
-    fa = section.values
-    valid &= section.defined[:, None] & section.defined[None, :]
-    lhs = np.abs(_val(fv, axy) - fv[a] * _val(gv, xy)
-                 - fa[:, None] * gv[None, :] - fa[None, :] * gv[:, None])
-    rhs = (np.abs(gv)[:, None] + 1.5) * delta
-    return _row("section_sine_addition_defect", "|g(x)|d + 1.5d", lhs - rhs, valid)
+    fa = section_function(f, g, a).values
+
+    def excess(node):
+        X = node("x")
+        lhs = np.abs(_val(fv, node("axy")) - fv[a] * _val(gv, node("xy"))
+                     - fa[X] * gv[None, :] - fa[None, :] * gv[X])
+        return lhs - (np.abs(gv)[X] + 1.5) * delta
+
+    return _certified_row("section_sine_addition_defect", "|g(x)|d + 1.5d",
+                          domain, sigma, SECTION_SINE_WINDOWS, excess, a)
 
 
 def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
@@ -340,66 +354,25 @@ def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     The symmetrization cancels the sigma(xy) vs sigma(x)sigma(y) mismatch,
     so this holds for automorphisms and anti-automorphisms alike.
     """
-    n = domain.n
-    mul, st = domain.mul, sigma.table
-    mp, sp = _padded(mul), _padded(st)
-    X, Y, ax, ay = _section_grids(domain, a)
-    xy, yx = mp[X, Y], mp[Y, X]
-    axy, ayx = mp[ax, Y], mp[ay, X]
-    sya = np.broadcast_to(mul[st, a][None, :], (n, n))
-    sxa = np.broadcast_to(mul[st, a][:, None], (n, n))
-    points = [
-        xy, yx, ax, ay, axy, ayx,
-        mp[a, xy], mp[a, yx],
-        sya, sxa, mp[sya, X], mp[sxa, Y],
-        sp[xy], sp[yx],
-        mp[sp[xy], a], mp[sp[yx], a],
-        mp[sp[X], sya], mp[sp[Y], sxa],
-    ]
-    valid = np.ones((n, n), dtype=bool)
-    for p in points:
-        valid &= p >= 0
     fv, gv = f.values, g.values
-    section = section_function(f, g, a)
-    fa = section.values
-    valid &= section.defined[:, None] & section.defined[None, :]
-    fa_xy = _val(fv, axy) - fv[a] * _val(gv, xy)
-    fa_yx = _val(fv, ayx) - fv[a] * _val(gv, yx)
-    lhs = np.abs(fa_xy + fa_yx - 2.0 * fa[:, None] * gv[None, :]
-                 - 2.0 * fa[None, :] * gv[:, None])
-    rhs = (np.abs(gv)[:, None] + np.abs(gv)[None, :] + 3.0) * delta
-    return _row("symmetrized_sine_addition_defect", "|g(x)|d + |g(y)|d + 3d",
-                lhs - rhs, valid)
+    fa = section_function(f, g, a).values
+
+    def excess(node):
+        X = node("x")
+        fa_xy = _val(fv, node("axy")) - fv[a] * _val(gv, node("xy"))
+        fa_yx = _val(fv, node("ayx")) - fv[a] * _val(gv, node("yx"))
+        lhs = np.abs(fa_xy + fa_yx - 2.0 * fa[X] * gv[None, :]
+                     - 2.0 * fa[None, :] * gv[X])
+        return lhs - (np.abs(gv)[X] + np.abs(gv)[None, :] + 3.0) * delta
+
+    return _certified_row("symmetrized_sine_addition_defect",
+                          "|g(x)|d + |g(y)|d + 3d", domain, sigma,
+                          SYMMETRIZED_SINE_WINDOWS, excess, a)
 
 
-def audit_scaled_residual_chain(domain, sigma, chi, f, g, delta):
-    """2|g(z)| |F(x,y)| <= 6 delta + 2|g(y)| delta, as in the closing chain.
-
-    The chain borrows exact centrality of g, so unlike the other rows this
-    one can fail for pairs whose |g| spread exceeds 3; it is reported
-    honestly either way. Total tables only.
-    """
-    if not domain.is_total:
-        raise AuditInapplicable("chain audit needs a total multiplication table")
-    from .feq import residual_matrix_wilson
-    resid, _ = residual_matrix_wilson(domain, sigma, chi, f, g)
-    n = domain.n
-    gv = np.abs(g.values)
-    rhs = (6.0 + 2.0 * gv[None, :, None]) * delta
-
-    def slices():
-        for xs in _x_slices(n):
-            lhs = 2.0 * gv[None, None, :] * resid[xs, :, None]
-            yield lhs - rhs, np.ones(lhs.shape, dtype=bool)
-
-    return _row_from_slices("scaled_residual_chain", "6d + 2|g(y)|d",
-                            (n, n, n), slices())
-
-
-def run_stability_battery(domain, sigma, chi, f, g, delta, a=0,
-                          include_chain=False):
-    """The four proof-constant audits (plus the symmetrized variant; plus the
-    closing chain on request). Inapplicable audits are reported, not run."""
+def run_stability_battery(domain, sigma, chi, f, g, delta, a=0):
+    """The four proof-constant audits plus the symmetrized variant.
+    Inapplicable audits are reported, not run."""
     report = StabilityReport(measured_delta=delta)
     report.rows.append(audit_centrality_bound(domain, sigma, chi, f, g, delta))
     report.rows.append(audit_mg_shift_bound(domain, sigma, chi, f, g, delta))
@@ -411,12 +384,6 @@ def run_stability_battery(domain, sigma, chi, f, g, delta, a=0,
         report.not_applicable.append(("section_sine_addition_defect", str(why)))
     report.rows.append(
         audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=a))
-    if include_chain:
-        try:
-            report.rows.append(
-                audit_scaled_residual_chain(domain, sigma, chi, f, g, delta))
-        except AuditInapplicable as why:
-            report.not_applicable.append(("scaled_residual_chain", str(why)))
     return report
 
 

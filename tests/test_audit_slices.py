@@ -1,5 +1,5 @@
-"""The x-sliced triple audits against the monolithic n^3 evaluation, and the
-sine audits against their inline section vector.
+"""The x-sliced centrality audit against the monolithic n^3 evaluation, and
+the sine audits against their inline section vector.
 
 The oracle below builds every point grid of the certificate over the whole
 n x n x n window, with explicit masks for points outside the ball, and takes
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from feqlab import stability
-from feqlab.feq import GroupFunction, residual_matrix_wilson
+from feqlab.feq import GroupFunction
 from feqlab.groups import (BallDomain, DiscreteHeisenberg, FreeGroup,
                            IntegerLattice, build_catalog_group)
 from feqlab.morphisms import (ball_character, ball_involution,
@@ -22,7 +22,6 @@ from feqlab.morphisms import (ball_character, ball_involution,
                               trivial_character)
 from feqlab.stability import (AuditInapplicable, StabilityAuditRow, _val,
                               audit_centrality_bound,
-                              audit_scaled_residual_chain,
                               audit_sine_addition_bound,
                               audit_symmetrized_sine_addition_bound)
 
@@ -84,20 +83,11 @@ def oracle_centrality(domain, sigma, chi, f, g, delta):
                       lhs - rhs, valid)
 
 
-def oracle_chain(domain, sigma, chi, f, g, delta):
-    resid, _ = residual_matrix_wilson(domain, sigma, chi, f, g)
-    gv = np.abs(g.values)
-    lhs = 2.0 * gv[None, None, :] * resid[:, :, None]
-    rhs = (6.0 + 2.0 * gv[None, :, None]) * delta
-    valid = np.ones(lhs.shape, dtype=bool)
-    return oracle_row("scaled_residual_chain", "6d + 2|g(y)|d", lhs - rhs, valid)
-
-
 def force_uneven_slices(monkeypatch, n):
     """Slice entries giving at least 3 x-slices, the last one shorter."""
     step = max(s for s in range(1, n) if n % s and -(-n // s) >= 3)
     monkeypatch.setattr(stability, "AUDIT_CHUNK_ENTRIES", step * n * n)
-    sizes = [len(xs) for xs in stability._x_slices(n)]
+    sizes = [len(xs) for xs in stability._x_slices(n, 3)]
     assert len(sizes) >= 3 and sizes[-1] < sizes[0]
     return sizes
 
@@ -156,15 +146,6 @@ def test_sliced_centrality_matches_the_monolithic_oracle(monkeypatch, name,
     assert got.evaluated > 0
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.5, 50.0])
-def test_sliced_chain_matches_the_monolithic_oracle(monkeypatch, delta):
-    domain, sigma, chi = q8_setup()
-    force_uneven_slices(monkeypatch, domain.n)
-    f, g = random_pair(domain, seed=3)
-    got = audit_scaled_residual_chain(domain, sigma, chi, f, g, delta)
-    assert got == oracle_chain(domain, sigma, chi, f, g, delta)
-
-
 @pytest.mark.parametrize("name", sorted(MORPHISM_SETUPS))
 def test_ties_across_slices_keep_the_first_witness(monkeypatch, name):
     # f = 0 gives every x the same excess, and x = e admits every window
@@ -176,10 +157,6 @@ def test_ties_across_slices_keep_the_first_witness(monkeypatch, name):
     got = audit_centrality_bound(domain, sigma, chi, zero, g, 0.1)
     assert got == oracle_centrality(domain, sigma, chi, zero, g, 0.1)
     assert got.witness[0] == 0
-    if name == "Q8":
-        got = audit_scaled_residual_chain(domain, sigma, chi, zero, zero, 0.1)
-        assert got == oracle_chain(domain, sigma, chi, zero, zero, 0.1)
-        assert got.witness == (0, 0, 0)
 
 
 def inline_section(f, g, a):

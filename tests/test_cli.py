@@ -422,9 +422,15 @@ def test_stability_unknown_domain(capsys):
      "unknown ball involution 'conj'"),
     (("stability", "--domain", "lattice:1", "--radii", "2", "--chi-z", "0"),
      "character base values must be nonzero"),
+    (("perturb", "--domain", "lattice:1", "--radius", "3", "--chi-z", "inf",
+      "--epsilon", "1e-2"), "--chi-z values must be finite"),
+    (("perturb", "--domain", "lattice:1", "--radius", "3", "--chi-z", "nan",
+      "--epsilon", "1e-2"), "--chi-z values must be finite"),
+    (("perturb", "--domain", "lattice:1", "--radius", "3", "--chi-z", "1e300",
+      "--epsilon", "1e-2"), "--chi-z values overflow on the ball of radius 3"),
 ], ids=["negative-radius", "lattice-dimension-0", "free-rank-0",
         "lattice-dimension-x", "auto-index-x", "anti-index-x", "ball-sigma",
-        "zero-chi-base"])
+        "zero-chi-base", "inf-chi-base", "nan-chi-base", "overflowing-chi-base"])
 def test_bad_ball_and_sigma_specs_are_config_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BADCONFIG

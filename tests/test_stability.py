@@ -27,7 +27,6 @@ from feqlab.stability import (
     audit_centrality_bound,
     audit_mg_shift_bound,
     audit_parity_bound,
-    audit_scaled_residual_chain,
     audit_sine_addition_bound,
     audit_symmetrized_sine_addition_bound,
     bounded_noise_candidate,
@@ -191,23 +190,15 @@ def test_battery_reports_inapplicable_rows_instead_of_hiding_them():
     Q8, sigma, chi, pair = q8_pair()
     result = perturb(pair, PerturbationConfig(epsilon=1e-2, seed=2))
     report = run_stability_battery(Q8, sigma, chi, result.f, result.g,
-                                   result.measured_delta, include_chain=True)
+                                   result.measured_delta)
     assert report.passed
     assert report.not_applicable == [
         ("section_sine_addition_defect",
          "sigma is not a homomorphism on this domain")]
     assert [r.name for r in report.rows] == [
         "centrality_defect", "companion_shift_defect", "parity_defect",
-        "symmetrized_sine_addition_defect", "scaled_residual_chain"]
+        "symmetrized_sine_addition_defect"]
     assert "N/A" in report.table()
-
-
-def test_scaled_chain_needs_a_total_table():
-    ball = BallDomain(IntegerLattice(1), 2)
-    f = GroupFunction(ball, np.ones(ball.n))
-    with pytest.raises(AuditInapplicable):
-        audit_scaled_residual_chain(ball, ball_involution(ball, "id"),
-                                    trivial_character(ball), f, f, 0.0)
 
 
 def test_ball_audits_skip_only_open_windows():
