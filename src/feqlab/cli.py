@@ -10,7 +10,7 @@ Conventions shared by all subcommands:
 * exit codes: 0 pass, 2 check mismatch/failure, 3 flagged numerical
   ambiguity, 4 invalid configuration, including a ball radius whose
   multiplication table would exceed the memory budget (the estimate goes to
-  stderr).
+  stderr) and an output file that cannot be written.
 """
 
 import argparse
@@ -31,6 +31,7 @@ from .morphisms import (AdditiveMap, ball_character, ball_involution,
                         enumerate_characters, enumerate_involutions,
                         identity_involution, inversion_involution,
                         read_character)
+from .morphisms import compatibility_witness as _compat_witness
 from .solver import (AuditNotApplicable, candidate_gs, completeness_check,
                      solve_f_given_g, theorem22_audit)
 from .stability import (PerturbationConfig, _fmt, dichotomy_experiment,
@@ -128,21 +129,6 @@ def _resolve_sigma(G, spec):
                                f"(found {len(found)})")
             return found[idx]
     raise CliError(f"unknown sigma selector {spec!r}")
-
-
-def _compat_witness(G, sigma, chi):
-    """First x with chi(x sigma(x)) != 1, or None when compatible."""
-    if chi.angles is not None:
-        for x in range(G.n):
-            if (chi.angles[x] + chi.angles[sigma(x)]) % 1 != 0:
-                return x, complex(chi.values[x] * chi.values[sigma(x)])
-        return None
-    prod = chi.values * chi.values[sigma.table]
-    bad = np.abs(prod - 1.0) > 1e-12
-    if bad.any():
-        x = int(np.flatnonzero(bad)[0])
-        return x, complex(prod[x])
-    return None
 
 
 def _resolve_chi(G, sigma, args):
@@ -367,10 +353,8 @@ def _ball_exact_pair(ball, sigma, chi, zs):
         additive = None
     else:
         raise CliError("no canned exact pair for this sigma")
-    from .morphisms import MultiplicativeFunction
-    mm = MultiplicativeFunction.from_character(m)
     try:
-        return family_case_iv(mm, chi, sigma, additive, 1.0)
+        return family_case_iv(m, chi, sigma, additive, 1.0)
     except FamilyConstructionError as exc:
         raise CliError(str(exc)) from None
 
@@ -397,10 +381,18 @@ def _perturbation_config(args, domain, default_epsilon=None):
     return config
 
 
+def _reject_flags(args, flags, where):
+    """A flag that the chosen domain would silently ignore is an error."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_"), None) is not None:
+            raise CliError(f"{flag} does not apply to {where}")
+
+
 def cmd_perturb(args):
     domain_spec = getattr(args, "domain", None)
     if domain_spec and (domain_spec.startswith(("lattice:", "free:"))
                         or domain_spec == "heisenberg"):
+        _reject_flags(args, ("--group", "--chi", "--chi-file"), "a ball domain")
         kind, _ = _ball_kind(domain_spec)
         radius = _get(args, "radius", 4, int)
         if radius < 0:
@@ -410,6 +402,7 @@ def cmd_perturb(args):
         sigma, chi, zs = _ball_maps(ball, getattr(args, "sigma", None), args)
         pair = _ball_exact_pair(ball, sigma, chi, zs)
     else:
+        _reject_flags(args, ("--radius", "--chi-z"), "a finite group")
         G = _resolve_group(getattr(args, "group", None) or domain_spec)
         config = _perturbation_config(args, G)
         sigma = _resolve_sigma(G, getattr(args, "sigma", None))
@@ -471,7 +464,6 @@ def _add_common(p):
     p.add_argument("--sigma", help="id, inv, auto:K, or anti:K")
     p.add_argument("--chi", help="character index (enumeration order)")
     p.add_argument("--chi-file", dest="chi_file", help="explicit character file")
-    p.add_argument("--tol", help="tolerance override")
 
 
 def build_parser():
@@ -488,11 +480,13 @@ def build_parser():
 
     p = sub.add_parser("solve", help="nullspace solver + completeness check")
     _add_common(p)
+    p.add_argument("--tol", help="tolerance override")
     p.add_argument("--out-dir", dest="out_dir", help="write solution files here")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("audit", help="exact-pair structure audit")
     _add_common(p)
+    p.add_argument("--tol", help="tolerance override")
     p.add_argument("--f", help="f function file (with --g)")
     p.add_argument("--g", help="g function file (with --f)")
     p.add_argument("--out", help="write the audit table here")
@@ -535,7 +529,7 @@ def main(argv=None):
     try:
         _merge_config(args)
         return args.func(args)
-    except (CliError, FamilyConstructionError, BallTooLarge) as exc:
+    except (CliError, FamilyConstructionError, BallTooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADCONFIG
 

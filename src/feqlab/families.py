@@ -14,7 +14,7 @@ import numpy as np
 
 from .feq import (GroupFunction, residual_dalembert, residual_wilson,
                   zero_tolerance)
-from .morphisms import MultiplicativeFunction
+from .morphisms import Character
 
 # c and f(e) samples used by exhaustive family sweeps; the families are
 # linear in f for fixed g, so a small sample set already spans everything
@@ -29,10 +29,10 @@ class FamilyConstructionError(ValueError):
 
 
 class SolutionPair:
-    """An (f, g) pair tagged with the family that produced it."""
+    """An (f, g) pair tagged with the family that produced it, verified
+    against the pair equation for sigma and chi when built."""
 
-    def __init__(self, f, g, family_tag, parameters=None, sigma=None, chi=None,
-                 verify=True):
+    def __init__(self, f, g, family_tag, sigma, chi, parameters=None):
         if family_tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {family_tag!r}")
         self.f = f
@@ -41,18 +41,12 @@ class SolutionPair:
         self.parameters = dict(parameters or {})
         self.sigma = sigma
         self.chi = chi
-        if verify:
-            if sigma is None or chi is None:
-                raise ValueError("verification needs sigma and chi")
-            tol = zero_tolerance(f.domain)
-            rep = residual_wilson(f.domain, sigma, chi, f, g)
-            if rep.sup > tol:
-                raise FamilyConstructionError(
-                    f"{family_tag} pair has residual {rep.sup:.3e} at "
-                    f"({rep.argmax_x},{rep.argmax_y}); a precondition is violated")
-            self.residual_sup = rep.sup
-        else:
-            self.residual_sup = None
+        rep = residual_wilson(f.domain, sigma, chi, f, g)
+        if rep.sup > zero_tolerance(f.domain):
+            raise FamilyConstructionError(
+                f"{family_tag} pair has residual {rep.sup:.3e} at "
+                f"({rep.argmax_x},{rep.argmax_y}); a precondition is violated")
+        self.residual_sup = rep.sup
 
     def __repr__(self):
         return f"SolutionPair({self.family_tag}, params={self.parameters})"
@@ -70,12 +64,13 @@ def twisted_companion(m, chi, sigma):
     ang = None
     if m.angles is not None and chi.angles is not None:
         ang = [(chi.angles[a] + m.angles[sigma(a)]) % 1 for a in range(m.domain.n)]
-    return MultiplicativeFunction(m.domain, vals, angles=ang, is_zero=m.is_zero)
+    return Character(m.domain, vals, angles=ang,
+                     unitary=m.unitary and chi.unitary)
 
 
 def family_case_i(domain, g_values, sigma, chi):
     """f = 0, g arbitrary."""
-    g = GroupFunction.from_values(domain, g_values)
+    g = GroupFunction(domain, g_values)
     return SolutionPair(GroupFunction.zero(domain), g, "CaseI",
                         sigma=sigma, chi=chi)
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .morphisms import identity_involution, trivial_character
+
 # "residual is zero" tolerances; larger sweeps accumulate more rounding
 ZERO_TOL_FINITE = 1e-12
 ZERO_TOL_BALL = 1e-9
@@ -22,50 +24,40 @@ def zero_tolerance(domain):
 
 
 class GroupFunction:
-    """A complex-valued function on a domain, stored densely by element id.
+    """A finite complex-valued function on a domain, stored densely by
+    element id.
 
-    `defined` marks where the value is meaningful; it is all-True except for
-    derived functions (like x -> g(x^2)) on balls, where a needed product
-    may fall outside the window.
+    Derived functions that need a product outside a ball (x -> g(x^2),
+    y -> f(ay)) hold 0 there; an audit that reads them takes its validity
+    mask from its certificate, not from the function.
     """
 
-    def __init__(self, domain, values, defined=None):
+    def __init__(self, domain, values):
         self.domain = domain
         self.values = np.asarray(values, dtype=np.complex128)
         if self.values.shape != (domain.n,):
             raise ValueError("value vector length must match domain size")
-        if defined is None:
-            defined = np.ones(domain.n, dtype=bool)
-        self.defined = np.asarray(defined, dtype=bool)
-        if not np.isfinite(self.values[self.defined]).all():
-            raise ValueError("function values must be finite where defined")
+        if not np.isfinite(self.values).all():
+            raise ValueError("function values must be finite")
 
     @classmethod
     def zero(cls, domain):
         return cls(domain, np.zeros(domain.n))
 
-    @classmethod
-    def from_values(cls, domain, values):
-        return cls(domain, np.asarray(values, dtype=np.complex128))
-
     def sup(self):
-        if not self.defined.any():
-            return 0.0
-        return float(np.abs(self.values[self.defined]).max())
+        return float(np.abs(self.values).max())
 
     def at_identity(self):
         return complex(self.values[self.domain.identity])
 
     def __add__(self, other):
-        return GroupFunction(self.domain, self.values + other.values,
-                             self.defined & other.defined)
+        return GroupFunction(self.domain, self.values + other.values)
 
     def __sub__(self, other):
-        return GroupFunction(self.domain, self.values - other.values,
-                             self.defined & other.defined)
+        return GroupFunction(self.domain, self.values - other.values)
 
     def __mul__(self, scalar):
-        return GroupFunction(self.domain, self.values * scalar, self.defined)
+        return GroupFunction(self.domain, self.values * scalar)
 
     __rmul__ = __mul__
 
@@ -91,7 +83,7 @@ def read_function(domain, path):
             continue
         re, im = line.split()
         values.append(complex(float(re), float(im)))
-    return GroupFunction.from_values(domain, values)
+    return GroupFunction(domain, values)
 
 
 @dataclass
@@ -143,39 +135,32 @@ def residual_dalembert(domain, sigma, chi, f):
 
 
 def residual_symmetrized_cauchy(domain, f):
-    """|f(xy) + f(yx) - 2 f(x) f(y)| over pairs with both products inside."""
-    _check_domains(domain, f)
-    mul = domain.mul
-    xy, yx = mul, mul.T
-    valid = (xy >= 0) & (yx >= 0)
-    fv = f.values
-    resid = np.abs(fv[np.maximum(xy, 0)] + fv[np.maximum(yx, 0)]
-                   - 2.0 * fv[:, None] * fv[None, :])
-    return _report(resid, valid)
+    """|f(xy) + f(yx) - 2 f(x) f(y)| over pairs with both products inside:
+    the pair residual with g = f, sigma = id and chi = 1."""
+    return residual_wilson(domain, identity_involution(domain),
+                           trivial_character(domain), f, f)
 
 
 def companion_mg(g):
-    """m_g(x) = 2 g(x)^2 - g(x^2); undefined where x^2 leaves a ball."""
+    """m_g(x) = 2 g(x)^2 - g(x^2); 0 where x^2 leaves a ball."""
     domain = g.domain
     sq = domain.mul[np.arange(domain.n), np.arange(domain.n)]
-    defined = (sq >= 0) & g.defined
-    vals = np.where(defined, 2.0 * g.values ** 2 - g.values[np.maximum(sq, 0)], 0.0)
-    return GroupFunction(domain, vals, defined)
+    vals = np.where(sq >= 0, 2.0 * g.values ** 2 - g.values[np.maximum(sq, 0)], 0.0)
+    return GroupFunction(domain, vals)
 
 
 def section_function(f, g, a):
-    """f_a(y) = f(a y) - f(a) g(y); undefined where a*y leaves a ball."""
+    """f_a(y) = f(a y) - f(a) g(y); 0 where a*y leaves a ball."""
     _check_domains(f.domain, f, g)
     domain = f.domain
     ay = domain.mul[a]
-    defined = (ay >= 0) & g.defined
-    vals = np.where(defined, f.values[np.maximum(ay, 0)] - f.values[a] * g.values, 0.0)
-    return GroupFunction(domain, vals, defined)
+    vals = np.where(ay >= 0, f.values[np.maximum(ay, 0)] - f.values[a] * g.values, 0.0)
+    return GroupFunction(domain, vals)
 
 
 def parity_parts(f, sigma, chi):
     """Even and odd parts relative to chi * (f o sigma). f_e + f_o = f."""
     twisted = chi.values * f.values[sigma.table]
-    fe = GroupFunction(f.domain, (f.values + twisted) / 2.0, f.defined)
-    fo = GroupFunction(f.domain, (f.values - twisted) / 2.0, f.defined)
+    fe = GroupFunction(f.domain, (f.values + twisted) / 2.0)
+    fo = GroupFunction(f.domain, (f.values - twisted) / 2.0)
     return fe, fo

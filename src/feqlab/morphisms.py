@@ -1,8 +1,9 @@
 """Involutive morphisms, characters, multiplicative functions, additive maps.
 
-Characters on finite groups carry exact root-of-unity values: each value is
-stored as a Fraction t meaning exp(2*pi*i*t), so products and equality checks
-need no floating-point tolerance.
+Every character decision (multiplicativity, compatibility with sigma) reads
+the complex values. Characters enumerated on finite groups also carry their
+exact angles: each value is exp(2*pi*i*t) for a Fraction t, which names the
+character in printed labels and dedup keys.
 """
 
 from fractions import Fraction
@@ -72,19 +73,16 @@ def satisfies_morphism_law(domain, table, kind):
     return (mapped[ok] == law[ok]).all()
 
 
-def identity_involution(domain, kind="automorphism"):
-    return Involution(np.arange(domain.n), kind, label="identity")
+def identity_involution(domain):
+    return Involution(np.arange(domain.n), "automorphism", label="identity")
 
 
-def inversion_involution(domain, kind=None):
-    """Inversion is always an anti-automorphism; also an automorphism iff
-    abelian, which is the default report there."""
+def inversion_involution(domain):
+    """Inversion is always an anti-automorphism; it is reported as an
+    automorphism when it also is one, i.e. on abelian domains."""
     tab = domain.inv.copy()
-    if kind is None:
-        kind = "automorphism" if satisfies_morphism_law(domain, tab, "automorphism") \
-            else "anti-automorphism"
-    elif kind == "automorphism" and not satisfies_morphism_law(domain, tab, "automorphism"):
-        raise ValueError("inversion is an automorphism only on abelian domains")
+    kind = "automorphism" if satisfies_morphism_law(domain, tab, "automorphism") \
+        else "anti-automorphism"
     return Involution(tab, kind, label="inversion")
 
 
@@ -189,11 +187,18 @@ def _angle_value(t):
     return cmath.exp(2j * cmath.pi * float(t))
 
 
+# |chi(x) chi(sigma(x)) - 1| above this is incompatibility; on a finite
+# group G an incompatible character misses 1 by at least |exp(2 pi i/|G|) - 1|
+COMPAT_TOL = 1e-12
+
+
 class Character:
-    """A homomorphism into C*, unitary on finite groups.
+    """A multiplicative function: the zero function, or a homomorphism into
+    C*, unitary on finite groups.
 
     angles[i] is a Fraction t with value exp(2*pi*i*t), or None when only
-    floating-point values are available (ball characters with free z's).
+    floating-point values are available (the zero function, characters read
+    from a file, ball characters with free z's).
     """
 
     def __init__(self, domain, values, angles=None, unitary=None):
@@ -212,27 +217,28 @@ class Character:
         values = np.array([_angle_value(t) for t in angles])
         return cls(domain, values, angles=angles, unitary=True)
 
+    @classmethod
+    def zero(cls, domain):
+        return cls(domain, np.zeros(domain.n), unitary=False)
+
+    @property
+    def is_zero(self):
+        # a multiplicative function that vanishes anywhere vanishes everywhere
+        return bool(self.values[self.domain.identity] == 0)
+
     def __call__(self, a):
         return self.values[a]
-
-    def is_trivial(self):
-        if self.angles is not None:
-            return all(t == 0 for t in self.angles)
-        return bool(np.allclose(self.values, 1.0, atol=1e-12))
 
     def check_multiplicative(self, tol=1e-12):
         mul = self.domain.mul
         ok = mul >= 0
-        if self.angles is not None:
-            xy = np.array([[self.angles[v] if v >= 0 else 0 for v in row] for row in mul])
-            xs = np.array([[(self.angles[x] + self.angles[y]) % 1
-                            for y in range(self.domain.n)] for x in range(self.domain.n)])
-            return bool((xy[ok] == xs[ok]).all())
         lhs = self.values[np.maximum(mul, 0)]
         rhs = self.values[:, None] * self.values[None, :]
         return bool(np.abs(lhs[ok] - rhs[ok]).max() <= tol)
 
     def __repr__(self):
+        if self.is_zero:
+            return "Character(0)"
         if self.angles is not None:
             return f"Character(angles={[str(t) for t in self.angles]})"
         return f"Character(values~{np.round(self.values, 3)})"
@@ -289,54 +295,28 @@ def trivial_character(domain):
     return Character(domain, np.ones(domain.n), unitary=True)
 
 
-def compatible_characters(domain, sigma, characters, tol=1e-12):
+def compatibility_witness(domain, sigma, chi):
+    """The first x with chi(x) chi(sigma(x)) != 1 and that value, or None
+    when chi is compatible with sigma (chi(x sigma(x)) = 1 for every x).
+    The product of values needs no product x sigma(x) inside a ball."""
+    prod = chi.values * chi.values[sigma.table]
+    bad = np.flatnonzero(np.abs(prod - 1.0) > COMPAT_TOL)
+    if not bad.size:
+        return None
+    x = int(bad[0])
+    return x, complex(prod[x])
+
+
+def compatible_characters(domain, sigma, characters):
     """Keep the characters with chi(x * sigma(x)) = 1 for every x."""
-    kept = []
-    for chi in characters:
-        prod = domain.mul[np.arange(domain.n), sigma.table]
-        if (prod < 0).any():
-            raise ValueError("x*sigma(x) leaves the domain; enlarge the ball")
-        if chi.angles is not None:
-            ok = all((chi.angles[x] + chi.angles[sigma(x)]) % 1 == 0
-                     for x in range(domain.n))
-        else:
-            ok = bool(np.abs(chi.values[prod] - 1.0).max() <= tol)
-        if ok:
-            kept.append(chi)
-    return kept
-
-
-class MultiplicativeFunction:
-    """Either the zero function or a character."""
-
-    def __init__(self, domain, values, angles=None, is_zero=False):
-        self.domain = domain
-        self.values = np.asarray(values, dtype=np.complex128)
-        self.angles = angles
-        self.is_zero = is_zero
-
-    @classmethod
-    def zero(cls, domain):
-        return cls(domain, np.zeros(domain.n), is_zero=True)
-
-    @classmethod
-    def from_character(cls, chi):
-        return cls(chi.domain, chi.values, angles=chi.angles)
-
-    def __call__(self, a):
-        return self.values[a]
-
-    def __repr__(self):
-        if self.is_zero:
-            return "MultiplicativeFunction(0)"
-        return f"MultiplicativeFunction({np.round(self.values, 3)})"
+    return [chi for chi in characters
+            if compatibility_witness(domain, sigma, chi) is None]
 
 
 def enumerate_multiplicative(G):
     """Zero plus all characters: a multiplicative function on a group that
     vanishes anywhere vanishes everywhere."""
-    return [MultiplicativeFunction.zero(G)] + \
-        [MultiplicativeFunction.from_character(c) for c in enumerate_characters(G)]
+    return [Character.zero(G)] + enumerate_characters(G)
 
 
 # --- ball-domain morphism data -------------------------------------------
@@ -373,10 +353,6 @@ def ball_character(ball, zs):
         values *= np.power(z, coords[:, i])
     unitary = all(abs(abs(z) - 1.0) <= 1e-12 for z in zs)
     return Character(ball, values, unitary=unitary)
-
-
-def ball_multiplicative(ball, zs):
-    return MultiplicativeFunction.from_character(ball_character(ball, zs))
 
 
 class AdditiveMap:

@@ -57,18 +57,18 @@ def wilson_system_matrix(domain, sigma, chi, g):
     return A
 
 
-def solve_f_given_g(domain, sigma, chi, g, cutoff=SVD_KERNEL_CUTOFF):
+def solve_f_given_g(domain, sigma, chi, g):
     """Orthonormal basis of {f : pair residual 0} for this g, via SVD.
 
     Flags (instead of silently resolving) the case where singular values sit
-    on both sides of the cutoff within a factor of GUARD_BAND. The thin SVD
-    gives the same s and vh as the full one without the n^2 x n^2 U.
+    on both sides of SVD_KERNEL_CUTOFF within a factor of GUARD_BAND. The
+    thin SVD gives the same s and vh as the full one without the n^2 x n^2 U.
     """
     A = wilson_system_matrix(domain, sigma, chi, g)
     _, s, vh = np.linalg.svd(A, full_matrices=False)
-    small = s <= cutoff
-    near_low = small & (s > cutoff / GUARD_BAND)
-    near_high = (~small) & (s < cutoff * GUARD_BAND)
+    small = s <= SVD_KERNEL_CUTOFF
+    near_low = small & (s > SVD_KERNEL_CUTOFF / GUARD_BAND)
+    near_high = (~small) & (s < SVD_KERNEL_CUTOFF * GUARD_BAND)
     ambiguous = bool(near_low.any() and near_high.any())
     basis = [GroupFunction(domain, vh[i].conj()) for i in np.flatnonzero(small)]
     return SolveResult(basis, s, ambiguous)
@@ -113,7 +113,7 @@ def candidate_gs(G, sigma, chi):
     return [(key, *seen[key]) for key in order]
 
 
-def span_distance(vectors, target, tol_scale=True):
+def span_distance(vectors, target):
     """sup-norm residual of the best linear fit of target by the vectors,
     after normalizing target to unit sup norm."""
     t = np.asarray(target, dtype=np.complex128)
@@ -209,7 +209,7 @@ def completeness_check(G, sigma, chi, tol=1e-9):
 
 
 def _chi_label(chi):
-    if getattr(chi, "angles", None) is not None:
+    if chi.angles is not None:
         if all(t == 0 for t in chi.angles):
             return "trivial"
         return "(" + ",".join(str(t) for t in chi.angles) + ")"

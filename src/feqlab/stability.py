@@ -488,13 +488,13 @@ def dichotomy_experiment(kind, radii, f_provider, g_provider=None,
     return StabilityReport(measured_delta=delta_max, growth_rows=rows)
 
 
-def bounded_noise_candidate(kind, max_radius, seed, epsilon, base=1.0):
-    """A deterministic bounded function: base + epsilon * unit phases, fixed
+def bounded_noise_candidate(kind, max_radius, seed, epsilon):
+    """A deterministic bounded function: 1 + epsilon * unit phases, fixed
     once on the largest ball so smaller radii see restrictions of it."""
     elements, _ = ball_elements(kind, max_radius)
     rng = np.random.default_rng(seed)
     phases = np.exp(2j * np.pi * rng.uniform(size=len(elements)))
-    table = {el: base + epsilon * phases[i] for i, el in enumerate(elements)}
+    table = {el: 1.0 + epsilon * phases[i] for i, el in enumerate(elements)}
 
     def provider(el):
         return table[el]
@@ -520,19 +520,15 @@ def _g_multiplicative_defect(ball, g):
     return float(vals[ok].max()) if ok.any() else 0.0
 
 
-def _additive_fit(ball, h_values, with_intercept=True):
+def _additive_fit(ball, h_values):
     """Least-squares fit of h by an additive form over the abelianized
-    coordinates (plus an optional constant)."""
+    coordinates plus a constant."""
     coords = ball.coords.astype(np.float64)
-    cols = [coords]
-    if with_intercept:
-        cols.append(np.ones((ball.n, 1)))
-    A = np.hstack(cols)
+    A = np.hstack([coords, np.ones((ball.n, 1))])
     coef, *_ = np.linalg.lstsq(A, h_values, rcond=None)
     resid = float(np.abs(A @ coef - h_values).max())
     k = coords.shape[1]
-    intercept = complex(coef[k]) if with_intercept else 0.0
-    return np.asarray(coef[:k]), intercept, resid
+    return np.asarray(coef[:k]), complex(coef[k]), resid
 
 
 def theorem37_case_scan(kind, radii, f_provider, g_provider, sigma_spec="inv",

@@ -15,9 +15,8 @@ from feqlab.families import (SolutionPair, canned_half_trace, family_case_ii,
 from feqlab.feq import GroupFunction, residual_wilson
 from feqlab.groups import (CATALOG_NAMES, BallDomain, IntegerLattice,
                            build_catalog_group)
-from feqlab.morphisms import (AdditiveMap, MultiplicativeFunction,
-                              ball_character, ball_involution,
-                              ball_multiplicative, compatible_characters,
+from feqlab.morphisms import (AdditiveMap, ball_character, ball_involution,
+                              compatible_characters,
                               enumerate_characters, enumerate_involutions,
                               enumerate_multiplicative, inversion_involution,
                               trivial_character)
@@ -161,7 +160,7 @@ def _lattice_exact_pair():
     ball = BallDomain(IntegerLattice(2), 6)
     sigma = ball_involution(ball, "inv")
     chi = ball_character(ball, [1.0, 1.0])
-    m = ball_multiplicative(ball, [1.0, 1.0])
+    m = ball_character(ball, [1.0, 1.0])
     pair = family_case_iv(m, chi, sigma, AdditiveMap(ball, [1.0, 0.0]), 1.0)
     return ball, sigma, chi, pair
 
@@ -223,7 +222,7 @@ def test_criterion_7_injected_non_solutions_are_caught_with_witnesses():
         Z4 = build_catalog_group("Z4")
         sigma = inversion_involution(Z4)
         chi = trivial_character(Z4)
-        m = MultiplicativeFunction.from_character(enumerate_characters(Z4)[1])
+        m = enumerate_characters(Z4)[1]
         good = family_case_ii(m, chi, sigma, 2.0)
         bad = good.f.values.copy()
         bad[1] += 0.5

@@ -94,7 +94,7 @@ def old_mg_shift_bound(domain, sigma, chi, f, g, delta):
     for p in points:
         valid &= p >= 0
     mg = companion_mg(g)
-    valid &= mg.defined[None, :]
+    valid &= (sq >= 0)[None, :]
     lhs = np.abs(mg.values[None, :] * f.values[:, None]
                  - chi.values[None, :] * _val(f.values, syxy))
     rhs = (np.abs(g.values)[None, :] + 1.5) * delta
@@ -125,7 +125,7 @@ def old_parity_bound(domain, sigma, chi, f, g, delta):
     for p in points:
         valid &= p >= 0
     mg = companion_mg(g)
-    valid &= mg.defined[None, :]
+    valid &= (sq >= 0)[None, :]
     gv = g.values
     lhs = np.abs(2.0 * f.values[:, None]
                  * (gv[None, :] - mg.values[None, :] * gv[inv][None, :]))
@@ -170,7 +170,7 @@ def old_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     fv, gv = f.values, g.values
     section = section_function(f, g, a)
     fa = section.values
-    valid &= section.defined[:, None] & section.defined[None, :]
+    valid &= (mul[a] >= 0)[:, None] & (mul[a] >= 0)[None, :]
     lhs = np.abs(_val(fv, axy) - fv[a] * _val(gv, xy)
                  - fa[:, None] * gv[None, :] - fa[None, :] * gv[:, None])
     rhs = (np.abs(gv)[:, None] + 1.5) * delta
@@ -206,7 +206,7 @@ def old_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     fv, gv = f.values, g.values
     section = section_function(f, g, a)
     fa = section.values
-    valid &= section.defined[:, None] & section.defined[None, :]
+    valid &= (mul[a] >= 0)[:, None] & (mul[a] >= 0)[None, :]
     fa_xy = _val(fv, axy) - fv[a] * _val(gv, xy)
     fa_yx = _val(fv, ayx) - fv[a] * _val(gv, yx)
     lhs = np.abs(fa_xy + fa_yx - 2.0 * fa[:, None] * gv[None, :]

@@ -164,8 +164,7 @@ def inline_section(f, g, a):
     before they called feq.section_function."""
     mul = f.domain.mul
     fv, gv = f.values, g.values
-    return SimpleNamespace(values=_val(fv, mul[a]) - fv[a] * gv,
-                           defined=mul[a] >= 0)
+    return SimpleNamespace(values=_val(fv, mul[a]) - fv[a] * gv)
 
 
 def catalog_setup(name, kind):

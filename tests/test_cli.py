@@ -428,9 +428,21 @@ def test_stability_unknown_domain(capsys):
       "--epsilon", "1e-2"), "--chi-z values must be finite"),
     (("perturb", "--domain", "lattice:1", "--radius", "3", "--chi-z", "1e300",
       "--epsilon", "1e-2"), "--chi-z values overflow on the ball of radius 3"),
+    (("perturb", "--domain", "lattice:1", "--radius", "3", "--chi", "2",
+      "--epsilon", "0.01"), "--chi does not apply to a ball domain"),
+    (("perturb", "--domain", "lattice:1", "--radius", "3", "--group", "Z4",
+      "--epsilon", "0.01"), "--group does not apply to a ball domain"),
+    (("perturb", "--domain", "heisenberg", "--chi-file", "chi.txt",
+      "--epsilon", "0.01"), "--chi-file does not apply to a ball domain"),
+    (("perturb", "--group", "Z4", "--epsilon", "0.01", "--radius", "3",
+      "--chi-z", "2"), "--radius does not apply to a finite group"),
+    (("perturb", "--domain", "Z4", "--chi-z", "2", "--epsilon", "0.01"),
+     "--chi-z does not apply to a finite group"),
 ], ids=["negative-radius", "lattice-dimension-0", "free-rank-0",
         "lattice-dimension-x", "auto-index-x", "anti-index-x", "ball-sigma",
-        "zero-chi-base", "inf-chi-base", "nan-chi-base", "overflowing-chi-base"])
+        "zero-chi-base", "inf-chi-base", "nan-chi-base", "overflowing-chi-base",
+        "chi-on-a-ball", "group-on-a-ball", "chi-file-on-a-ball",
+        "radius-on-a-group", "chi-z-on-a-group"])
 def test_bad_ball_and_sigma_specs_are_config_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BADCONFIG
@@ -449,6 +461,35 @@ def test_over_budget_ball_exits_with_the_estimate(capsys, argv):
     assert out == ""
     assert f"element cap {BALL_ELEMENT_CAP}" in err
     assert "MiB" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--group", "Z2", "--out-dir", "{file}"), "File exists"),
+    (("audit", "--group", "S3", "--sigma", "inv", "--out", "{missing}/x.txt"),
+     "No such file or directory"),
+    (("stability", "--domain", "lattice:1", "--radii", "2",
+      "--csv-out", "{missing}/x.csv"), "No such file or directory"),
+    (("perturb", "--group", "Z4", "--epsilon", "0.01",
+      "--out-prefix", "{missing}/p"), "No such file or directory"),
+], ids=["solve-out-dir-is-a-file", "audit-out-in-missing-dir",
+        "stability-csv-in-missing-dir", "perturb-prefix-in-missing-dir"])
+def test_unwritable_outputs_are_config_errors(capsys, tmp_path, argv, message):
+    # stdout may already hold the report; the exit code must still say 4
+    file = tmp_path / "file.txt"
+    file.write_text("")
+    paths = {"file": str(file), "missing": str(tmp_path / "missing")}
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == EXIT_BADCONFIG
+    assert message in err and "Traceback" not in err
+
+
+def test_tol_is_a_solve_and_audit_flag_only(capsys):
+    for sub in ("solve", "audit"):
+        code, _, _ = run(capsys, sub, "--group", "Z2", "--tol", "1e-9")
+        assert code == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main([*PERTURB_Z4, "--tol", "1e-9"])
+    assert exc.value.code == EXIT_BADCONFIG
 
 
 def test_exit_codes_are_distinct():

@@ -23,7 +23,7 @@ from feqlab.feq import GroupFunction, residual_dalembert, residual_wilson
 from feqlab.groups import BallDomain, IntegerLattice, build_catalog_group
 from feqlab.morphisms import (
     AdditiveMap,
-    MultiplicativeFunction,
+    Character,
     ball_character,
     ball_involution,
     enumerate_characters,
@@ -38,7 +38,7 @@ def z4_setup():
     Z4 = build_catalog_group("Z4")
     sigma = inversion_involution(Z4)
     chars = enumerate_characters(Z4)
-    m_i = MultiplicativeFunction.from_character(chars[1])  # i^k
+    m_i = chars[1]  # i^k
     return Z4, sigma, chars, m_i
 
 
@@ -98,7 +98,7 @@ def test_case_iii_collapses_when_m_is_symmetric():
     Z4 = build_catalog_group("Z4")
     sigma = identity_involution(Z4)
     chi = trivial_character(Z4)
-    m = MultiplicativeFunction.from_character(enumerate_characters(Z4)[1])
+    m = enumerate_characters(Z4)[1]
     for c in (1.0, 2.0, 1j):
         pair = family_case_iii(m, chi, sigma, c, 3.0)
         assert np.allclose(pair.f.values, 3.0 * m.values)
@@ -115,7 +115,7 @@ def test_case_iv_on_a_lattice_ball():
     ball = BallDomain(IntegerLattice(2), 3)
     sigma = ball_involution(ball, "inv")
     chi = ball_character(ball, [1.0, 1.0])
-    m = MultiplicativeFunction.from_character(chi)
+    m = chi
     additive = AdditiveMap(ball, [1.0, 0.0])
     pair = family_case_iv(m, chi, sigma, additive, 1.0)
     assert pair.residual_sup == 0.0
@@ -127,7 +127,7 @@ def test_case_iv_rejects_non_odd_additive():
     ball = BallDomain(IntegerLattice(1), 2)
     sigma = ball_involution(ball, "id")
     chi = ball_character(ball, [1.0])
-    m = MultiplicativeFunction.from_character(chi)
+    m = chi
     additive = AdditiveMap(ball, [1.0])
     with pytest.raises(FamilyConstructionError, match="fails at element"):
         family_case_iv(m, chi, sigma, additive, 0.0)
@@ -149,7 +149,7 @@ def test_case_iv_on_finite_group_collapses_to_scaled_m():
 
 def test_dalembert_family_members():
     Z4, sigma, chars, m_i = z4_setup()
-    zero = dalembert_family(MultiplicativeFunction.zero(Z4), trivial_character(Z4), sigma)
+    zero = dalembert_family(Character.zero(Z4), trivial_character(Z4), sigma)
     assert np.all(zero.values == 0)
     cos = dalembert_family(m_i, trivial_character(Z4), sigma)
     assert np.allclose(cos.values, [1, 0, -1, 0], atol=1e-15)
@@ -160,7 +160,7 @@ def test_dalembert_family_rejects_incompatible_chi():
     Z4 = build_catalog_group("Z4")
     sigma = identity_involution(Z4)
     chi = enumerate_characters(Z4)[1]
-    m = MultiplicativeFunction.from_character(trivial_character(Z4))
+    m = trivial_character(Z4)
     with pytest.raises(FamilyConstructionError):
         dalembert_family(m, chi, sigma)
 
@@ -231,7 +231,7 @@ def test_solution_pair_rejects_non_solutions_with_witness():
 def test_solution_pair_requires_verification_context():
     Z4, sigma, chars, _ = z4_setup()
     f = GroupFunction.zero(Z4)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         SolutionPair(f, f, "External")
     with pytest.raises(ValueError):
         SolutionPair(f, f, "CaseXI", sigma=sigma, chi=chars[0])
@@ -262,7 +262,7 @@ def test_case_iii_is_exact_for_arbitrary_parameters(c, fe):
     Z3 = build_catalog_group("Z3")
     sigma = identity_involution(Z3)
     chi = trivial_character(Z3)
-    m = MultiplicativeFunction.from_character(enumerate_characters(Z3)[1])
+    m = enumerate_characters(Z3)[1]
     if c == 0:
         with pytest.raises(FamilyConstructionError):
             family_case_iii(m, chi, sigma, c, fe)

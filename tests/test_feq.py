@@ -20,7 +20,9 @@ from feqlab.feq import (
     write_function,
     zero_tolerance,
 )
-from feqlab.groups import BallDomain, IntegerLattice, build_catalog_group
+from feqlab.feq import _report
+from feqlab.groups import BallDomain, DiscreteHeisenberg, FreeGroup, \
+    IntegerLattice, build_catalog_group
 from feqlab.morphisms import (
     ball_involution,
     enumerate_characters,
@@ -83,6 +85,45 @@ def test_symmetrized_cauchy_on_characters_and_on_a_non_solution():
     # half the 2-dim trace is not multiplicative; worst pair is (t, t)
     half = GroupFunction(S3, [1, 0, 0, -0.5, -0.5, 0])
     assert residual_symmetrized_cauchy(S3, half).sup == 2.0
+
+
+def old_symmetrized_cauchy(domain, f):
+    """The symmetrized Cauchy residual as written out before it delegated
+    to the pair residual."""
+    mul = domain.mul
+    xy, yx = mul, mul.T
+    valid = (xy >= 0) & (yx >= 0)
+    fv = f.values
+    resid = np.abs(fv[np.maximum(xy, 0)] + fv[np.maximum(yx, 0)]
+                   - 2.0 * fv[:, None] * fv[None, :])
+    return _report(resid, valid)
+
+
+CAUCHY_DOMAINS = {
+    "Z1_r3": lambda: BallDomain(IntegerLattice(1), 3),
+    "Z1_r6": lambda: BallDomain(IntegerLattice(1), 6),
+    "Z2_r2": lambda: BallDomain(IntegerLattice(2), 2),
+    "Z2_r4": lambda: BallDomain(IntegerLattice(2), 4),
+    "Z2_r8": lambda: BallDomain(IntegerLattice(2), 8),
+    "H3_r2": lambda: BallDomain(DiscreteHeisenberg(), 2),
+    "H3_r3": lambda: BallDomain(DiscreteHeisenberg(), 3),
+    "F2_r2": lambda: BallDomain(FreeGroup(2), 2),
+    "F2_r3": lambda: BallDomain(FreeGroup(2), 3),
+    "S3": lambda: build_catalog_group("S3"),
+    "Q8": lambda: build_catalog_group("Q8"),
+    "Z6": lambda: build_catalog_group("Z6"),
+}
+
+
+@pytest.mark.parametrize("name", CAUCHY_DOMAINS)
+def test_symmetrized_cauchy_equals_the_old_closed_form(name):
+    domain = CAUCHY_DOMAINS[name]()
+    rng = np.random.default_rng(domain.n)
+    for _ in range(10):
+        f = GroupFunction(domain, rng.normal(size=domain.n)
+                          + 1j * rng.normal(size=domain.n))
+        assert residual_symmetrized_cauchy(domain, f) == \
+            old_symmetrized_cauchy(domain, f)
 
 
 def test_ball_residual_counts_skipped_pairs():
@@ -156,8 +197,8 @@ def test_companion_is_partial_on_balls():
     ball = BallDomain(IntegerLattice(1), 2)
     g = GroupFunction(ball, np.ones(ball.n))
     mg = companion_mg(g)
-    assert not mg.defined[ball.index[(2,)]]  # (2,)^2 leaves the window
-    assert mg.defined[ball.index[(1,)]]
+    assert mg.values[ball.index[(2,)]] == 0  # (2,)^2 leaves the window
+    assert mg.values[ball.index[(1,)]] == 1
 
 
 def test_section_at_identity_is_f_minus_fe_g():

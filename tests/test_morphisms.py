@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from feqlab.groups import BallDomain, FreeGroup, IntegerLattice, DiscreteHeisenberg, \
-    abelianization, build_catalog_group
+from feqlab import cli
+from feqlab.groups import CATALOG_NAMES, BallDomain, FreeGroup, IntegerLattice, \
+    DiscreteHeisenberg, abelianization, build_catalog_group
 from feqlab.morphisms import (
     AdditiveMap,
     Character,
     Involution,
     ball_character,
     ball_involution,
-    ball_multiplicative,
+    compatibility_witness,
     compatible_characters,
     enumerate_characters,
     enumerate_involutions,
@@ -47,8 +48,6 @@ def test_inversion_kind_on_nonabelian_groups():
     Q8 = build_catalog_group("Q8")
     s = inversion_involution(Q8)
     assert s.kind == "anti-automorphism"
-    with pytest.raises(ValueError):
-        inversion_involution(Q8, kind="automorphism")
 
 
 def test_involution_counts():
@@ -139,7 +138,7 @@ def test_character_angle_product_closure():
 
 def test_trivial_character_on_both_domain_kinds():
     G = build_catalog_group("S3")
-    assert trivial_character(G).is_trivial()
+    assert all(t == 0 for t in trivial_character(G).angles)
     ball = BallDomain(IntegerLattice(1), 2)
     chi = trivial_character(ball)
     assert np.allclose(chi.values, 1.0) and chi.unitary
@@ -172,6 +171,91 @@ def test_multiplicative_is_zero_plus_characters():
         ms = enumerate_multiplicative(G)
         assert ms[0].is_zero
         assert len(ms) == 1 + len(enumerate_characters(G))
+        assert all(isinstance(m, Character) for m in ms)
+        assert not any(m.is_zero for m in ms[1:])
+
+
+def test_zero_character_is_multiplicative_and_not_unitary():
+    G = build_catalog_group("S3")
+    zero = Character.zero(G)
+    assert zero.is_zero and not zero.unitary
+    assert zero.angles is None and not zero.values.any()
+    assert zero.check_multiplicative()
+
+
+# --- the angle-based checks these replace, kept as oracles ----------------
+
+
+def angle_compat_witness(G, sigma, chi):
+    """First x whose exact angle sum at x and sigma(x) is not 0 mod 1."""
+    for x in range(G.n):
+        if (chi.angles[x] + chi.angles[sigma(x)]) % 1 != 0:
+            return x, complex(chi.values[x] * chi.values[sigma(x)])
+    return None
+
+
+def angle_compatible_characters(domain, sigma, characters):
+    return [chi for chi in characters
+            if all((chi.angles[x] + chi.angles[sigma(x)]) % 1 == 0
+                   for x in range(domain.n))]
+
+
+def angle_check_multiplicative(chi):
+    mul = chi.domain.mul
+    n = chi.domain.n
+    return all((chi.angles[x] + chi.angles[y]) % 1 == chi.angles[mul[x, y]]
+               for x in range(n) for y in range(n))
+
+
+COMPAT_GROUPS = list(CATALOG_NAMES) + ["Z4xZ8"]
+
+
+@pytest.mark.parametrize("name", COMPAT_GROUPS)
+def test_value_compatibility_matches_the_angle_oracle(name):
+    G = build_catalog_group(name)
+    chars = enumerate_characters(G)
+    for kind in ("automorphism", "anti-automorphism"):
+        for sigma in enumerate_involutions(G, kind):
+            for chi in chars:
+                got = compatibility_witness(G, sigma, chi)
+                want = angle_compat_witness(G, sigma, chi)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got[0] == want[0]
+                    assert abs(got[1] - want[1]) <= 1e-14
+            kept = compatible_characters(G, sigma, chars)
+            assert [id(c) for c in kept] == \
+                [id(c) for c in angle_compatible_characters(G, sigma, chars)]
+
+
+def test_cli_compat_witness_is_the_library_check():
+    assert cli._compat_witness is compatibility_witness
+
+
+@pytest.mark.parametrize("name", COMPAT_GROUPS)
+def test_value_multiplicativity_matches_the_angle_oracle(name):
+    G = build_catalog_group(name)
+    for chi in enumerate_characters(G):
+        assert chi.check_multiplicative() and angle_check_multiplicative(chi)
+        if G.order > 1:
+            # a value that is no |G|-th root of unity breaks the law
+            bent = list(chi.angles)
+            x = 1 if G.identity == 0 else 0
+            bent[x] += Fraction(1, 2 * G.order)
+            bent = Character.from_angles(G, bent)
+            assert not bent.check_multiplicative()
+            assert not angle_check_multiplicative(bent)
+
+
+def test_compatibility_on_a_ball_needs_no_product_inside_it():
+    # x sigma(x) = x^2 leaves the ball at the rim; the values decide anyway
+    ball = BallDomain(IntegerLattice(1), 2)
+    sigma = identity_involution(ball)
+    assert (ball.mul[np.arange(ball.n), sigma.table] < 0).any()
+    sign = ball_character(ball, [-1.0])
+    assert compatible_characters(ball, sigma, [sign]) == [sign]
+    x, value = compatibility_witness(ball, sigma, ball_character(ball, [1j]))
+    assert value == pytest.approx(1j ** (2 * ball.elements[x][0]))
 
 
 # --- ball morphism data ---------------------------------------------------
@@ -205,9 +289,9 @@ def test_ball_character_input_validation():
         ball_character(ball, [0.0, 1.0])
 
 
-def test_ball_multiplicative_respects_products():
+def test_ball_character_respects_products():
     ball = BallDomain(DiscreteHeisenberg(), 2)
-    m = ball_multiplicative(ball, [3.0, 0.5])
+    m = ball_character(ball, [3.0, 0.5])
     mul = ball.mul
     for i in range(ball.n):
         for j in range(ball.n):

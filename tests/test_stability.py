@@ -13,7 +13,6 @@ from feqlab.groups import BallDomain, DiscreteHeisenberg, FreeGroup, \
     IntegerLattice, build_catalog_group
 from feqlab.morphisms import (
     AdditiveMap,
-    MultiplicativeFunction,
     ball_character,
     ball_involution,
     enumerate_characters,
@@ -43,7 +42,7 @@ def z4_pair():
     Z4 = build_catalog_group("Z4")
     sigma = inversion_involution(Z4)
     chi = enumerate_characters(Z4)[1]
-    m = MultiplicativeFunction.from_character(chi)
+    m = chi
     return Z4, sigma, chi, family_case_ii(m, chi, sigma, 2.0)
 
 
