@@ -8,8 +8,8 @@ Conventions shared by all subcommands:
 * floating-point output is printed with 17 significant digits, and the same
   config plus seed yields byte-identical output;
 * exit codes: 0 pass, 2 check mismatch/failure, 3 flagged numerical
-  ambiguity, 4 invalid configuration, including a ball radius whose
-  multiplication table would exceed the memory budget (the estimate goes to
+  ambiguity, 4 invalid configuration, including a ball radius or a group
+  order whose tables would exceed the memory budget (the estimate goes to
   stderr) and an output file that cannot be written.
 """
 
@@ -403,7 +403,11 @@ def cmd_perturb(args):
         pair = _ball_exact_pair(ball, sigma, chi, zs)
     else:
         _reject_flags(args, ("--radius", "--chi-z"), "a finite group")
-        G = _resolve_group(getattr(args, "group", None) or domain_spec)
+        group = getattr(args, "group", None)
+        if group is not None and domain_spec:
+            raise CliError(f"--group {group} and --domain {domain_spec} "
+                           f"both name the domain; pass one")
+        G = _resolve_group(group or domain_spec)
         config = _perturbation_config(args, G)
         sigma = _resolve_sigma(G, getattr(args, "sigma", None))
         chi = _resolve_chi(G, sigma, args)

@@ -17,6 +17,13 @@ import numpy as np
 # before any table is allocated
 BALL_TABLE_BYTES = 64 * 2**20
 BALL_ELEMENT_CAP = math.isqrt(BALL_TABLE_BYTES // 8)
+# the two n x n x n int64 grids of a finite group's associativity check may
+# take at most this much together; the order cap follows from it and is
+# enforced by the cyclic and direct-product constructors, before any table
+# is allocated
+GROUP_CHECK_BYTES = 256 * 2**20
+GROUP_ORDER_CAP = next(n for n in itertools.count()
+                       if 16 * (n + 1) ** 3 > GROUP_CHECK_BYTES)
 
 # keep n^2 residual sweeps under a second
 MAX_SYMMETRIC_N = 5
@@ -123,6 +130,7 @@ class Domain:
     def cyclic(cls, n, name=None):
         if n < 1:
             raise ValueError("cyclic group needs n >= 1")
+        _check_order(n, name or f"Z{n}")
         k = np.arange(n)
         mul = (k[:, None] + k[None, :]) % n
         return cls(mul, name=name or f"Z{n}")
@@ -175,9 +183,21 @@ class Domain:
         return cls.from_func(elements, mult, name=name)
 
 
+def _check_order(n, name):
+    """Refuse a finite group whose table check would pass GROUP_CHECK_BYTES;
+    the error gives the estimate."""
+    if n > GROUP_ORDER_CAP:
+        raise ValueError(
+            f"group {name} of order {n} exceeds the order cap "
+            f"{GROUP_ORDER_CAP}: checking its table needs "
+            f"{16 * n ** 3 / 2**20:.1f} MiB (budget "
+            f"{GROUP_CHECK_BYTES / 2**20:.1f} MiB)")
+
+
 def direct_product(G, H):
     """Componentwise product group on pairs, ordered G-major with (e,e) first."""
     nG, nH = G.order, H.order
+    _check_order(nG * nH, f"{G.name}x{H.name}")
     mulG = G.mul[:, None, :, None]
     mulH = H.mul[None, :, None, :]
     mul = (mulG * nH + mulH).reshape(nG * nH, nG * nH)
@@ -224,42 +244,6 @@ def subgroup_closure(G, gens):
                 seen.add(y)
                 frontier.append(y)
     return sorted(seen)
-
-
-def commutator_subgroup(G):
-    comms = {G.op(G.op(a, b), G.op(G.inverse(a), G.inverse(b)))
-             for a in range(G.order) for b in range(G.order)}
-    return subgroup_closure(G, comms)
-
-
-def abelianization(G):
-    """Quotient by the commutator subgroup.
-
-    Returns (Q, proj) with proj[a] = index of a's coset in Q. The coset of
-    the identity gets index 0; Q is abelian by construction.
-    """
-    N = commutator_subgroup(G)
-    coset_of = {}
-    reps = []
-    for a in range(G.order):
-        cos = frozenset(G.op(a, h) for h in N)
-        if cos not in coset_of:
-            coset_of[cos] = len(reps)
-            reps.append(a)
-    # reindex so the identity coset is 0 (it is: a=0 comes first)
-    proj = np.zeros(G.order, dtype=np.int64)
-    for a in range(G.order):
-        cos = frozenset(G.op(a, h) for h in N)
-        proj[a] = coset_of[cos]
-    k = len(reps)
-    mul = np.zeros((k, k), dtype=np.int64)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            mul[i, j] = proj[G.op(a, b)]
-    Q = Domain(mul, name=f"{G.name}_ab")
-    if not Q.is_abelian():
-        raise AssertionError("quotient by commutator subgroup must be abelian")
-    return Q, proj
 
 
 # --- infinite groups, seen through word-length balls ----------------------

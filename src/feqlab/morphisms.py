@@ -1,20 +1,27 @@
 """Involutive morphisms, characters, multiplicative functions, additive maps.
 
+An involution and a character are both morphisms out of a finite group, so
+each is fixed by where it sends a generating set: one generator-image search
+(`_morphisms`) enumerates both, with element ids composed by the group law
+for involutions and exact angles added mod 1 for characters.
+
 Every character decision (multiplicativity, compatibility with sigma) reads
 the complex values. Characters enumerated on finite groups also carry their
 exact angles: each value is exp(2*pi*i*t) for a Fraction t, which names the
 character in printed labels and dedup keys.
 """
 
+import cmath
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
-import cmath
 import numpy as np
 
-from .groups import abelianization
+from .groups import subgroup_closure
 
-INVOLUTION_SEARCH_BUDGET = 2_000_000
+# generator assignments one involution or character search may try
+MORPHISM_SEARCH_BUDGET = 2_000_000
 
 
 class Involution:
@@ -88,8 +95,6 @@ def inversion_involution(domain):
 
 def _generating_set(G):
     """Greedy small generating set; empty for the trivial group."""
-    from .groups import subgroup_closure
-
     gens = []
     have = {G.identity}
     for a in range(G.order):
@@ -101,80 +106,68 @@ def _generating_set(G):
     return gens
 
 
-def _extend_from_generators(G, gens, images, kind):
-    """Complete a generator assignment to a full table, or return None.
+def _morphisms(G, candidates, compose, unit):
+    """Every map out of G that sends each generator g of _generating_set(G)
+    into candidates(g) and agrees with every Cayley-graph edge x -> x g:
+    image(x g) = compose(image(x), image(g)), image(e) = unit. Yields the
+    images as lists indexed by element id.
 
-    Walks products of generators; the morphism law forces every image.
+    The edges are walked once from the identity; each generator assignment
+    then fills its map along them and is dropped at the first conflicting
+    edge. A consistent map respects every product, since the generators
+    reach all of G.
     """
-    table = np.full(G.order, -1, dtype=np.int64)
-    table[G.identity] = G.identity
-    for g, im in zip(gens, images):
-        if table[g] != -1 and table[g] != im:
-            return None
-        table[g] = im
-    frontier = [G.identity] + list(gens)
-    seen = set(frontier)
+    gens = _generating_set(G)
+    edges = []
+    seen = {G.identity}
+    frontier = [G.identity]
     while frontier:
         x = frontier.pop()
-        for g, im in zip(gens, images):
+        for i, g in enumerate(gens):
             y = G.op(x, g)
-            if kind == "automorphism":
-                fy = G.op(table[x], im)
-            else:
-                fy = G.op(im, table[x])
-            if table[y] == -1:
-                table[y] = fy
-            elif table[y] != fy:
-                return None
+            edges.append((x, i, y))
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
-    if (table == -1).any():
-        return None
-    return table
+    budget = MORPHISM_SEARCH_BUDGET
+    for images in itertools.product(*(candidates(g) for g in gens)):
+        budget -= 1
+        if budget < 0:
+            raise RuntimeError("morphism search budget exceeded")
+        table = [None] * G.order
+        table[G.identity] = unit
+        for x, i, y in edges:
+            v = compose(table[x], images[i])
+            if table[y] is None:
+                table[y] = v
+            elif table[y] != v:
+                break
+        else:
+            yield table
 
 
 def enumerate_involutions(G, kind):
     """All involutive morphisms of the requested kind on a finite group.
 
-    Generator-image search with order-preservation pruning, then exact
-    filtering of the law and sigma o sigma = id.
+    Generator-image search over images of the same element order, then
+    exact filtering of the law and sigma o sigma = id.
     """
     if kind not in ("automorphism", "anti-automorphism"):
         raise ValueError(f"unknown morphism kind {kind!r}")
-    gens = _generating_set(G)
     orders = [G.element_order(a) for a in range(G.order)]
     by_order = {}
     for a in range(G.order):
         by_order.setdefault(orders[a], []).append(a)
-
-    found = {}
-    budget = [INVOLUTION_SEARCH_BUDGET]
-
-    def assign(i, images):
-        if budget[0] <= 0:
-            raise RuntimeError("involution search budget exceeded")
-        budget[0] -= 1
-        if i == len(gens):
-            table = _extend_from_generators(G, gens, images, kind)
-            if table is None:
-                return
-            if not is_involutive(G, table):
-                return
-            if not satisfies_morphism_law(G, table, kind):
-                return
-            found[tuple(table)] = table
-            return
-        # a morphism image must have the same element order
-        for cand in by_order[orders[gens[i]]]:
-            assign(i + 1, images + [cand])
-
-    assign(0, [])
-    tables = sorted(found)
+    if kind == "automorphism":
+        compose = G.op
+    else:
+        def compose(a, b):  # sigma(x g) = sigma(g) sigma(x)
+            return G.op(b, a)
     out = []
-    for t in tables:
-        tab = np.array(t, dtype=np.int64)
-        out.append(Involution(tab, kind, label=_classify_label(G, tab)))
+    for t in _morphisms(G, lambda g: by_order[orders[g]], compose, G.identity):
+        table = np.array(t, dtype=np.int64)
+        if is_involutive(G, table) and satisfies_morphism_law(G, table, kind):
+            out.append(Involution(table, kind, label=_classify_label(G, table)))
     # canonical instances first, rest in table order
     out.sort(key=lambda s: (not s.is_identity, not s.is_inversion, tuple(s.table)))
     return out
@@ -245,46 +238,15 @@ class Character:
 
 
 def enumerate_characters(G):
-    """All characters of a finite group, via the abelianization.
+    """All characters of a finite group, sorted by their angles: the
+    homomorphisms into the angles mod 1, from the generator-image search
+    with angles k/r at a generator of order r."""
+    def angles(g):
+        r = G.element_order(g)
+        return [Fraction(k, r) for k in range(r)]
 
-    On the abelian quotient, characters are built by extending along a chain
-    of subgroups: when a new generator g with g^r in H arrives, each existing
-    character picks one of the r exact roots for its value at g.
-    """
-    Q, proj = abelianization(G)
-    chars_q = [{Q.identity: Fraction(0)}]
-    subgroup = [Q.identity]
-    in_sub = {Q.identity}
-    for g in range(Q.order):
-        if g in in_sub:
-            continue
-        # smallest r >= 1 with g^r in the current subgroup
-        r, p = 1, g
-        while p not in in_sub:
-            p = Q.op(p, g)
-            r += 1
-        powers = [Q.identity]
-        for _ in range(r - 1):
-            powers.append(Q.op(powers[-1], g))
-        new_chars = []
-        for phi in chars_q:
-            base = phi[p]  # angle at g^r
-            for j in range(r):
-                ang_g = (Fraction(base) + j) / r
-                ext = dict(phi)
-                for t in range(1, r):
-                    for h in subgroup:
-                        ext[Q.op(h, powers[t])] = (phi[h] + t * ang_g) % 1
-                new_chars.append(ext)
-        chars_q = new_chars
-        subgroup = sorted(set(Q.op(h, pw) for h in subgroup for pw in powers))
-        in_sub = set(subgroup)
-    if len(chars_q) != Q.order:
-        raise AssertionError("character count must equal abelianization order")
-    out = []
-    for phi in chars_q:
-        angles = [phi[proj[a]] for a in range(G.order)]
-        out.append(Character.from_angles(G, angles))
+    out = [Character.from_angles(G, t) for t in
+           _morphisms(G, angles, lambda a, b: (a + b) % 1, Fraction(0))]
     out.sort(key=lambda c: tuple(c.angles))
     return out
 

@@ -184,12 +184,16 @@ def completeness_check(G, sigma, chi, tol=1e-9):
                                 _chi_label(chi))
     zero_tol = zero_tolerance(G)
     for key, g, ms in candidate_gs(G, sigma, chi):
-        res = solve_f_given_g(G, sigma, chi, g)
+        # y = e gives 2 f(x) = 2 f(x) g(e), so g = 0 forces f = 0
+        basis, ambiguous = [], False
+        if g.values.any():
+            res = solve_f_given_g(G, sigma, chi, g)
+            basis, ambiguous = res.basis, res.ambiguous
         fam = family_span_for_g(G, sigma, chi, ms)
         fam_rank = np.linalg.matrix_rank(np.stack(fam, axis=1), tol=1e-8) if fam else 0
         worst = 0.0
         # every solver vector must be a family combination
-        basis_vals = [b.values for b in res.basis]
+        basis_vals = [b.values for b in basis]
         for b in basis_vals:
             worst = max(worst, span_distance(fam, b))
         # every family vector must be an exact solution inside the nullspace
@@ -199,11 +203,11 @@ def completeness_check(G, sigma, chi, tol=1e-9):
                 worst = max(worst, rep.sup)
             worst = max(worst, span_distance(basis_vals, v))
         row = CompletenessRow(
-            g_label=_key_label(key), solver_dim=res.f_dim,
+            g_label=_key_label(key), solver_dim=len(basis),
             family_dim=int(fam_rank), max_mismatch=worst,
-            ambiguous=res.ambiguous,
-            passed=(res.f_dim == fam_rank and worst <= tol),
-            g=g, basis=res.basis)
+            ambiguous=ambiguous,
+            passed=(len(basis) == fam_rank and worst <= tol),
+            g=g, basis=basis)
         report.rows.append(row)
     return report
 

@@ -1,0 +1,152 @@
+"""Reference enumerations of involutions and characters, by the algorithms
+the library used before its one generator-image search.
+
+Characters come from the abelianization: the quotient by the commutator
+subgroup, whose characters are extended along a chain of subgroups.
+Involutions come from a search that walks the Cayley graph afresh for each
+generator assignment. Tests compare the library's output with these, bit
+for bit.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from feqlab.groups import Domain, subgroup_closure
+from feqlab.morphisms import (Character, Involution, _classify_label,
+                              _generating_set, is_involutive,
+                              satisfies_morphism_law)
+
+
+def commutator_subgroup(G):
+    comms = {G.op(G.op(a, b), G.op(G.inverse(a), G.inverse(b)))
+             for a in range(G.order) for b in range(G.order)}
+    return subgroup_closure(G, comms)
+
+
+def abelianization(G):
+    """Quotient by the commutator subgroup.
+
+    Returns (Q, proj) with proj[a] = index of a's coset in Q. The coset of
+    the identity gets index 0; Q is abelian by construction.
+    """
+    N = commutator_subgroup(G)
+    coset_of = {}
+    reps = []
+    proj = np.zeros(G.order, dtype=np.int64)
+    for a in range(G.order):
+        cos = frozenset(G.op(a, h) for h in N)
+        if cos not in coset_of:
+            coset_of[cos] = len(reps)
+            reps.append(a)
+        proj[a] = coset_of[cos]
+    k = len(reps)
+    mul = np.zeros((k, k), dtype=np.int64)
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            mul[i, j] = proj[G.op(a, b)]
+    Q = Domain(mul, name=f"{G.name}_ab")
+    if not Q.is_abelian():
+        raise AssertionError("quotient by commutator subgroup must be abelian")
+    return Q, proj
+
+
+def enumerate_characters(G):
+    """All characters of a finite group, via the abelianization.
+
+    On the abelian quotient, characters are built by extending along a chain
+    of subgroups: when a new generator g with g^r in H arrives, each existing
+    character picks one of the r exact roots for its value at g.
+    """
+    Q, proj = abelianization(G)
+    chars_q = [{Q.identity: Fraction(0)}]
+    subgroup = [Q.identity]
+    in_sub = {Q.identity}
+    for g in range(Q.order):
+        if g in in_sub:
+            continue
+        # smallest r >= 1 with g^r in the current subgroup
+        r, p = 1, g
+        while p not in in_sub:
+            p = Q.op(p, g)
+            r += 1
+        powers = [Q.identity]
+        for _ in range(r - 1):
+            powers.append(Q.op(powers[-1], g))
+        new_chars = []
+        for phi in chars_q:
+            base = phi[p]  # angle at g^r
+            for j in range(r):
+                ang_g = (Fraction(base) + j) / r
+                ext = dict(phi)
+                for t in range(1, r):
+                    for h in subgroup:
+                        ext[Q.op(h, powers[t])] = (phi[h] + t * ang_g) % 1
+                new_chars.append(ext)
+        chars_q = new_chars
+        subgroup = sorted(set(Q.op(h, pw) for h in subgroup for pw in powers))
+        in_sub = set(subgroup)
+    if len(chars_q) != Q.order:
+        raise AssertionError("character count must equal abelianization order")
+    out = []
+    for phi in chars_q:
+        angles = [phi[proj[a]] for a in range(G.order)]
+        out.append(Character.from_angles(G, angles))
+    out.sort(key=lambda c: tuple(c.angles))
+    return out
+
+
+def _extend_from_generators(G, gens, images, kind):
+    """Complete a generator assignment to a full table, or return None."""
+    table = np.full(G.order, -1, dtype=np.int64)
+    table[G.identity] = G.identity
+    for g, im in zip(gens, images):
+        table[g] = im
+    frontier = [G.identity] + list(gens)
+    seen = set(frontier)
+    while frontier:
+        x = frontier.pop()
+        for g, im in zip(gens, images):
+            y = G.op(x, g)
+            if kind == "automorphism":
+                fy = G.op(table[x], im)
+            else:
+                fy = G.op(im, table[x])
+            if table[y] == -1:
+                table[y] = fy
+            elif table[y] != fy:
+                return None
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    if (table == -1).any():
+        return None
+    return table
+
+
+def enumerate_involutions(G, kind):
+    """All involutive morphisms of the kind, canonical instances first."""
+    gens = _generating_set(G)
+    orders = [G.element_order(a) for a in range(G.order)]
+    by_order = {}
+    for a in range(G.order):
+        by_order.setdefault(orders[a], []).append(a)
+    found = {}
+
+    def assign(i, images):
+        if i == len(gens):
+            table = _extend_from_generators(G, gens, images, kind)
+            if table is not None and is_involutive(G, table) and \
+                    satisfies_morphism_law(G, table, kind):
+                found[tuple(table)] = table
+            return
+        for cand in by_order[orders[gens[i]]]:
+            assign(i + 1, images + [cand])
+
+    assign(0, [])
+    out = []
+    for t in sorted(found):
+        tab = np.array(t, dtype=np.int64)
+        out.append(Involution(tab, kind, label=_classify_label(G, tab)))
+    out.sort(key=lambda s: (not s.is_identity, not s.is_inversion, tuple(s.table)))
+    return out

@@ -13,7 +13,7 @@ from feqlab.cli import (
     main,
 )
 from feqlab.feq import GroupFunction, read_function, write_function
-from feqlab.groups import BALL_ELEMENT_CAP, build_catalog_group
+from feqlab.groups import BALL_ELEMENT_CAP, GROUP_ORDER_CAP, build_catalog_group
 from feqlab.morphisms import enumerate_characters, inversion_involution, \
     trivial_character, write_character
 from feqlab.families import SolutionPair, canned_half_trace
@@ -123,9 +123,10 @@ def test_solve_out_dir_reuses_the_completeness_bases(capsys, tmp_path,
     code, _, _ = run(capsys, "solve", "--group", "Z2xZ4", "--sigma", "inv",
                      "--chi", "0", "--out-dir", str(out_dir))
     assert code == EXIT_OK
+    # every candidate but g = 0, which forces f = 0 with no solve
     n_candidates = len(candidate_gs(G, sigma, chi))
-    assert len(calls) == n_candidates == sum(
-        name.startswith("g_") for name in want)
+    assert len(calls) == n_candidates - 1
+    assert n_candidates == sum(name.startswith("g_") for name in want)
     got = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     assert got == want
 
@@ -438,11 +439,13 @@ def test_stability_unknown_domain(capsys):
       "--chi-z", "2"), "--radius does not apply to a finite group"),
     (("perturb", "--domain", "Z4", "--chi-z", "2", "--epsilon", "0.01"),
      "--chi-z does not apply to a finite group"),
+    (("perturb", "--group", "Z4", "--domain", "S3", "--epsilon", "0.01"),
+     "--group Z4 and --domain S3 both name the domain"),
 ], ids=["negative-radius", "lattice-dimension-0", "free-rank-0",
         "lattice-dimension-x", "auto-index-x", "anti-index-x", "ball-sigma",
         "zero-chi-base", "inf-chi-base", "nan-chi-base", "overflowing-chi-base",
         "chi-on-a-ball", "group-on-a-ball", "chi-file-on-a-ball",
-        "radius-on-a-group", "chi-z-on-a-group"])
+        "radius-on-a-group", "chi-z-on-a-group", "group-and-domain"])
 def test_bad_ball_and_sigma_specs_are_config_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BADCONFIG
@@ -460,6 +463,15 @@ def test_over_budget_ball_exits_with_the_estimate(capsys, argv):
     assert code == EXIT_BADCONFIG
     assert out == ""
     assert f"element cap {BALL_ELEMENT_CAP}" in err
+    assert "MiB" in err and "Traceback" not in err
+
+
+def test_over_cap_group_exits_with_the_estimate(capsys):
+    # the order is checked before the group's table is allocated
+    code, out, err = run(capsys, "catalog", "--group", "Z1000")
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert f"order cap {GROUP_ORDER_CAP}" in err
     assert "MiB" in err and "Traceback" not in err
 
 

@@ -1,5 +1,7 @@
 """Cayley-table groups, the catalog, and word-length balls."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,13 @@ from feqlab.groups import (
     DiscreteHeisenberg,
     Domain,
     FreeGroup,
+    GROUP_ORDER_CAP,
     IntegerLattice,
-    abelianization,
     build_catalog_group,
-    commutator_subgroup,
     direct_product,
     CATALOG_NAMES,
 )
+from morphism_oracle import abelianization, commutator_subgroup
 
 KNOWN_ORDERS = {
     "Z1": 1, "Z2": 2, "Z3": 3, "Z4": 4, "Z5": 5, "Z6": 6, "Z7": 7, "Z8": 8,
@@ -121,6 +123,27 @@ def test_abelianization_examples():
     Q, _ = abelianization(Q8)
     assert Q.order == 4
     assert all(Q.op(a, a) == Q.identity for a in range(4))
+
+
+def test_over_cap_group_is_refused_before_any_table():
+    Z32 = Domain.cyclic(32)
+    errors = []
+    tracemalloc.start()
+    try:
+        for build in (lambda: Domain.cyclic(1000),
+                      lambda: direct_product(Z32, Z32)):
+            with pytest.raises(ValueError) as info:
+                build()
+            errors.append(str(info.value))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errors[0].startswith("group Z1000 of order 1000 exceeds the "
+                                f"order cap {GROUP_ORDER_CAP}")
+    assert errors[1].startswith("group Z32xZ32 of order 1024 exceeds")
+    assert all("MiB" in e for e in errors)
+    # one row of the Z1000 table alone would take 8000 bytes
+    assert peak < 8000
 
 
 # --- balls ----------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from feqlab import cli
 from feqlab.groups import CATALOG_NAMES, BallDomain, FreeGroup, IntegerLattice, \
-    DiscreteHeisenberg, abelianization, build_catalog_group
+    DiscreteHeisenberg, build_catalog_group
 from feqlab.morphisms import (
     AdditiveMap,
     Character,
@@ -29,6 +29,7 @@ from feqlab.morphisms import (
     trivial_character,
     write_character,
 )
+from morphism_oracle import abelianization
 
 
 def test_involution_kind_validated():
