@@ -17,6 +17,14 @@ import numpy as np
 # before any table is allocated
 BALL_TABLE_BYTES = 64 * 2**20
 BALL_ELEMENT_CAP = math.isqrt(BALL_TABLE_BYTES // 8)
+# a ball's table is built from right multiplication by each generator,
+# tabulated on the auxiliary ball of radius floor(3r/2): that gens x
+# (|B_{3r/2}| + 1) int64 table may take at most this much, checked level by
+# level during the same BFS, after the element cap. Every ball under the
+# element cap fits; the largest, lattice:1447 at r=1, needs 63.9 MiB
+BALL_AUX_BYTES = 64 * 2**20
+# the column recursion gathers at most this many table entries at a time
+_BALL_BLOCK_ENTRIES = 2**18
 # the two n x n x n int64 grids of a finite group's associativity check may
 # take at most this much together; the order cap follows from it and is
 # enforced by the cyclic and direct-product constructors, before any table
@@ -101,9 +109,13 @@ class Domain:
         return (self.mul == self.mul.T).all()
 
     def element_order(self, a):
+        """The order of a; ValueError when a power of a leaves the domain."""
         k, x = 1, a
         while x != self.identity:
             x = self.op(x, a)
+            if x < 0:
+                raise ValueError(
+                    f"power {k + 1} of element {a} leaves {self.name}")
             k += 1
         return k
 
@@ -355,51 +367,98 @@ def _inverses(mul):
     return hits.argmax(axis=1)
 
 
-def ball_elements(kind, radius, cap=BALL_ELEMENT_CAP):
-    """The elements of the radius ball in BFS order (level-sorted, so each
-    ball is a prefix of every larger one) and their word lengths."""
+def _bfs(kind, radius, depth, cap):
+    """Breadth-first search of the ball of radius `depth` >= `radius`.
+
+    Returns its elements in BFS order (level-sorted, so each ball is a
+    prefix of every larger one), their index and word lengths, and for each
+    element but the identity the BFS parent id and generator index s of the
+    first edge that reaches it: elements[j] = elements[parent[j]] * gens[s].
+    Levels up to `radius` are held under `cap` elements; from level `radius`
+    on, the right-multiplication table over the elements found so far must
+    fit in BALL_AUX_BYTES. Both are checked before the next level is built."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     gens = kind.generators()
     e = kind.identity()
-    dist = {e: 0}
-    levels = [[e]]
-    frontier = [e]
-    for r in range(1, radius + 1):
-        nxt = set()
-        for x in frontier:
-            for g in gens:
-                y = kind.mult(x, g)
-                if y not in dist:
-                    nxt.add(y)
-        for y in nxt:
-            dist[y] = r
-        if len(dist) > cap:
+    elements, index, length, parent, step = [e], {e: 0}, [0], [-1], [-1]
+    lo = 0
+    for k in range(depth + 1):
+        if k:
+            nxt = {}
+            for x_id in range(lo, len(elements)):
+                x = elements[x_id]
+                for s, g in enumerate(gens):
+                    y = kind.mult(x, g)
+                    if y not in index and y not in nxt:
+                        nxt[y] = (x_id, s)
+            lo = len(elements)
+            for y in sorted(nxt):
+                index[y] = len(elements)
+                elements.append(y)
+                length.append(k)
+                parent.append(nxt[y][0])
+                step.append(nxt[y][1])
+        if k <= radius and len(elements) > cap:
             raise BallTooLarge(
                 f"ball of radius {radius} exceeds the element cap {cap}: "
-                f"radius {r} already holds {len(dist)} elements, so its "
+                f"radius {k} already holds {len(elements)} elements, so its "
                 f"multiplication table needs at least "
-                f"{8 * len(dist) ** 2 / 2**20:.1f} MiB "
+                f"{8 * len(elements) ** 2 / 2**20:.1f} MiB "
                 f"(budget {8 * cap ** 2 / 2**20:.1f} MiB)")
-        frontier = sorted(nxt)
-        levels.append(frontier)
-    elements = [el for level in levels for el in level]
-    lengths = np.array([dist[el] for el in elements], dtype=np.int64)
-    return elements, lengths
+        aux = 8 * len(gens) * (len(elements) + 1)
+        if k >= radius and aux > BALL_AUX_BYTES:
+            raise BallTooLarge(
+                f"ball of radius {radius} exceeds the auxiliary budget: "
+                f"right multiplication by {len(gens)} generators on the "
+                f"radius-{k} ball ({len(elements)} elements) needs at least "
+                f"{aux / 2**20:.1f} MiB "
+                f"(budget {BALL_AUX_BYTES / 2**20:.1f} MiB)")
+    return (elements, index, np.array(length, dtype=np.int64),
+            np.array(parent, dtype=np.int64), np.array(step, dtype=np.int64))
+
+
+def ball_elements(kind, radius, cap=BALL_ELEMENT_CAP):
+    """The elements of the radius ball in BFS order (level-sorted, so each
+    ball is a prefix of every larger one) and their word lengths."""
+    elements, _, length, _, _ = _bfs(kind, radius, radius, cap)
+    return elements, length
 
 
 # a function named like a class: the benchmark tracer wraps it by this name
 def BallDomain(kind, radius, cap=BALL_ELEMENT_CAP):
-    """The word-length ball of this radius in `kind`, as a Domain."""
-    elements, length = ball_elements(kind, radius, cap)
-    index = {el: i for i, el in enumerate(elements)}
-    n = len(elements)
-    mul = np.full((n, n), -1, dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            mul[i, j] = index.get(kind.mult(a, b), -1)
+    """The word-length ball of this radius in `kind`, as a Domain.
+
+    Its table is built one BFS level of columns at a time: column j = p * s
+    (BFS parent p, generator s) holds x * j = (x * p) * s, so it is right
+    multiplication by s applied to column p. An entry x * p of a column at
+    depth d = |p| leads back into the ball through p's BFS descendants only
+    if |x * p| <= 2r - d, and |x * p| <= r + d; so every entry that matters
+    lies in the auxiliary ball of radius floor(3r/2), on which right
+    multiplication is tabulated once with kind.mult. A product that leaves
+    the auxiliary ball becomes -1 and stays -1."""
+    depth = 3 * radius // 2
+    elements, index, length, parent, step = _bfs(kind, radius, depth, cap)
+    n = int(np.searchsorted(length, radius, side="right"))
+    gens = kind.generators()
+    # right[s, x] = x * gens[s]; the last column maps -1 to -1
+    right = np.full((len(gens), len(elements) + 1), -1, dtype=np.int64)
+    for s, g in enumerate(gens):
+        right[s, :-1] = [index.get(kind.mult(x, g), -1) for x in elements]
+    del elements[n:], index
+    starts = np.searchsorted(length, np.arange(radius + 2))
+    mul = np.empty((n, n), dtype=np.int64)
+    mul[:, 0] = np.arange(n)
+    block = max(1, _BALL_BLOCK_ENTRIES // n)
+    for d in range(1, radius + 1):
+        for lo in range(starts[d], starts[d + 1], block):
+            hi = min(lo + block, starts[d + 1])
+            mul[:, lo:hi] = right[step[lo:hi], mul[:, parent[lo:hi]]]
+    del right
+    # the columns hold auxiliary ids; those past the ball leave it
+    mul[mul >= n] = -1
     coords = np.array([kind.abelian_coords(el) for el in elements],
                       dtype=np.int64)
     return Domain(mul, name=f"{kind.name}_ball{radius}", kind=kind,
-                  elements=elements, length=length, radius=radius,
+                  elements=elements, length=length[:n].copy(), radius=radius,
                   coords=coords)

@@ -4,7 +4,7 @@ determinism. Everything runs in-process through main(argv)."""
 import numpy as np
 import pytest
 
-from feqlab import cli, solver
+from feqlab import cli, groups, solver
 from feqlab.cli import (
     EXIT_AMBIGUOUS,
     EXIT_BADCONFIG,
@@ -463,6 +463,19 @@ def test_over_budget_ball_exits_with_the_estimate(capsys, argv):
     assert code == EXIT_BADCONFIG
     assert out == ""
     assert f"element cap {BALL_ELEMENT_CAP}" in err
+    assert "MiB" in err and "Traceback" not in err
+
+
+def test_over_budget_auxiliary_table_exits_with_the_estimate(capsys,
+                                                             monkeypatch):
+    # lattice:2 r=8 (145 elements) multiplies on the radius-12 auxiliary
+    # ball; a 4 KiB budget already refuses the 145 elements at radius 8
+    monkeypatch.setattr(groups, "BALL_AUX_BYTES", 4096)
+    code, out, err = run(capsys, "stability", "--domain", "lattice:2",
+                         "--radii", "2,8")
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert "auxiliary budget" in err and "radius-8 ball (145 elements)" in err
     assert "MiB" in err and "Traceback" not in err
 
 

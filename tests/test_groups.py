@@ -212,6 +212,14 @@ def test_ball_inverses_are_total():
             assert ball.op(i, ball.inverse(i)) == ball.identity
 
 
+def test_element_order_raises_when_a_power_leaves_the_ball():
+    # (-1,) has infinite order: its third power already leaves the r=2 ball
+    ball = BallDomain(IntegerLattice(1), 2)
+    with pytest.raises(ValueError, match="power 3 of element 1 leaves"):
+        ball.element_order(ball.index[(-1,)])
+    assert ball.element_order(ball.identity) == 1
+
+
 def test_ball_cap_enforced():
     with pytest.raises(ValueError):
         BallDomain(IntegerLattice(2), 10, cap=50)
