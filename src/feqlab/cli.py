@@ -9,7 +9,8 @@ Conventions shared by all subcommands:
   config plus seed yields byte-identical output;
 * exit codes: 0 pass, 2 check mismatch/failure, 3 flagged numerical
   ambiguity, 4 invalid configuration, including a ball radius or a group
-  order whose tables would exceed the memory budget (the estimate goes to
+  order whose tables would exceed the memory budget, an audit whose
+  candidate windows would exceed the window budget (the estimate goes to
   stderr) and an output file that cannot be written.
 """
 
@@ -34,8 +35,8 @@ from .morphisms import (AdditiveMap, ball_character, ball_involution,
 from .morphisms import compatibility_witness as _compat_witness
 from .solver import (AuditNotApplicable, candidate_gs, completeness_check,
                      solve_f_given_g, theorem22_audit)
-from .stability import (PerturbationConfig, _fmt, dichotomy_experiment,
-                        perturb, run_stability_battery)
+from .stability import (AuditTooLarge, PerturbationConfig, _fmt,
+                        dichotomy_experiment, perturb, run_stability_battery)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -533,7 +534,8 @@ def main(argv=None):
     try:
         _merge_config(args)
         return args.func(args)
-    except (CliError, FamilyConstructionError, BallTooLarge, OSError) as exc:
+    except (CliError, FamilyConstructionError, BallTooLarge, AuditTooLarge,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADCONFIG
 

@@ -7,8 +7,18 @@ holds wherever every point of those residuals exists. One evaluator derives
 the validity mask from the windows: on a ball, a window (pair or triple) is
 skipped exactly when a point of its certificate's residuals leaves the
 ball. Skipped windows are counted and reported.
+
+The evaluator gathers only candidate windows. The certificate's points in
+two of the letters x, y, z (xy, s(z)x, zy, ...) give n x n pair masks, and
+a window is a candidate when every pair mask allows it; on a triple grid
+that is, for each x, the (y, z) in Y_x x Z_x that the (y, z) mask allows.
+Candidates are gathered in chunks of AUDIT_CHUNK_ENTRIES, so peak memory is
+O(n^2) (the padded tables and the pair masks) plus a few MiB. An audit whose
+pair masks allow more than AUDIT_WINDOW_BUDGET windows raises AuditTooLarge
+before gathering any; the CLI exits 4 with the estimate.
 """
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -21,8 +31,11 @@ from .groups import BallDomain, IntegerLattice, ball_elements
 from .morphisms import ball_character, ball_involution, satisfies_morphism_law
 
 AUDIT_TOL = 1e-9
-# entries per x-slice of the n^3 audit grids (~2 MB per int64 grid)
-AUDIT_CHUNK_ENTRIES = 1 << 18
+# windows per gathered chunk of an audit (64 KiB per int32 node array)
+AUDIT_CHUNK_ENTRIES = 1 << 14
+# most candidate windows one audit may gather, as its pair masks estimate
+# them (~100 ns each: lattice:2 r=24 under sigma = inv needs 1.9e8)
+AUDIT_WINDOW_BUDGET = 300_000_000
 
 PERTURBATION_SHAPES = ("uniform-disk", "single-point", "character-phase")
 PERTURBATION_TARGETS = ("f", "g", "both")
@@ -139,6 +152,11 @@ class AuditInapplicable(ValueError):
     """The audited inequality's hypotheses do not cover this domain/sigma."""
 
 
+class AuditTooLarge(ValueError):
+    """An audit's candidate windows exceed AUDIT_WINDOW_BUDGET; the message
+    carries the estimate."""
+
+
 def _padded(table):
     """The index table with a -1 appended along each axis. Indexing it with
     -1 (outside the ball) lands on the pad, so -1 propagates through
@@ -147,51 +165,81 @@ def _padded(table):
 
 
 def _val(values, idx):
-    return np.where(idx >= 0, values[np.maximum(idx, 0)], 0.0)
+    """values at the ids idx, and 0 where an id is -1 (outside the ball)."""
+    return np.append(values, 0.0).take(idx)
 
 
-def _x_slices(n, ndim):
-    """Consecutive x-ranges of an n^ndim grid, each about
-    AUDIT_CHUNK_ENTRIES entries (at least one x per slice)."""
-    step = max(1, AUDIT_CHUNK_ENTRIES // n ** (ndim - 1))
-    for x0 in range(0, n, step):
-        yield np.arange(x0, min(x0 + step, n))
-
-
-def _row_from_slices(name, bound, shape, slices, tol=AUDIT_TOL):
-    """Audit row of a grid of this shape, given as consecutive slices
-    (excess, valid) along its first axis.
+def _row_from_chunks(name, bound, total, chunks, tol=AUDIT_TOL):
+    """Audit row of a grid of `total` windows, given as chunks
+    (excess, valid, windows): `windows` holds one index array per axis, and
+    the chunks list their windows in C order of the grid.
 
     Gives what one argmax over the whole grid gives: the first C-order
-    witness wins ties (a later slice must be strictly larger) and NaN beats
+    witness wins ties (a later chunk must be strictly larger) and NaN beats
     any number, as in np.argmax.
     """
-    evaluated = offset = 0
-    worst, flat = None, None
-    for excess, valid in slices:
+    evaluated = 0
+    worst, witness = None, ()
+    for excess, valid, windows in chunks:
         count = int(valid.sum())
         if count:
             masked = np.where(valid, excess, -np.inf)
             i = int(np.argmax(masked))
-            v = masked.flat[i]
-            if flat is None or v > worst or (np.isnan(v) and not np.isnan(worst)):
-                worst, flat = v, offset + i
+            v = masked[i]
+            if (worst is None or v > worst
+                    or (np.isnan(v) and not np.isnan(worst))):
+                worst, witness = v, tuple(int(w[i]) for w in windows)
         evaluated += count
-        offset += valid.size
-    total = int(np.prod(shape))
     if evaluated == 0:
         return StabilityAuditRow(name, bound, 0.0, (), 0, total, True)
-    witness = tuple(int(i) for i in np.unravel_index(flat, shape))
     worst = float(worst)
     return StabilityAuditRow(name, bound, worst, witness, evaluated,
                              total - evaluated, worst <= tol)
 
 
+def _candidate_blocks(masks, n):
+    """Blocks of windows, in C order, that every pair mask allows: the
+    (x, y) of masks = [xy], or, from masks = [xy, xz, yz], the (x, y, z)
+    with y in Y_x, z in Z_x and (y, z) allowed. A block is one index array
+    per axis, of at most AUDIT_CHUNK_ENTRIES windows."""
+    if len(masks) == 1:
+        rows = max(1, AUDIT_CHUNK_ENTRIES // n)
+        for x0 in range(0, n, rows):
+            xs, ys = np.nonzero(masks[0][x0:x0 + rows])
+            yield [(xs + x0).astype(np.int32), ys.astype(np.int32)]
+        return
+    xy, xz, yz = masks
+    for x in range(n):
+        ys = np.flatnonzero(xy[x]).astype(np.int32)
+        zs = np.flatnonzero(xz[x]).astype(np.int32)
+        step = max(1, AUDIT_CHUNK_ENTRIES // max(1, len(zs)))
+        for y0 in range(0, len(ys), step):
+            yi, zi = np.nonzero(yz[np.ix_(ys[y0:y0 + step], zs)])
+            yield [np.full(len(yi), x, dtype=np.int32), ys[y0 + yi], zs[zi]]
+
+
+def _chunks(blocks, size):
+    """The blocks' windows regrouped into chunks of exactly `size` windows,
+    the last one shorter; a cut may fall inside a block."""
+    held, count = [], 0
+    for block in blocks:
+        while len(block[0]):
+            take = size - count
+            held.append([b[:take] for b in block])
+            count += len(held[-1][0])
+            block = [b[take:] for b in block]
+            if count == size:
+                yield [np.concatenate(parts) for parts in zip(*held)]
+                held, count = [], 0
+    if count:
+        yield [np.concatenate(parts) for parts in zip(*held)]
+
+
 # Each audit's certificate: the pair-residual windows (u, v) whose signed sum
 # is its left-hand side. Words use the letters x, y, z, a, a capital for an
 # inverse (Y = y^-1) and s(w) for sigma(w); w, and so v, holds no s. The
-# first window to reach a node fixes how it is built, which matters for
-# speed only: (xz)y gathers faster from the small grid xz than x(zy) does.
+# first window to reach a node fixes how it is built; any grouping gives the
+# same element.
 CENTRALITY_WINDOWS = (("s(y)x", "z"), ("s(z)x", "y"), ("xz", "y"), ("xy", "z"),
                       ("x", "zy"), ("x", "yz"), ("x", "z"), ("x", "y"))
 COMPANION_SHIFT_WINDOWS = (("x", "y"), ("xy", "y"), ("s(y)x", "y"),
@@ -233,24 +281,43 @@ def _certified_row(name, bound, domain, sigma, windows, excess, a=0):
     A window is evaluated exactly when every product node of its residuals
     lies in the ball (is >= 0 in the padded table); for any grouping of a
     word that is when the element itself lies in it, since every factor is
-    a node too. excess(node) gives LHS - RHS on one x-slice, where
-    node(word) is the index grid of a node on that slice. Nodes without x
-    are built once; only nodes that are factors of another node are kept.
+    a node too. The nodes whose words use at most two of the letters x, y,
+    z give one n x n pair mask per pair of letters, built in row blocks of
+    about AUDIT_CHUNK_ENTRIES entries. Only the windows that every pair
+    mask allows are gathered: on a triple grid, for each x, the (y, z) in
+    Y_x x Z_x that the (y, z) mask allows. They go out as flat C-order index
+    arrays in chunks of AUDIT_CHUNK_ENTRIES windows; every node is built on
+    a chunk and the validity rule runs there. excess(node) gives LHS - RHS
+    on one chunk, where node(word) is the index array of a node on it; only
+    nodes that are factors of another node are kept.
+
+    Raises AuditTooLarge before any chunk is gathered when the pair masks
+    allow more than AUDIT_WINDOW_BUDGET windows: sum over x of |Y_x| |Z_x|
+    on a triple grid, of |Y_x| on a pair grid.
     """
-    n = domain.n
-    mp, sp = _padded(domain.mul), _padded(sigma.table)
+    n, m = domain.n, domain.n + 1
+    # flat padded tables: u * m + v lands on the pad whenever u or v is -1;
+    # int32 holds it, since the element cap keeps m^2 far below 2^31
+    mp = _padded(domain.mul).astype(np.int32).ravel()
+    sp = _padded(sigma.table).astype(np.int32)
+    inv = domain.inv.astype(np.int32)
     steps = _program(windows)
     factors = {k for ops in steps.values() for k in ops}
     axes = [c for c in "xyz" if any(c in (u + v).lower() for u, v in windows)]
-    ndim = len(axes)
-    env = {"a": a}
-    for i, c in enumerate(axes[1:], 1):
-        grid = np.arange(n).reshape([n if j == i else 1 for j in range(ndim)])
-        env[c], env[c.upper()] = grid, domain.inv[grid]
+
+    def leaves(grids):
+        env = {"a": a}
+        for c, grid in grids.items():
+            env[c] = grid
+            if c.upper() in factors:
+                env[c.upper()] = inv[grid]
+        return env
 
     def gather(env, key):
         ops = [env[k] for k in steps[key]]
-        return sp[ops[0]] if len(ops) == 1 else mp[ops[0], ops[1]]
+        if len(ops) == 1:
+            return sp.take(ops[0])
+        return mp.take(ops[0] * m + ops[1])
 
     def run(keys, env, valid):
         for key in keys:
@@ -261,54 +328,73 @@ def _certified_row(name, bound, domain, sigma, windows, excess, a=0):
                 env[key] = grid
             del grid  # free before the next gather allocates
 
-    with_x = [k for k in steps if "x" in k.lower()]
-    base = np.ones((1,) + (n,) * (ndim - 1), dtype=bool)
-    run([k for k in steps if k not in with_x], env, base)
+    def pair_mask(p, q):
+        # no factor of a node uses a letter its word does not use
+        others = set(axes) - {p, q}
+        keys = [k for k in steps if not others & set(k.lower())]
+        mask = np.ones((n, n), dtype=bool)
+        rows = max(1, AUDIT_CHUNK_ENTRIES // n)
+        for p0 in range(0, n, rows):
+            rows_p = np.arange(p0, min(p0 + rows, n), dtype=np.int32)
+            grids = {p: rows_p[:, None], q: np.arange(n, dtype=np.int32)[None]}
+            run(keys, leaves(grids), mask[p0:p0 + rows])
+        return mask
 
-    def slices():
-        for xs in _x_slices(n, ndim):
-            X = xs.reshape([-1] + [1] * (ndim - 1))
-            local = dict(env, x=X, X=domain.inv[X])
-            valid = np.empty((len(xs),) + base.shape[1:], dtype=bool)
-            valid[...] = base
-            run(with_x, local, valid)
+    masks = [pair_mask(p, q) for p, q in itertools.combinations(axes, 2)]
+    work = masks[0].sum(axis=1)
+    if len(masks) == 3:
+        work = work * masks[1].sum(axis=1)
+    work = int(work.sum())
+    if work > AUDIT_WINDOW_BUDGET:
+        raise AuditTooLarge(
+            f"the {name} audit on {n} elements exceeds the window budget: "
+            f"its certificate's pair masks leave {work} candidate windows "
+            f"to gather (budget {AUDIT_WINDOW_BUDGET})")
+
+    def chunks():
+        blocks = _candidate_blocks(masks, n)
+        for window in _chunks(blocks, AUDIT_CHUNK_ENTRIES):
+            env = leaves(dict(zip(axes, window)))
+            valid = np.ones(len(window[0]), dtype=bool)
+            run(steps, env, valid)
 
             def node(key):
-                return local[key] if key in local else gather(local, key)
+                return env[key] if key in env else gather(env, key)
 
-            yield excess(node), valid
+            yield excess(node), valid, window
 
-    return _row_from_slices(name, bound, (n,) * ndim, slices())
+    return _row_from_chunks(name, bound, n ** len(axes), chunks())
 
 
 def audit_centrality_bound(domain, sigma, chi, f, g, delta):
     """|g(zy) - g(yz)| |f(x)| <= 2|g(z)| delta + 2|g(y)| delta + 6 delta.
 
     Certificate: when sigma is an anti-automorphism, f(x) (g(zy) - g(yz))
-    is a combination of the eight residuals of CENTRALITY_WINDOWS. The n^3
-    grid is evaluated in slices of x, so peak memory is O(n^2) for any ball
-    size.
+    is a combination of the eight residuals of CENTRALITY_WINDOWS. Only the
+    windows its pair masks allow are gathered, in chunks, so peak memory is
+    O(n^2) plus a few MiB for any ball size.
     """
-    gv = g.values
-    g_yz = _val(gv, domain.mul)
-    g_gap = np.abs(g_yz.T - g_yz)[None]  # [., y, z] -> |g(zy) - g(yz)|
-    rhs = (2.0 * np.abs(gv)[None, None, :] + 2.0 * np.abs(gv)[None, :, None]
-           + 6.0) * delta
-    fv = np.abs(f.values)
+    gv, ag, fv = g.values, np.abs(g.values), np.abs(f.values)
+
+    def excess(node):
+        Y, Z = node("y"), node("z")
+        gap = np.abs(_val(gv, node("zy")) - _val(gv, node("yz")))
+        return gap * fv[node("x")] - (2.0 * ag[Z] + 2.0 * ag[Y] + 6.0) * delta
+
     return _certified_row("centrality_defect", "2|g(z)|d + 2|g(y)|d + 6d",
-                          domain, sigma, CENTRALITY_WINDOWS,
-                          lambda node: g_gap * fv[node("x")] - rhs)
+                          domain, sigma, CENTRALITY_WINDOWS, excess)
 
 
 def audit_mg_shift_bound(domain, sigma, chi, f, g, delta):
     """|m_g(y) f(x) - chi(y) f(sigma(y) x y)| <= |g(y)| delta + 1.5 delta."""
-    mg = companion_mg(g).values[None, :]
-    rhs = (np.abs(g.values)[None, :] + 1.5) * delta
+    mg = companion_mg(g).values
+    rhs = (np.abs(g.values) + 1.5) * delta
 
     def excess(node):
-        lhs = np.abs(mg * f.values[node("x")]
-                     - chi.values[None, :] * _val(f.values, node("s(y)xy")))
-        return lhs - rhs
+        Y = node("y")
+        lhs = np.abs(mg[Y] * f.values[node("x")]
+                     - chi.values[Y] * _val(f.values, node("s(y)xy")))
+        return lhs - rhs[Y]
 
     return _certified_row("companion_shift_defect", "|g(y)|d + 1.5d", domain,
                           sigma, COMPANION_SHIFT_WINDOWS, excess)
@@ -318,12 +404,15 @@ def audit_parity_bound(domain, sigma, chi, f, g, delta):
     """|2 f(x) (g(y) - m_g(y) g(y^{-1}))| <= |m_g(y)| d + 2|g(y)| d + 4d."""
     mg = companion_mg(g).values
     gv = g.values
-    gap = (gv - mg * gv[domain.inv])[None, :]
-    rhs = (np.abs(mg)[None, :] + 2.0 * np.abs(gv)[None, :] + 4.0) * delta
-    return _certified_row(
-        "parity_defect", "|m_g(y)|d + 2|g(y)|d + 4d", domain, sigma,
-        PARITY_WINDOWS,
-        lambda node: np.abs(2.0 * f.values[node("x")] * gap) - rhs)
+    gap = gv - mg * gv[domain.inv]
+    rhs = (np.abs(mg) + 2.0 * np.abs(gv) + 4.0) * delta
+
+    def excess(node):
+        Y = node("y")
+        return np.abs(2.0 * f.values[node("x")] * gap[Y]) - rhs[Y]
+
+    return _certified_row("parity_defect", "|m_g(y)|d + 2|g(y)|d + 4d",
+                          domain, sigma, PARITY_WINDOWS, excess)
 
 
 def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
@@ -338,9 +427,9 @@ def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     fa = section_function(f, g, a).values
 
     def excess(node):
-        X = node("x")
+        X, Y = node("x"), node("y")
         lhs = np.abs(_val(fv, node("axy")) - fv[a] * _val(gv, node("xy"))
-                     - fa[X] * gv[None, :] - fa[None, :] * gv[X])
+                     - fa[X] * gv[Y] - fa[Y] * gv[X])
         return lhs - (np.abs(gv)[X] + 1.5) * delta
 
     return _certified_row("section_sine_addition_defect", "|g(x)|d + 1.5d",
@@ -358,12 +447,12 @@ def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     fa = section_function(f, g, a).values
 
     def excess(node):
-        X = node("x")
+        X, Y = node("x"), node("y")
         fa_xy = _val(fv, node("axy")) - fv[a] * _val(gv, node("xy"))
         fa_yx = _val(fv, node("ayx")) - fv[a] * _val(gv, node("yx"))
-        lhs = np.abs(fa_xy + fa_yx - 2.0 * fa[X] * gv[None, :]
-                     - 2.0 * fa[None, :] * gv[X])
-        return lhs - (np.abs(gv)[X] + np.abs(gv)[None, :] + 3.0) * delta
+        lhs = np.abs(fa_xy + fa_yx - 2.0 * fa[X] * gv[Y]
+                     - 2.0 * fa[Y] * gv[X])
+        return lhs - (np.abs(gv)[X] + np.abs(gv)[Y] + 3.0) * delta
 
     return _certified_row("symmetrized_sine_addition_defect",
                           "|g(x)|d + |g(y)|d + 3d", domain, sigma,

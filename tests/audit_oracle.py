@@ -1,0 +1,327 @@
+"""Reference audits, as the library computed them before its evaluator
+gathered only candidate windows. Tests compare the library's audit rows
+with these, witness and counts included.
+
+* oracle_row is one argmax over a whole grid; row_from_slices merges
+  consecutive x-slices of a grid (x_slices) into the same row.
+* oracle_centrality builds all eighteen points of the centrality
+  certificate over the whole n x n x n grid, with explicit masks for points
+  outside the ball, and takes one argmax.
+* The old_* audits list by hand the points that must lie in the ball, as
+  the audits did before their masks were derived from the certificates.
+  old_centrality_bound is evaluated in x-slices; the pair audits are one
+  n x n grid each.
+"""
+
+import numpy as np
+
+from feqlab.feq import companion_mg, section_function
+from feqlab.morphisms import satisfies_morphism_law
+from feqlab.stability import (AUDIT_TOL, AuditInapplicable, StabilityAuditRow,
+                              _padded, _val)
+
+
+def x_slices(n, ndim, entries=1 << 18):
+    """Consecutive x-ranges of an n^ndim grid, each about `entries` entries
+    (at least one x per slice)."""
+    step = max(1, entries // n ** (ndim - 1))
+    for x0 in range(0, n, step):
+        yield np.arange(x0, min(x0 + step, n))
+
+
+def row_from_slices(name, bound, shape, slices, tol=AUDIT_TOL):
+    """Audit row of a grid of this shape, given as consecutive slices
+    (excess, valid) along its first axis: the first C-order witness wins
+    ties (a later slice must be strictly larger) and NaN beats any number,
+    as in np.argmax."""
+    evaluated = offset = 0
+    worst, flat = None, None
+    for excess, valid in slices:
+        count = int(valid.sum())
+        if count:
+            masked = np.where(valid, excess, -np.inf)
+            i = int(np.argmax(masked))
+            v = masked.flat[i]
+            if flat is None or v > worst or (np.isnan(v) and not np.isnan(worst)):
+                worst, flat = v, offset + i
+        evaluated += count
+        offset += valid.size
+    total = int(np.prod(shape))
+    if evaluated == 0:
+        return StabilityAuditRow(name, bound, 0.0, (), 0, total, True)
+    witness = tuple(int(i) for i in np.unravel_index(flat, shape))
+    worst = float(worst)
+    return StabilityAuditRow(name, bound, worst, witness, evaluated,
+                             total - evaluated, worst <= tol)
+
+
+def oracle_row(name, bound, excess, valid, tol=AUDIT_TOL):
+    total = int(np.prod(valid.shape))
+    evaluated = int(valid.sum())
+    if evaluated == 0:
+        return StabilityAuditRow(name, bound, 0.0, (), 0, total, True)
+    masked = np.where(valid, excess, -np.inf)
+    flat = int(np.argmax(masked))
+    witness = tuple(int(i) for i in np.unravel_index(flat, valid.shape))
+    worst = float(masked.flat[flat])
+    return StabilityAuditRow(name, bound, worst, witness, evaluated,
+                             total - evaluated, worst <= tol)
+
+
+def _chain(mul, a, b):
+    """Product of index grids with outside (-1) propagation."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    ok = (a >= 0) & (b >= 0)
+    return np.where(ok, mul[np.maximum(a, 0), np.maximum(b, 0)], -1)
+
+
+def _map(table, idx):
+    idx = np.asarray(idx)
+    return np.where(idx >= 0, table[np.maximum(idx, 0)], -1)
+
+
+def centrality_valid(domain, sigma):
+    """The n x n x n mask of windows whose eighteen centrality points all
+    lie in the ball. Each full grid is dropped once it is folded in."""
+    n = domain.n
+    mul, st = domain.mul, sigma.table
+    X = np.arange(n)[:, None, None]
+    Y = np.arange(n)[None, :, None]
+    Z = np.arange(n)[None, None, :]
+    zy, yz = _chain(mul, Z, Y), _chain(mul, Y, Z)
+    xy, xz = _chain(mul, X, Y), _chain(mul, X, Z)
+    syx = _chain(mul, _map(st, Y), X)
+    szx = _chain(mul, _map(st, Z), X)
+    points = [
+        lambda: zy, lambda: yz, lambda: xy, lambda: xz,
+        lambda: _chain(mul, xz, Y), lambda: _chain(mul, xy, Z),
+        lambda: _chain(mul, X, zy), lambda: _chain(mul, X, yz),
+        lambda: syx, lambda: szx,
+        lambda: _chain(mul, syx, Z), lambda: _chain(mul, szx, Y),
+        lambda: _chain(mul, _map(st, Y), xz),
+        lambda: _chain(mul, _map(st, Z), xy),
+        lambda: _chain(mul, _map(st, zy), X),
+        lambda: _chain(mul, _map(st, yz), X),
+        lambda: _chain(mul, _map(st, Y), szx),
+        lambda: _chain(mul, _map(st, Z), syx),
+    ]
+    valid = np.ones((n, n, n), dtype=bool)
+    for point in points:
+        valid &= point() >= 0
+    return valid
+
+
+def oracle_centrality(domain, sigma, chi, f, g, delta, valid=None):
+    """The centrality row from one argmax over the whole grid; `valid`, if
+    given, is centrality_valid(domain, sigma)."""
+    if valid is None:
+        valid = centrality_valid(domain, sigma)
+    mul = domain.mul
+    n = domain.n
+    Y = np.arange(n)[:, None]
+    Z = np.arange(n)[None, :]
+    gap = np.abs(_val(g.values, _chain(mul, Z, Y))
+                 - _val(g.values, _chain(mul, Y, Z)))
+    gv = np.abs(g.values)
+    lhs = gap[None] * np.abs(f.values)[:, None, None]
+    rhs = (2.0 * gv[None, None, :] + 2.0 * gv[None, :, None] + 6.0) * delta
+    return oracle_row("centrality_defect", "2|g(z)|d + 2|g(y)|d + 6d",
+                      lhs - rhs, valid)
+
+
+def old_centrality_bound(domain, sigma, chi, f, g, delta):
+    """|g(zy) - g(yz)| |f(x)| <= 2|g(z)| delta + 2|g(y)| delta + 6 delta.
+
+    Certificate: the difference is a combination of eight pair residuals at
+    points built from x, y, z; windows where any of them leaves the ball are
+    skipped. The n^3 grid is evaluated in slices of x, so peak memory is
+    O(n^2) for any ball size.
+    """
+    n = domain.n
+    mp, sp = _padded(domain.mul), _padded(sigma.table)
+    Y = np.arange(n)[None, :, None]
+    Z = np.arange(n)[None, None, :]
+    # points that do not involve x: (1, n, n) grids over (y, z)
+    zy, yz = mp[Z, Y], mp[Y, Z]
+    sy, sz = sp[Y], sp[Z]
+    szy, syz = sp[zy], sp[yz]
+    yz_ok = (zy >= 0) & (yz >= 0)
+    g_gap = np.abs(_val(g.values, zy) - _val(g.values, yz))
+    gv = np.abs(g.values)
+    rhs = (2.0 * gv[None, None, :] + 2.0 * gv[None, :, None] + 6.0) * delta
+    fv = np.abs(f.values)
+
+    def slices():
+        for xs in x_slices(n, 3):
+            X = xs[:, None, None]
+            xy, xz = mp[X, Y], mp[X, Z]
+            syx, szx = mp[sy, X], mp[sz, X]
+            valid = yz_ok & (xy >= 0) & (xz >= 0) & (syx >= 0) & (szx >= 0)
+            # x(zy), x(yz), sigma(y)(xz), sigma(z)(xy) are the same elements
+            # as the next four points, so they need no gather of their own
+            valid &= mp[xz, Y] >= 0
+            valid &= mp[xy, Z] >= 0
+            valid &= mp[syx, Z] >= 0
+            valid &= mp[szx, Y] >= 0
+            valid &= mp[szy, X] >= 0
+            valid &= mp[syz, X] >= 0
+            valid &= mp[sy, szx] >= 0
+            valid &= mp[sz, syx] >= 0
+            yield g_gap * fv[X] - rhs, valid
+
+    return row_from_slices("centrality_defect", "2|g(z)|d + 2|g(y)|d + 6d",
+                            (n, n, n), slices())
+
+
+def old_mg_shift_bound(domain, sigma, chi, f, g, delta):
+    """|m_g(y) f(x) - chi(y) f(sigma(y) x y)| <= |g(y)| delta + 1.5 delta."""
+    n = domain.n
+    mul = domain.mul
+    mp, sp = _padded(mul), _padded(sigma.table)
+    X = np.arange(n)[:, None]
+    Y = np.arange(n)[None, :]
+    sq = mul[np.arange(n), np.arange(n)]
+    xy = mp[X, Y]
+    y2 = np.broadcast_to(sq[None, :], (n, n))
+    syx = mp[sp[Y], X]
+    syxy = mp[syx, Y]
+    points = [xy, y2, mp[xy, Y], mp[X, y2], syx, syxy, mp[sp[y2], X]]
+    valid = np.ones((n, n), dtype=bool)
+    for p in points:
+        valid &= p >= 0
+    mg = companion_mg(g)
+    valid &= (sq >= 0)[None, :]
+    lhs = np.abs(mg.values[None, :] * f.values[:, None]
+                 - chi.values[None, :] * _val(f.values, syxy))
+    rhs = (np.abs(g.values)[None, :] + 1.5) * delta
+    return oracle_row("companion_shift_defect", "|g(y)|d + 1.5d", lhs - rhs, valid)
+
+
+def old_parity_bound(domain, sigma, chi, f, g, delta):
+    """|2 f(x) (g(y) - m_g(y) g(y^{-1}))| <= |m_g(y)| d + 2|g(y)| d + 4d."""
+    n = domain.n
+    mul, inv = domain.mul, domain.inv
+    mp, sp = _padded(mul), _padded(sigma.table)
+    X = np.arange(n)[:, None]
+    Y = np.arange(n)[None, :]
+    Yi = np.broadcast_to(inv[None, :], (n, n))
+    sq = mul[np.arange(n), np.arange(n)]
+    y2 = np.broadcast_to(sq[None, :], (n, n))
+    xy = mp[X, Y]
+    xyi = mp[X, Yi]
+    syix = mp[sp[Yi], X]
+    points = [
+        xy, xyi, y2, syix,
+        mp[sp[Y], X],
+        mp[syix, Y], mp[syix, y2],
+        mp[sp[Y], xyi], mp[sp[y2], xyi],
+        mp[xyi, y2],
+    ]
+    valid = np.ones((n, n), dtype=bool)
+    for p in points:
+        valid &= p >= 0
+    mg = companion_mg(g)
+    valid &= (sq >= 0)[None, :]
+    gv = g.values
+    lhs = np.abs(2.0 * f.values[:, None]
+                 * (gv[None, :] - mg.values[None, :] * gv[inv][None, :]))
+    rhs = (np.abs(mg.values)[None, :] + 2.0 * np.abs(gv)[None, :] + 4.0) * delta
+    return oracle_row("parity_defect", "|m_g(y)|d + 2|g(y)|d + 4d", lhs - rhs, valid)
+
+
+def _section_grids(domain, a):
+    n = domain.n
+    mul = domain.mul
+    X = np.arange(n)[:, None]
+    Y = np.arange(n)[None, :]
+    ax = np.broadcast_to(mul[a][:, None], (n, n))
+    ay = np.broadcast_to(mul[a][None, :], (n, n))
+    return X, Y, ax, ay
+
+
+def old_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
+    """|f_a(xy) - f_a(x) g(y) - f_a(y) g(x)| <= |g(x)| delta + 1.5 delta.
+
+    Valid when sigma is a homomorphism (its certificate cancels a
+    sigma(xy) = sigma(x) sigma(y) pair); raises AuditInapplicable otherwise.
+    """
+    if not satisfies_morphism_law(domain, sigma.table, "automorphism"):
+        raise AuditInapplicable("sigma is not a homomorphism on this domain")
+    n = domain.n
+    mul, st = domain.mul, sigma.table
+    mp, sp = _padded(mul), _padded(st)
+    X, Y, ax, ay = _section_grids(domain, a)
+    xy = mp[X, Y]
+    axy = mp[ax, Y]
+    sya = np.broadcast_to(mul[st, a][None, :], (n, n))  # sigma(y) a
+    points = [
+        xy, ax, ay, axy, mp[a, xy],
+        sya, mp[sya, X],
+        sp[xy], mp[sp[xy], a],
+        mp[sp[X], sya],
+    ]
+    valid = np.ones((n, n), dtype=bool)
+    for p in points:
+        valid &= p >= 0
+    fv, gv = f.values, g.values
+    section = section_function(f, g, a)
+    fa = section.values
+    valid &= (mul[a] >= 0)[:, None] & (mul[a] >= 0)[None, :]
+    lhs = np.abs(_val(fv, axy) - fv[a] * _val(gv, xy)
+                 - fa[:, None] * gv[None, :] - fa[None, :] * gv[:, None])
+    rhs = (np.abs(gv)[:, None] + 1.5) * delta
+    return oracle_row("section_sine_addition_defect", "|g(x)|d + 1.5d", lhs - rhs, valid)
+
+
+def old_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
+    """|f_a(xy) + f_a(yx) - 2 f_a(x) g(y) - 2 f_a(y) g(x)|
+        <= |g(x)| d + |g(y)| d + 3d.
+
+    The symmetrization cancels the sigma(xy) vs sigma(x)sigma(y) mismatch,
+    so this holds for automorphisms and anti-automorphisms alike.
+    """
+    n = domain.n
+    mul, st = domain.mul, sigma.table
+    mp, sp = _padded(mul), _padded(st)
+    X, Y, ax, ay = _section_grids(domain, a)
+    xy, yx = mp[X, Y], mp[Y, X]
+    axy, ayx = mp[ax, Y], mp[ay, X]
+    sya = np.broadcast_to(mul[st, a][None, :], (n, n))
+    sxa = np.broadcast_to(mul[st, a][:, None], (n, n))
+    points = [
+        xy, yx, ax, ay, axy, ayx,
+        mp[a, xy], mp[a, yx],
+        sya, sxa, mp[sya, X], mp[sxa, Y],
+        sp[xy], sp[yx],
+        mp[sp[xy], a], mp[sp[yx], a],
+        mp[sp[X], sya], mp[sp[Y], sxa],
+    ]
+    valid = np.ones((n, n), dtype=bool)
+    for p in points:
+        valid &= p >= 0
+    fv, gv = f.values, g.values
+    section = section_function(f, g, a)
+    fa = section.values
+    valid &= (mul[a] >= 0)[:, None] & (mul[a] >= 0)[None, :]
+    fa_xy = _val(fv, axy) - fv[a] * _val(gv, xy)
+    fa_yx = _val(fv, ayx) - fv[a] * _val(gv, yx)
+    lhs = np.abs(fa_xy + fa_yx - 2.0 * fa[:, None] * gv[None, :]
+                 - 2.0 * fa[None, :] * gv[:, None])
+    rhs = (np.abs(gv)[:, None] + np.abs(gv)[None, :] + 3.0) * delta
+    return oracle_row("symmetrized_sine_addition_defect", "|g(x)|d + |g(y)|d + 3d",
+                lhs - rhs, valid)
+
+
+OLD_AUDITS = {
+    "audit_centrality_bound": old_centrality_bound,
+    "audit_mg_shift_bound": old_mg_shift_bound,
+    "audit_parity_bound": old_parity_bound,
+    "audit_sine_addition_bound": old_sine_addition_bound,
+    "audit_symmetrized_sine_addition_bound":
+        old_symmetrized_sine_addition_bound,
+}
+SECTION_AUDITS = ("audit_sine_addition_bound",
+                  "audit_symmetrized_sine_addition_bound")
+
+

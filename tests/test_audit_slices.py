@@ -1,95 +1,55 @@
-"""The x-sliced centrality audit against the monolithic n^3 evaluation, and
-the sine audits against their inline section vector.
+"""The chunked audit evaluator against reference audits that see the whole
+grid, and the sine audits against their inline section vector.
 
-The oracle below builds every point grid of the certificate over the whole
-n x n x n window, with explicit masks for points outside the ball, and takes
-one argmax, as the audits did before they were sliced. Rows must agree
-exactly, witness and counts included.
+The evaluator gathers only the windows its certificate's pair masks allow,
+as flat C-order index arrays in chunks. The references in audit_oracle
+build every point over the whole grid, with explicit masks for points
+outside the ball, and take one argmax. Rows must agree exactly, witness and
+counts included.
 """
 
+import itertools
+import re
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from audit_oracle import (OLD_AUDITS, SECTION_AUDITS, centrality_valid,
+                          oracle_centrality, oracle_row, row_from_slices)
 from feqlab import stability
 from feqlab.feq import GroupFunction
 from feqlab.groups import (BallDomain, DiscreteHeisenberg, FreeGroup,
                            IntegerLattice, build_catalog_group)
 from feqlab.morphisms import (ball_character, ball_involution,
-                              enumerate_involutions, inversion_involution,
-                              trivial_character)
-from feqlab.stability import (AuditInapplicable, StabilityAuditRow, _val,
+                              enumerate_involutions, identity_involution,
+                              inversion_involution, trivial_character)
+from feqlab.stability import (AuditInapplicable, AuditTooLarge, _val,
                               audit_centrality_bound,
                               audit_sine_addition_bound,
                               audit_symmetrized_sine_addition_bound)
 
 
-def _chain(mul, a, b):
-    """Product of index grids with outside (-1) propagation."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    ok = (a >= 0) & (b >= 0)
-    return np.where(ok, mul[np.maximum(a, 0), np.maximum(b, 0)], -1)
+def force_chunks(monkeypatch, size):
+    """Chunks of `size` windows. Returns, per evaluator call, the list of
+    (first x, last x) of its chunks."""
+    monkeypatch.setattr(stability, "AUDIT_CHUNK_ENTRIES", size)
+    calls, chunks = [], stability._chunks
+
+    def spy(blocks, size):
+        calls.append([])
+        for chunk in chunks(blocks, size):
+            calls[-1].append((int(chunk[0][0]), int(chunk[0][-1])))
+            yield chunk
+
+    monkeypatch.setattr(stability, "_chunks", spy)
+    return calls
 
 
-def _map(table, idx):
-    idx = np.asarray(idx)
-    return np.where(idx >= 0, table[np.maximum(idx, 0)], -1)
-
-
-def oracle_row(name, bound, excess, valid, tol=stability.AUDIT_TOL):
-    total = int(np.prod(valid.shape))
-    evaluated = int(valid.sum())
-    if evaluated == 0:
-        return StabilityAuditRow(name, bound, 0.0, (), 0, total, True)
-    masked = np.where(valid, excess, -np.inf)
-    flat = int(np.argmax(masked))
-    witness = tuple(int(i) for i in np.unravel_index(flat, valid.shape))
-    worst = float(masked.flat[flat])
-    return StabilityAuditRow(name, bound, worst, witness, evaluated,
-                             total - evaluated, worst <= tol)
-
-
-def oracle_centrality(domain, sigma, chi, f, g, delta):
-    n = domain.n
-    mul, st = domain.mul, sigma.table
-    X = np.arange(n)[:, None, None]
-    Y = np.arange(n)[None, :, None]
-    Z = np.arange(n)[None, None, :]
-    zy, yz = _chain(mul, Z, Y), _chain(mul, Y, Z)
-    xy, xz = _chain(mul, X, Y), _chain(mul, X, Z)
-    xzy = _chain(mul, xz, Y)
-    xyz = _chain(mul, xy, Z)
-    syx = _chain(mul, _map(st, Y), X)
-    szx = _chain(mul, _map(st, Z), X)
-    points = [
-        zy, yz, xy, xz, xzy, xyz,
-        _chain(mul, X, zy), _chain(mul, X, yz),
-        syx, szx,
-        _chain(mul, syx, Z), _chain(mul, szx, Y),
-        _chain(mul, _map(st, Y), xz), _chain(mul, _map(st, Z), xy),
-        _chain(mul, _map(st, zy), X), _chain(mul, _map(st, yz), X),
-        _chain(mul, _map(st, Y), szx), _chain(mul, _map(st, Z), syx),
-    ]
-    valid = np.ones((n, n, n), dtype=bool)
-    for p in points:
-        valid &= p >= 0
-    gv = np.abs(g.values)
-    lhs = np.abs(_val(g.values, zy) - _val(g.values, yz)) * np.abs(f.values)[:, None, None]
-    rhs = (2.0 * gv[None, None, :] + 2.0 * gv[None, :, None] + 6.0) * delta
-    return oracle_row("centrality_defect", "2|g(z)|d + 2|g(y)|d + 6d",
-                      lhs - rhs, valid)
-
-
-def force_uneven_slices(monkeypatch, n):
-    """Slice entries giving at least 3 x-slices, the last one shorter."""
-    step = max(s for s in range(1, n) if n % s and -(-n // s) >= 3)
-    monkeypatch.setattr(stability, "AUDIT_CHUNK_ENTRIES", step * n * n)
-    sizes = [len(xs) for xs in stability._x_slices(n, 3)]
-    assert len(sizes) >= 3 and sizes[-1] < sizes[0]
-    return sizes
+def cuts_inside_an_x(call):
+    """Whether a chunk boundary of one call splits the windows of one x."""
+    return any(a[1] == b[0] for a, b in zip(call, call[1:]))
 
 
 def q8_setup():
@@ -139,24 +99,124 @@ def random_pair(domain, seed):
 def test_sliced_centrality_matches_the_monolithic_oracle(monkeypatch, name,
                                                          delta):
     domain, sigma, chi = SETUPS[name]()
-    force_uneven_slices(monkeypatch, domain.n)
+    calls = force_chunks(monkeypatch, 3 * domain.n + 1)
     f, g = random_pair(domain, seed=domain.n)
     got = audit_centrality_bound(domain, sigma, chi, f, g, delta)
     assert got == oracle_centrality(domain, sigma, chi, f, g, delta)
     assert got.evaluated > 0
+    assert cuts_inside_an_x(calls[-1])
 
 
 @pytest.mark.parametrize("name", sorted(MORPHISM_SETUPS))
 def test_ties_across_slices_keep_the_first_witness(monkeypatch, name):
     # f = 0 gives every x the same excess, and x = e admits every window
-    # another x admits when sigma is a morphism, so the first slice must win
+    # another x admits when sigma is a morphism, so the first chunk must win
     domain, sigma, chi = SETUPS[name]()
-    force_uneven_slices(monkeypatch, domain.n)
+    force_chunks(monkeypatch, 3 * domain.n + 1)
     _, g = random_pair(domain, seed=1)
     zero = GroupFunction(domain, np.zeros(domain.n))
     got = audit_centrality_bound(domain, sigma, chi, zero, g, 0.1)
     assert got == oracle_centrality(domain, sigma, chi, zero, g, 0.1)
     assert got.witness[0] == 0
+
+
+def ball_maps(kind, radius):
+    return lambda spec: ball_setup(kind, radius, spec)
+
+
+def catalog_maps(name):
+    def setup(spec):
+        G = build_catalog_group(name)
+        involution = {"inv": inversion_involution, "id": identity_involution}
+        return G, involution[spec](G), trivial_character(G)
+    return setup
+
+
+GATE_DOMAINS = {
+    "Z2_r3": ball_maps(IntegerLattice(2), 3),
+    "Z2_r8": ball_maps(IntegerLattice(2), 8),
+    "H3_r2": ball_maps(DiscreteHeisenberg(), 2),
+    "H3_r4": ball_maps(DiscreteHeisenberg(), 4),
+    "F2_r3": ball_maps(FreeGroup(2), 3),
+    # total domains: every pair mask is all-true
+    "Q8": catalog_maps("Q8"),
+    "S3": catalog_maps("S3"),
+}
+GATE = {
+    **{f"{name}_{spec}": (lambda name=name, spec=spec: GATE_DOMAINS[name](spec))
+       for name, spec in itertools.product(GATE_DOMAINS, ("inv", "id"))},
+    "H3_r3_scrambled": scrambled_sigma_setup,
+}
+
+
+def _audit_row(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except AuditInapplicable as why:
+        return str(why)
+
+
+@pytest.mark.parametrize("name", sorted(GATE))
+def test_evaluator_rows_match_the_monolithic_oracle(monkeypatch, name):
+    domain, sigma, chi = GATE[name]()
+    # 3n + 1 windows cut inside the candidate block of some x on every setup
+    calls = force_chunks(monkeypatch, 3 * domain.n + 1)
+    f, g = random_pair(domain, seed=domain.n)
+    valid = centrality_valid(domain, sigma)
+    for delta in (0.0, 0.1, 10.0):
+        args = (domain, sigma, chi, f, g, delta)
+        got = audit_centrality_bound(*args)
+        assert got == oracle_centrality(*args, valid=valid), delta
+        assert got.evaluated > 0
+        assert cuts_inside_an_x(calls[-1])
+        if name == "H3_r3_scrambled":
+            continue  # the old pair lists rely on sigma being a morphism
+        for fn_name, old in OLD_AUDITS.items():
+            if fn_name == "audit_centrality_bound":
+                continue
+            sections = ([{"a": a} for a in sorted({0, 1, domain.n - 1})]
+                        if fn_name in SECTION_AUDITS else [{}])
+            for kw in sections:
+                want = _audit_row(old, *args, **kw)
+                assert _audit_row(getattr(stability, fn_name), *args,
+                                  **kw) == want, (fn_name, delta, kw)
+
+
+@pytest.mark.parametrize("name", ["Z2_r3_inv", "H3_r2_id", "Q8_inv"])
+def test_nan_in_f_gives_the_first_nan_witness(monkeypatch, name):
+    # NaN beats every number, and the first NaN in C order beats a later
+    # one in another chunk
+    domain, sigma, chi = GATE[name]()
+    force_chunks(monkeypatch, 3 * domain.n + 1)
+    _, g = random_pair(domain, seed=3)
+    valid = centrality_valid(domain, sigma)
+    xs = np.flatnonzero(valid.any(axis=(1, 2)))
+    values = np.ones(domain.n, dtype=complex)
+    values[[xs[len(xs) // 2], xs[-1]]] = np.nan
+    f = SimpleNamespace(domain=domain, values=values)
+    got = audit_centrality_bound(domain, sigma, chi, f, g, 0.1)
+    want = oracle_centrality(domain, sigma, chi, f, g, 0.1, valid=valid)
+    assert np.isnan(got.max_excess) and not got.passed
+    assert got.witness[0] == xs[len(xs) // 2]
+    assert repr(got) == repr(want)
+    for fn_name in ("audit_mg_shift_bound", "audit_parity_bound"):
+        args = (domain, sigma, chi, f, g, 0.1)
+        got = getattr(stability, fn_name)(*args)
+        assert repr(got) == repr(OLD_AUDITS[fn_name](*args))
+
+
+@pytest.mark.parametrize("sigma_spec", ["inv", "id"])
+def test_window_budget_admits_lattice2_radius16(monkeypatch, sigma_spec):
+    # the estimate is read off the refusal under a zero budget, which comes
+    # before any chunk is gathered
+    budget = stability.AUDIT_WINDOW_BUDGET
+    monkeypatch.setattr(stability, "AUDIT_WINDOW_BUDGET", 0)
+    domain, sigma, chi = ball_setup(IntegerLattice(2), 16, sigma_spec)
+    f, g = random_pair(domain, seed=0)
+    with pytest.raises(AuditTooLarge) as refusal:
+        audit_centrality_bound(domain, sigma, chi, f, g, 0.1)
+    estimate = int(re.search(r"leave (\d+) candidate", str(refusal.value))[1])
+    assert 0 < estimate <= budget
 
 
 def inline_section(f, g, a):
@@ -206,6 +266,15 @@ def test_sine_audits_match_the_inline_section(monkeypatch, name, where):
         assert rows[0][1].evaluated > 0
 
 
+def _split(excess, valid, candidates, cuts):
+    """Chunks (excess, valid, windows) of the candidate windows of a grid,
+    cut at the given candidate counts."""
+    windows = np.nonzero(candidates)
+    bounds = [0, *cuts, len(windows[0])]
+    return [(excess[windows][a:b], valid[windows][a:b],
+             [w[a:b] for w in windows]) for a, b in zip(bounds, bounds[1:])]
+
+
 def _split_rows(excess, valid, cuts):
     bounds = [0, *cuts, len(valid)]
     return [(excess[a:b], valid[a:b]) for a, b in zip(bounds, bounds[1:])]
@@ -227,13 +296,15 @@ def test_slice_merge_matches_one_argmax(case):
         valid[:] = False
     elif case == "sparse":
         valid[:4] = False
+    # the candidates hold every valid window and some invalid ones
+    candidates = valid | (rng.uniform(size=excess.shape) < 0.5)
     want = oracle_row("r", "b", excess, valid)
-    got = stability._row_from_slices("r", "b", excess.shape,
-                                     _split_rows(excess, valid, [2, 3, 6]))
-    if np.isnan(want.max_excess):
-        assert np.isnan(got.max_excess)
-        got.max_excess = want.max_excess = 0.0
-    assert got == want
+    got = [stability._row_from_chunks("r", "b", excess.size,
+                                      _split(excess, valid, candidates,
+                                             [3, 17, 40, 41])),
+           row_from_slices("r", "b", excess.shape,
+                           _split_rows(excess, valid, [2, 3, 6]))]
+    assert [repr(row) for row in got] == [repr(want)] * 2
 
 
 def test_centrality_audit_peak_memory_is_bounded():

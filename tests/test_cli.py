@@ -4,7 +4,7 @@ determinism. Everything runs in-process through main(argv)."""
 import numpy as np
 import pytest
 
-from feqlab import cli, groups, solver
+from feqlab import cli, groups, solver, stability
 from feqlab.cli import (
     EXIT_AMBIGUOUS,
     EXIT_BADCONFIG,
@@ -477,6 +477,19 @@ def test_over_budget_auxiliary_table_exits_with_the_estimate(capsys,
     assert out == ""
     assert "auxiliary budget" in err and "radius-8 ball (145 elements)" in err
     assert "MiB" in err and "Traceback" not in err
+
+
+def test_over_budget_audit_exits_with_the_estimate(capsys, monkeypatch):
+    # the centrality pair masks of lattice:2 r=8 leave 345,329 candidate
+    # windows; the budget is checked before any of them is gathered
+    monkeypatch.setattr(stability, "AUDIT_WINDOW_BUDGET", 100_000)
+    code, out, err = run(capsys, "stability", "--domain", "lattice:2",
+                         "--radii", "2,8")
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert "centrality_defect audit on 145 elements" in err
+    assert "345329 candidate windows" in err and "budget 100000" in err
+    assert "Traceback" not in err
 
 
 def test_over_cap_group_exits_with_the_estimate(capsys):
