@@ -10,12 +10,14 @@ Conventions shared by all subcommands:
 * exit codes: 0 pass, 2 check mismatch/failure, 3 flagged numerical
   ambiguity, 4 invalid configuration, including a ball radius or a group
   order whose tables would exceed the memory budget, an audit whose
-  candidate windows would exceed the window budget (the estimate goes to
-  stderr) and an output file that cannot be written.
+  candidate windows would exceed the window budget, a morphism search whose
+  generator assignments would exceed the search budget (the estimate goes
+  to stderr) and an output file that cannot be written.
 """
 
 import argparse
 import cmath
+import functools
 import os
 import sys
 
@@ -28,10 +30,10 @@ from .feq import (read_function, residual_wilson, write_function,
 from .groups import (CATALOG_NAMES, BallDomain, BallTooLarge,
                      DiscreteHeisenberg, FreeGroup, IntegerLattice,
                      build_catalog_group)
-from .morphisms import (AdditiveMap, ball_character, ball_involution,
-                        enumerate_characters, enumerate_involutions,
-                        identity_involution, inversion_involution,
-                        read_character)
+from .morphisms import (AdditiveMap, MorphismSearchTooLarge, ball_character,
+                        ball_involution, enumerate_characters,
+                        enumerate_involutions, identity_involution,
+                        inversion_involution, read_character)
 from .morphisms import compatibility_witness as _compat_witness
 from .solver import (AuditNotApplicable, candidate_gs, completeness_check,
                      solve_f_given_g, theorem22_audit)
@@ -471,7 +473,10 @@ def _add_common(p):
     p.add_argument("--chi-file", dest="chi_file", help="explicit character file")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process; parse_args keeps no
+    state between calls, so repeated in-process main() calls share it."""
     parser = _Parser(prog="feqlab",
                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -535,7 +540,7 @@ def main(argv=None):
         _merge_config(args)
         return args.func(args)
     except (CliError, FamilyConstructionError, BallTooLarge, AuditTooLarge,
-            OSError) as exc:
+            MorphismSearchTooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADCONFIG
 

@@ -10,6 +10,8 @@ span the full solution space of its g; see the decisions ledger for the
 completeness counterexamples behind this choice.
 """
 
+import math
+
 import numpy as np
 
 from .feq import (GroupFunction, residual_dalembert, residual_wilson,
@@ -61,11 +63,13 @@ def _mixed_g(m, chi, sigma):
 def twisted_companion(m, chi, sigma):
     """M = chi * (m o sigma), the partner character of m in the mixed family."""
     vals = chi.values * m.values[sigma.table]
-    ang = None
-    if m.angles is not None and chi.angles is not None:
-        ang = [(chi.angles[a] + m.angles[sigma(a)]) % 1 for a in range(m.domain.n)]
-    return Character(m.domain, vals, angles=ang,
-                     unitary=m.unitary and chi.unitary)
+    turns = period = None
+    if m.turns is not None and chi.turns is not None:
+        period = math.lcm(m.period, chi.period)
+        turns = (chi.turns * (period // chi.period)
+                 + m.turns[sigma.table] * (period // m.period)) % period
+    return Character(m.domain, vals, unitary=m.unitary and chi.unitary,
+                     turns=turns, period=period)
 
 
 def family_case_i(domain, g_values, sigma, chi):

@@ -3,16 +3,21 @@
 An involution and a character are both morphisms out of a finite group, so
 each is fixed by where it sends a generating set: one generator-image search
 (`_morphisms`) enumerates both, with element ids composed by the group law
-for involutions and exact angles added mod 1 for characters.
+for involutions and integer turns added mod the group exponent for
+characters. The search assigns one generator at a time and drops a partial
+assignment at its first conflicting Cayley edge; a search whose generator
+assignments would exceed MORPHISM_SEARCH_BUDGET is refused before it starts.
 
 Every character decision (multiplicativity, compatibility with sigma) reads
-the complex values. Characters enumerated on finite groups also carry their
-exact angles: each value is exp(2*pi*i*t) for a Fraction t, which names the
-character in printed labels and dedup keys.
+the complex values. Characters enumerated on finite groups also carry exact
+integer turns over a period N: the value at x is exp(2*pi*i*turns[x]/N).
+The turns name the character in dedup keys; the Fraction angles
+turns[x]/N are derived from them for printed labels only.
 """
 
 import cmath
-import itertools
+import functools
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,8 +25,13 @@ import numpy as np
 
 from .groups import subgroup_closure
 
-# generator assignments one involution or character search may try
+# complete generator assignments one involution or character search may
+# have to consider (the product of the generators' candidate counts)
 MORPHISM_SEARCH_BUDGET = 2_000_000
+
+
+class MorphismSearchTooLarge(ValueError):
+    """The generator-image search would exceed MORPHISM_SEARCH_BUDGET."""
 
 
 class Involution:
@@ -106,44 +116,82 @@ def _generating_set(G):
     return gens
 
 
-def _morphisms(G, candidates, compose, unit):
+def _edge_levels(G, gens):
+    """Cayley edges x -> x g_j grouped by the first generator prefix whose
+    subgroup holds them: level i lists, in walk order from the subgroup of
+    gens[:i], every edge (x, j, x g_j) with x in <gens[:i+1]>, j <= i, that
+    no earlier level lists. Each edge's source is reached before it is
+    used, so a walk over levels 0..i maps all of <gens[:i+1]>."""
+    mul = G.mul.tolist()
+    seen = {G.identity}
+    levels = []
+    for i in range(len(gens)):
+        old = set(seen)
+        frontier = sorted(old)
+        edges = []
+        while frontier:
+            x = frontier.pop()
+            for j in range(i + 1):
+                if j < i and x in old:
+                    continue
+                y = mul[x][gens[j]]
+                edges.append((x, j, y))
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        levels.append(edges)
+    return levels
+
+
+def _morphisms(G, candidates, law, unit):
     """Every map out of G that sends each generator g of _generating_set(G)
     into candidates(g) and agrees with every Cayley-graph edge x -> x g:
-    image(x g) = compose(image(x), image(g)), image(e) = unit. Yields the
-    images as lists indexed by element id.
+    image(x g) = law[image(x)][image(g)], image(e) = unit, where law is a
+    composition table as nested lists. Yields the images as lists indexed
+    by element id.
 
-    The edges are walked once from the identity; each generator assignment
-    then fills its map along them and is dropped at the first conflicting
-    edge. A consistent map respects every product, since the generators
-    reach all of G.
+    Generators are assigned one at a time; each assignment fills the map
+    along the new edges of the subgroup generated so far, and a prefix is
+    dropped at its first conflicting edge. A map consistent on every edge
+    respects every product, since the generators reach all of G.
+
+    Raises MorphismSearchTooLarge before any work when the product of the
+    candidate counts exceeds MORPHISM_SEARCH_BUDGET. The pruned search
+    tries at most the sum over prefixes of their candidate products, under
+    twice that estimate when every generator has two or more candidates.
     """
     gens = _generating_set(G)
-    edges = []
-    seen = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        x = frontier.pop()
-        for i, g in enumerate(gens):
-            y = G.op(x, g)
-            edges.append((x, i, y))
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    budget = MORPHISM_SEARCH_BUDGET
-    for images in itertools.product(*(candidates(g) for g in gens)):
-        budget -= 1
-        if budget < 0:
-            raise RuntimeError("morphism search budget exceeded")
-        table = [None] * G.order
-        table[G.identity] = unit
-        for x, i, y in edges:
-            v = compose(table[x], images[i])
-            if table[y] is None:
-                table[y] = v
-            elif table[y] != v:
-                break
-        else:
-            yield table
+    choices = [list(candidates(g)) for g in gens]
+    estimate = math.prod(len(c) for c in choices)
+    if estimate > MORPHISM_SEARCH_BUDGET:
+        raise MorphismSearchTooLarge(
+            f"morphism search on {G.name} would try {estimate} generator "
+            f"assignments (budget {MORPHISM_SEARCH_BUDGET})")
+    levels = _edge_levels(G, gens)
+    table = [None] * G.order
+    table[G.identity] = unit
+    images = [None] * len(gens)
+
+    def extend(i):
+        if i == len(gens):
+            yield list(table)
+            return
+        for image in choices[i]:
+            images[i] = image
+            filled = []
+            for x, j, y in levels[i]:
+                v = law[table[x]][images[j]]
+                if table[y] is None:
+                    table[y] = v
+                    filled.append(y)
+                elif table[y] != v:
+                    break
+            else:
+                yield from extend(i + 1)
+            for y in filled:
+                table[y] = None
+
+    yield from extend(0)
 
 
 def enumerate_involutions(G, kind):
@@ -158,13 +206,10 @@ def enumerate_involutions(G, kind):
     by_order = {}
     for a in range(G.order):
         by_order.setdefault(orders[a], []).append(a)
-    if kind == "automorphism":
-        compose = G.op
-    else:
-        def compose(a, b):  # sigma(x g) = sigma(g) sigma(x)
-            return G.op(b, a)
+    # sigma(x g) = sigma(x) sigma(g), or sigma(g) sigma(x) for the anti kind
+    law = (G.mul if kind == "automorphism" else G.mul.T).tolist()
     out = []
-    for t in _morphisms(G, lambda g: by_order[orders[g]], compose, G.identity):
+    for t in _morphisms(G, lambda g: by_order[orders[g]], law, G.identity):
         table = np.array(t, dtype=np.int64)
         if is_involutive(G, table) and satisfies_morphism_law(G, table, kind):
             out.append(Involution(table, kind, label=_classify_label(G, table)))
@@ -176,8 +221,20 @@ def enumerate_involutions(G, kind):
 # --- characters -----------------------------------------------------------
 
 
-def _angle_value(t):
-    return cmath.exp(2j * cmath.pi * float(t))
+@functools.lru_cache(maxsize=64)
+def _unit_roots(period):
+    """exp(2*pi*i*k/period) for k < period; k/period is int/int division,
+    correctly rounded, so each value is bit-equal to the one computed from
+    float(Fraction(k, period))."""
+    return np.array([cmath.exp(2j * cmath.pi * (k / period))
+                     for k in range(period)])
+
+
+def _turn_values(turns, period):
+    if period <= len(turns):
+        return _unit_roots(period)[turns]
+    return np.array([cmath.exp(2j * cmath.pi * (k / period))
+                     for k in turns.tolist()], dtype=np.complex128)
 
 
 # |chi(x) chi(sigma(x)) - 1| above this is incompatibility; on a finite
@@ -189,30 +246,48 @@ class Character:
     """A multiplicative function: the zero function, or a homomorphism into
     C*, unitary on finite groups.
 
-    angles[i] is a Fraction t with value exp(2*pi*i*t), or None when only
+    Exact characters carry integer turns over a period N (the group
+    exponent for enumerated characters): turns[x] in [0, N) and
+    values[x] = exp(2*pi*i*turns[x]/N). turns and period are None when only
     floating-point values are available (the zero function, characters read
-    from a file, ball characters with free z's).
+    from a file, ball characters with free z's). angles is the derived
+    list of Fractions turns[x]/N, for printing.
     """
 
-    def __init__(self, domain, values, angles=None, unitary=None):
+    def __init__(self, domain, values, unitary=None, turns=None, period=None):
         self.domain = domain
         self.values = np.asarray(values, dtype=np.complex128)
         if len(self.values) != domain.n:
             raise ValueError("character length does not match domain")
-        self.angles = angles
+        self.turns = turns
+        self.period = period
         if unitary is None:
             unitary = bool(np.allclose(np.abs(self.values), 1.0, atol=1e-12))
         self.unitary = unitary
 
     @classmethod
+    def from_turns(cls, domain, turns, period):
+        turns = np.asarray(turns, dtype=np.int64) % period
+        return cls(domain, _turn_values(turns, period), unitary=True,
+                   turns=turns, period=period)
+
+    @classmethod
     def from_angles(cls, domain, angles):
         angles = [Fraction(t) % 1 for t in angles]
-        values = np.array([_angle_value(t) for t in angles])
-        return cls(domain, values, angles=angles, unitary=True)
+        period = math.lcm(*(t.denominator for t in angles))
+        return cls.from_turns(
+            domain, [t.numerator * (period // t.denominator) for t in angles],
+            period)
 
     @classmethod
     def zero(cls, domain):
         return cls(domain, np.zeros(domain.n), unitary=False)
+
+    @functools.cached_property
+    def angles(self):
+        if self.turns is None:
+            return None
+        return [Fraction(k, self.period) for k in self.turns.tolist()]
 
     @property
     def is_zero(self):
@@ -238,22 +313,23 @@ class Character:
 
 
 def enumerate_characters(G):
-    """All characters of a finite group, sorted by their angles: the
-    homomorphisms into the angles mod 1, from the generator-image search
-    with angles k/r at a generator of order r."""
-    def angles(g):
-        r = G.element_order(g)
-        return [Fraction(k, r) for k in range(r)]
+    """All characters of a finite group, sorted by their turns over the
+    group exponent N (the order of their Fraction angles, since every table
+    shares the denominator N): the homomorphisms into Z/N, from the
+    generator-image search with turns k*N/r at a generator of order r."""
+    N = math.lcm(*(G.element_order(a) for a in range(G.order)))
 
-    out = [Character.from_angles(G, t) for t in
-           _morphisms(G, angles, lambda a, b: (a + b) % 1, Fraction(0))]
-    out.sort(key=lambda c: tuple(c.angles))
-    return out
+    def turns(g):
+        return range(0, N, N // G.element_order(g))
+
+    add = (np.add.outer(np.arange(N), np.arange(N)) % N).tolist()
+    tables = sorted(_morphisms(G, turns, add, 0))
+    return [Character.from_turns(G, t, N) for t in tables]
 
 
 def trivial_character(domain):
     if domain.kind is None:
-        return Character.from_angles(domain, [Fraction(0)] * domain.n)
+        return Character.from_turns(domain, np.zeros(domain.n), 1)
     return Character(domain, np.ones(domain.n), unitary=True)
 
 

@@ -9,7 +9,9 @@ formulas, and a multistart Newton solver recovers the self-paired solution
 set without using the formula at all.
 """
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -74,30 +76,46 @@ def solve_f_given_g(domain, sigma, chi, g):
     return SolveResult(basis, s, ambiguous)
 
 
+class _TurnsKey(tuple):
+    """(period, turns) of an exact character reduced by their common gcd:
+    two keys are equal exactly when the Fraction angle tuples are."""
+
+    @classmethod
+    def of(cls, m):
+        d = math.gcd(m.period, *m.turns.tolist())
+        return cls((m.period // d, tuple((m.turns // d).tolist())))
+
+    def angles(self):
+        period, turns = self
+        return tuple(Fraction(k, period) for k in turns)
+
+
 def _angle_key(m):
     if m.is_zero:
         return "zero"
-    if m.angles is not None:
-        return tuple(m.angles)
+    if m.turns is not None:
+        return _TurnsKey.of(m)
     return tuple(np.round(m.values, 9))
 
 
 def _key_label(key):
-    """Readable form of a dedup key: zero|(0,1/4,1/2,3/4)-style."""
-    parts = []
-    for part in sorted(key, key=str):
+    """Readable form of a dedup key: zero|(0,1/4,1/2,3/4)-style. The parts
+    are ordered by str() of their Fraction angle tuples."""
+    parts = [p.angles() if isinstance(p, _TurnsKey) else p for p in key]
+    out = []
+    for part in sorted(parts, key=str):
         if isinstance(part, str):
-            parts.append(part)
+            out.append(part)
         else:
-            parts.append("(" + ",".join(str(t) for t in part) + ")")
-    return "|".join(parts)
+            out.append("(" + ",".join(str(t) for t in part) + ")")
+    return "|".join(out)
 
 
 def candidate_gs(G, sigma, chi):
     """Self-paired-solution candidates for g, deduplicated.
 
     m and its twisted companion produce the same g; the dedup key is the
-    unordered pair of their exact angle tuples.
+    unordered pair of their exact turns, reduced to lowest terms.
     """
     seen = {}
     order = []

@@ -1,13 +1,16 @@
 """Reference enumerations of involutions and characters, by the algorithms
-the library used before its one generator-image search.
+the library used before its one generator-image search, and the Fraction
+arithmetic it used before integer turns.
 
 Characters come from the abelianization: the quotient by the commutator
 subgroup, whose characters are extended along a chain of subgroups.
 Involutions come from a search that walks the Cayley graph afresh for each
-generator assignment. Tests compare the library's output with these, bit
-for bit.
+generator assignment. The twisted companion's angles, the candidate-g dedup
+keys and their labels come from Fraction angles added mod 1. Tests compare
+the library's output with these, bit for bit.
 """
 
+import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -150,3 +153,54 @@ def enumerate_involutions(G, kind):
         out.append(Involution(tab, kind, label=_classify_label(G, tab)))
     out.sort(key=lambda s: (not s.is_identity, not s.is_inversion, tuple(s.table)))
     return out
+
+
+# --- Fraction angles -------------------------------------------------------
+
+
+def angle_values(angles):
+    """exp(2*pi*i*t) for each Fraction t, through float(t)."""
+    return np.array([cmath.exp(2j * cmath.pi * float(Fraction(t) % 1))
+                     for t in angles])
+
+
+def twisted_companion(m, chi, sigma):
+    """(values, angles) of M = chi * (m o sigma); the angles are Fractions
+    added mod 1, or None unless both m and chi have exact angles."""
+    vals = chi.values * m.values[sigma.table]
+    ang = None
+    if m.angles is not None and chi.angles is not None:
+        ang = [(chi.angles[a] + m.angles[sigma(a)]) % 1
+               for a in range(m.domain.n)]
+    return vals, ang
+
+
+def angle_key(values, angles):
+    if not values.any():
+        return "zero"
+    if angles is not None:
+        return tuple(angles)
+    return tuple(np.round(values, 9))
+
+
+def key_label(key):
+    """Readable form of a dedup key: zero|(0,1/4,1/2,3/4)-style."""
+    parts = []
+    for part in sorted(key, key=str):
+        if isinstance(part, str):
+            parts.append(part)
+        else:
+            parts.append("(" + ",".join(str(t) for t in part) + ")")
+    return "|".join(parts)
+
+
+def candidate_groups(multiplicative, companions):
+    """The dedup of candidate_gs on Fraction keys: (key, [m, ...]) in first
+    seen order, m grouped by the unordered pair of the angle tuples of m
+    and of its twisted companion, given as twisted_companion returns it."""
+    groups = {}
+    for m, (M_values, M_angles) in zip(multiplicative, companions):
+        key = frozenset((angle_key(m.values, m.angles),
+                         angle_key(M_values, M_angles)))
+        groups.setdefault(key, []).append(m)
+    return list(groups.items())

@@ -4,7 +4,7 @@ determinism. Everything runs in-process through main(argv)."""
 import numpy as np
 import pytest
 
-from feqlab import cli, groups, solver, stability
+from feqlab import cli, groups, morphisms, solver, stability
 from feqlab.cli import (
     EXIT_AMBIGUOUS,
     EXIT_BADCONFIG,
@@ -489,6 +489,28 @@ def test_over_budget_audit_exits_with_the_estimate(capsys, monkeypatch):
     assert out == ""
     assert "centrality_defect audit on 145 elements" in err
     assert "345329 candidate windows" in err and "budget 100000" in err
+    assert "Traceback" not in err
+
+
+def test_over_budget_morphism_search_exits_with_the_estimate(capsys,
+                                                             monkeypatch):
+    # S4's involution search would assign 9 candidates to each of its three
+    # generators; the budget is checked before any of them is tried
+    monkeypatch.setattr(morphisms, "MORPHISM_SEARCH_BUDGET", 700)
+    code, out, err = run(capsys, "solve", "--group", "S4", "--sigma",
+                         "auto:1", "--chi", "0")
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert "morphism search on S4 would try 729 generator assignments" in err
+    assert "budget 700" in err and "Traceback" not in err
+
+
+def test_z2_to_the_fifth_morphisms_exit_with_the_estimate(capsys):
+    code, out, err = run(capsys, "catalog", "--group", "Z2xZ2xZ2xZ2xZ2",
+                         "--morphisms")
+    assert code == EXIT_BADCONFIG
+    assert out == "group Z2xZ2xZ2xZ2xZ2 order 32\n"
+    assert "would try 28629151 generator assignments" in err
     assert "Traceback" not in err
 
 

@@ -1,5 +1,6 @@
 """Involutive morphisms, characters, multiplicative and additive maps."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from feqlab import cli
+from feqlab import cli, morphisms
 from feqlab.groups import CATALOG_NAMES, BallDomain, FreeGroup, IntegerLattice, \
     DiscreteHeisenberg, build_catalog_group
 from feqlab.morphisms import (
     AdditiveMap,
     Character,
     Involution,
+    MorphismSearchTooLarge,
     ball_character,
     ball_involution,
     compatibility_witness,
@@ -81,6 +83,42 @@ def test_enumerated_morphisms_satisfy_their_laws():
                             assert s(G.op(a, b)) == G.op(s(a), s(b))
                         else:
                             assert s(G.op(a, b)) == G.op(s(b), s(a))
+
+
+def _search_estimates(monkeypatch, G):
+    """The generator assignments of G's involution and character searches,
+    read off their refusals under a zero budget, which come before any
+    assignment is tried."""
+    monkeypatch.setattr(morphisms, "MORPHISM_SEARCH_BUDGET", 0)
+    estimates = []
+    for search in (lambda: enumerate_involutions(G, "automorphism"),
+                   lambda: enumerate_characters(G)):
+        with pytest.raises(MorphismSearchTooLarge) as refusal:
+            search()
+        estimates.append(int(re.search(r"would try (\d+) generator",
+                                       str(refusal.value))[1]))
+    return estimates
+
+
+def test_search_budget_admits_the_catalog_s5_and_z4xz8(monkeypatch):
+    budget = morphisms.MORPHISM_SEARCH_BUDGET
+    estimates = {name: _search_estimates(monkeypatch,
+                                         build_catalog_group(name))
+                 for name in CATALOG_NAMES + ["S5", "Z4xZ8"]}
+    # S5's involution search is the largest: 25 candidates for each of its
+    # four generators
+    assert estimates["S5"] == [25 ** 4, 16]
+    assert max(max(e) for e in estimates.values()) == 25 ** 4 <= budget
+
+
+def test_search_over_budget_is_refused_with_the_estimate(monkeypatch):
+    # 31 involutions for each of Z2^5's five generators; refused before the
+    # search, where an unpruned search used to run for minutes
+    G = build_catalog_group("Z2xZ2xZ2xZ2xZ2")
+    with pytest.raises(MorphismSearchTooLarge, match=r"would try 28629151 "
+                       r"generator assignments \(budget 2000000\)"):
+        enumerate_involutions(G, "automorphism")
+    assert _search_estimates(monkeypatch, G) == [31 ** 5, 32]
 
 
 def test_bad_kind_rejected_in_enumeration():
