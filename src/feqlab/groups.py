@@ -151,13 +151,12 @@ class Domain:
     def symmetric(cls, n, name=None):
         if not 1 <= n <= MAX_SYMMETRIC_N:
             raise ValueError(f"S_n supported for 1 <= n <= {MAX_SYMMETRIC_N}")
-        # identity permutation comes first in lexicographic order
-        perms = list(itertools.permutations(range(n)))
-
-        def compose(p, q):  # (p*q)(i) = p(q(i))
-            return tuple(p[q[i]] for i in range(n))
-
-        return cls.from_func(perms, compose, name=name or f"S{n}")
+        # lexicographic order, identity first; (p*q)(i) = p(q(i)) is P[p, P[q]]
+        P = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        # a permutation's base-n digits rank it: lexicographic = ascending
+        place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        mul = np.searchsorted(P @ place, P[:, P] @ place)
+        return cls(mul, name=name or f"S{n}")
 
     @classmethod
     def dihedral(cls, n, name=None):

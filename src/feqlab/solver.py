@@ -325,13 +325,52 @@ def _converged(F):
     return np.abs(F).max(axis=1) <= 1e-13
 
 
+# the line search's step lengths: t = 1 halved while t > 1e-7, down to 2^-23
+_STEP_LENGTHS = 2.0 ** -np.arange(24)
+
+
+def _line_search(system, V, F, norm, active, step):
+    """Damped line search of one Newton step for the starts V[active].
+
+    Start j = active[i] moves to V[j] + t*step[i] at the first t in 1, 1/2,
+    ..., 2^-23 (every halving above 1e-7) whose residual norm is below
+    norm[j] * (1 - 1e-4 t) or below 1e-13; V, F and norm are updated in
+    place. t = 1 is tried for all starts in one residual call. The smaller
+    t's are tried for the starts still pending, as many t's per stacked call
+    as keep it within len(V) rows, so the stack never outgrows the block.
+    Each start gets the same candidate and test at each t as a loop that
+    halves t per rejection. Returns the positions in active whose search
+    ran out.
+    """
+    n = V.shape[1]
+    pending = np.arange(active.size)     # positions in active
+    k, width = 0, 1
+    while pending.size and k < _STEP_LENGTHS.size:
+        ts = _STEP_LENGTHS[k:k + width]
+        idx = active[pending]
+        cand = V[idx] + ts[:, None, None] * step[pending]
+        Fc = system.residuals(cand.reshape(-1, n)).reshape(ts.size, idx.size, -1)
+        nc = _norms(Fc)
+        accept = ((nc < norm[idx] * (1.0 - 1e-4 * ts[:, None]))
+                  | (nc < 1e-13))
+        hit = accept.any(axis=0)
+        first, cols = accept.argmax(axis=0)[hit], np.flatnonzero(hit)
+        took = idx[hit]
+        V[took], F[took], norm[took] = (cand[first, cols], Fc[first, cols],
+                                        nc[first, cols])
+        pending = pending[~hit]
+        k += ts.size
+        width = V.shape[0] // max(1, pending.size)
+    return pending
+
+
 def _newton_polish(system, V, max_iter=60):
     """Damped Gauss-Newton from every row of V at once; V is updated in place.
 
     Each start follows its own sequential run exactly: it leaves the active
     set when its residual is below 1e-13, when its line search runs out
-    (t <= 1e-7) or after max_iter steps. All pending starts of one line
-    search share the same t, as each starts at 1 and halves per rejection.
+    (no t > 1e-7 is accepted, see _line_search) or after max_iter steps.
+    Each step is one stacked least-squares call and one stacked line search.
     Returns the per-start convergence flags.
     """
     V[:, 0] = 1.0
@@ -347,22 +386,10 @@ def _newton_polish(system, V, max_iter=60):
         if not active.size:
             return ok
         step = _lstsq_stack(system.jacobians(V[active], J_buf), -F[active])
-        pending = np.arange(active.size)     # positions in active
-        t = 1.0
-        while pending.size and t > 1e-7:
-            idx = active[pending]
-            cand = V[idx] + t * step[pending]
-            Fc = system.residuals(cand)
-            nc = _norms(Fc)
-            accept = (nc < norm[idx] * (1.0 - 1e-4 * t)) | (nc < 1e-13)
-            took = idx[accept]
-            V[took], F[took], norm[took] = cand[accept], Fc[accept], nc[accept]
-            pending = pending[~accept]
-            t /= 2.0
         # an exhausted line search ends that start's run here
-        out = active[pending]
-        ok[out] = _converged(F[out])
-        active = np.delete(active, pending)
+        out = _line_search(system, V, F, norm, active, step)
+        ok[active[out]] = _converged(F[active[out]])
+        active = np.delete(active, out)
     ok[active] = _converged(F[active])
     return ok
 
@@ -384,18 +411,20 @@ def brute_force_dalembert(G, sigma, chi, n_starts=200, seed=0):
     block = max(1, NEWTON_BLOCK_BYTES // system.base.nbytes)
 
     solutions = [GroupFunction.zero(G)]
+    kept = np.zeros((1, G.order), dtype=np.complex128)    # their values
     hits = [0]
     n_conv = 0
     for lo in range(0, n_starts, block):
         V = starts[lo:lo + block].copy()
         ok = _newton_polish(system, V)
+        n_conv += int(ok.sum())
         for v in V[ok]:
-            n_conv += 1
-            for k, s in enumerate(solutions):
-                if np.abs(v - s.values).max() < 1e-6:
-                    hits[k] += 1
-                    break
+            near = np.abs(v - kept).max(axis=1) < 1e-6
+            k = near.argmax()            # the first match in solution order
+            if near[k]:
+                hits[k] += 1
             else:
+                kept = np.vstack([kept, v])
                 # a copy, so the kept solution does not pin the block's rows
                 solutions.append(GroupFunction(G, v.copy()))
                 hits.append(1)

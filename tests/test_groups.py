@@ -1,5 +1,6 @@
 """Cayley-table groups, the catalog, and word-length balls."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,26 @@ def test_symmetric_group_is_nonabelian():
     S3 = build_catalog_group("S3")
     assert S3.order == 6
     assert not S3.is_abelian()
+
+
+def _symmetric_by_compose(n):
+    """S_n through Domain.from_func and a Python compose on each pair of
+    permutation tuples, in lexicographic order."""
+    perms = list(itertools.permutations(range(n)))
+
+    def compose(p, q):  # (p*q)(i) = p(q(i))
+        return tuple(p[q[i]] for i in range(n))
+
+    return Domain.from_func(perms, compose, name=f"S{n}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_table_equals_the_compose_oracle(n):
+    G, want = Domain.symmetric(n), _symmetric_by_compose(n)
+    assert G.mul.dtype == want.mul.dtype
+    assert G.mul.tobytes() == want.mul.tobytes()
+    assert G.inv.tobytes() == want.inv.tobytes()
+    assert G.name == want.name
 
 
 def test_quaternion_has_unique_order_two_element():

@@ -98,12 +98,7 @@ def _combos_upto_6():
                     yield G, sigma, chi
 
 
-@pytest.mark.parametrize("seed", [0, 5])
-def test_batched_search_equals_the_sequential_oracle(monkeypatch, seed):
-    # 7 starts a block at order 6, 11 at order 5, 22 at order 4: the last
-    # block of each is short
-    monkeypatch.setattr(solver, "NEWTON_BLOCK_BYTES", 7 * 37 * 6 * 16 + 100)
-    n_starts = 40
+def _assert_equals_the_oracle(seed, n_starts=40):
     combos = 0
     for G, sigma, chi in _combos_upto_6():
         res = brute_force_dalembert(G, sigma, chi, n_starts=n_starts, seed=seed)
@@ -116,6 +111,79 @@ def test_batched_search_equals_the_sequential_oracle(monkeypatch, seed):
             (n_conv, flagged, hits), case
         combos += 1
     assert combos == 53
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_batched_search_equals_the_sequential_oracle(monkeypatch, seed):
+    # 7 starts a block at order 6, 11 at order 5, 22 at order 4: the last
+    # block of each is short
+    monkeypatch.setattr(solver, "NEWTON_BLOCK_BYTES", 7 * 37 * 6 * 16 + 100)
+    _assert_equals_the_oracle(seed)
+
+
+@pytest.mark.parametrize("budget", [1, None], ids=["one-start", "default"])
+def test_batched_search_equals_the_oracle_at_other_block_sizes(monkeypatch,
+                                                               budget):
+    # one start a block runs every line search one step length per call; the
+    # default budget puts all 40 starts in one block
+    if budget is not None:
+        monkeypatch.setattr(solver, "NEWTON_BLOCK_BYTES", budget)
+    _assert_equals_the_oracle(0)
+
+
+def _spy_line_searches(monkeypatch):
+    """Record, for every line search, the block's row count, the iterates
+    and steps it started from, the positions it returned as exhausted and
+    the rows of each residual call it made."""
+    searches = []
+    inside = []
+    real_residuals = solver._SelfPairedSystem.residuals
+    real_search = solver._line_search
+
+    def residuals(self, V):
+        if inside:
+            inside[-1].append(V.copy())
+        return real_residuals(self, V)
+
+    def line_search(system, V, F, norm, active, step):
+        X, S = V[active].copy(), step.copy()
+        inside.append([])
+        try:
+            out = real_search(system, V, F, norm, active, step)
+        finally:
+            calls = inside.pop()
+        searches.append((len(V), X, S, out.copy(), calls))
+        return out
+
+    monkeypatch.setattr(solver._SelfPairedSystem, "residuals", residuals)
+    monkeypatch.setattr(solver, "_line_search", line_search)
+    return searches
+
+
+def test_line_search_stacks_step_lengths_within_the_block(monkeypatch):
+    searches = _spy_line_searches(monkeypatch)
+    for G, sigma, chi in _combos_upto_6():
+        if G.name == "S3":
+            # 73 starts a block at order 6, the last block of 54
+            brute_force_dalembert(G, sigma, chi, n_starts=200, seed=0)
+    assert searches
+    # memory bound: no residual call evaluates more rows than the block has
+    assert all(len(c) <= rows for rows, _, _, _, calls in searches
+               for c in calls)
+    # some start tries exactly t = 1, 1/2, ..., 2^-23 and then gives up
+    floors, spans = [], []
+    for _, X, S, out, calls in searches:
+        tried = np.concatenate(calls)
+        for i in out:
+            levels = [k for k in range(30)
+                      if (tried == X[i] + 2.0 ** -k * S[i]).all(axis=1).any()]
+            floors.append(levels == list(range(24)))
+        if out.size:
+            spans.append(len(calls))
+    assert any(floors)
+    # such a step stacks its 23 smaller t's, but splits them over several
+    # calls after the t = 1 call
+    assert any(2 < n < 24 for n in spans)
 
 
 def test_lstsq_stack_matches_single_lstsq_bit_for_bit():
