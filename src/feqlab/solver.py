@@ -343,25 +343,29 @@ def _line_search(system, V, F, norm, active, step):
     ran out.
     """
     n = V.shape[1]
-    pending = np.arange(active.size)     # positions in active
+    # the pending starts: positions in active, indices into V, and their
+    # iterates, steps and norms, all unchanged until a start is accepted
+    pos = np.arange(active.size)
+    idx, X, S, N = active, V[active], step, norm[active]
     k, width = 0, 1
-    while pending.size and k < _STEP_LENGTHS.size:
+    while idx.size and k < _STEP_LENGTHS.size:
         ts = _STEP_LENGTHS[k:k + width]
-        idx = active[pending]
-        cand = V[idx] + ts[:, None, None] * step[pending]
+        cand = X + ts[:, None, None] * S
         Fc = system.residuals(cand.reshape(-1, n)).reshape(ts.size, idx.size, -1)
         nc = _norms(Fc)
-        accept = ((nc < norm[idx] * (1.0 - 1e-4 * ts[:, None]))
-                  | (nc < 1e-13))
-        hit = accept.any(axis=0)
-        first, cols = accept.argmax(axis=0)[hit], np.flatnonzero(hit)
-        took = idx[hit]
-        V[took], F[took], norm[took] = (cand[first, cols], Fc[first, cols],
-                                        nc[first, cols])
-        pending = pending[~hit]
+        accept = (nc < N * (1.0 - 1e-4 * ts[:, None])) | (nc < 1e-13)
         k += ts.size
-        width = V.shape[0] // max(1, pending.size)
-    return pending
+        hit = accept.any(axis=0)
+        cols = np.flatnonzero(hit)
+        if cols.size:
+            first = accept[:, cols].argmax(axis=0)
+            took = idx[cols]
+            V[took], F[took], norm[took] = (cand[first, cols], Fc[first, cols],
+                                            nc[first, cols])
+            keep = ~hit
+            pos, idx, X, S, N = pos[keep], idx[keep], X[keep], S[keep], N[keep]
+        width = V.shape[0] // max(1, idx.size)
+    return pos
 
 
 def _newton_polish(system, V, max_iter=60):
@@ -386,9 +390,10 @@ def _newton_polish(system, V, max_iter=60):
         if not active.size:
             return ok
         step = _lstsq_stack(system.jacobians(V[active], J_buf), -F[active])
-        # an exhausted line search ends that start's run here
         out = _line_search(system, V, F, norm, active, step)
-        ok[active[out]] = _converged(F[active[out]])
+        # an exhausted line search ends that start's run here
+        ran_out = active[out]
+        ok[ran_out] = _converged(F[ran_out])
         active = np.delete(active, out)
     ok[active] = _converged(F[active])
     return ok
@@ -411,7 +416,7 @@ def brute_force_dalembert(G, sigma, chi, n_starts=200, seed=0):
     block = max(1, NEWTON_BLOCK_BYTES // system.base.nbytes)
 
     solutions = [GroupFunction.zero(G)]
-    kept = np.zeros((1, G.order), dtype=np.complex128)    # their values
+    kept = np.zeros((1, G.order), dtype=np.complex128)    # their values, stacked
     hits = [0]
     n_conv = 0
     for lo in range(0, n_starts, block):
