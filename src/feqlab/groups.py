@@ -153,10 +153,11 @@ class Domain:
             raise ValueError(f"S_n supported for 1 <= n <= {MAX_SYMMETRIC_N}")
         # lexicographic order, identity first; (p*q)(i) = p(q(i)) is P[p, P[q]]
         P = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        # a permutation's base-n digits rank it: lexicographic = ascending
+        # a permutation read as base-n digits indexes its lexicographic rank
         place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        mul = np.searchsorted(P @ place, P[:, P] @ place)
-        return cls(mul, name=name or f"S{n}")
+        rank = np.empty(n ** n, dtype=np.int64)
+        rank[P @ place] = np.arange(len(P))
+        return cls(rank[P[:, P] @ place], name=name or f"S{n}")
 
     @classmethod
     def dihedral(cls, n, name=None):

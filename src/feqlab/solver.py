@@ -326,7 +326,7 @@ def _converged(F):
 
 
 # the line search's step lengths: t = 1 halved while t > 1e-7, down to 2^-23
-_STEP_LENGTHS = 2.0 ** -np.arange(24)
+_STEP_LENGTHS = np.array([2.0 ** -k for k in range(24)])
 
 
 def _line_search(system, V, F, norm, active, step):
