@@ -98,7 +98,8 @@ def _combos_upto_6():
                     yield G, sigma, chi
 
 
-def _assert_equals_the_oracle(seed, n_starts=40):
+def _assert_equals_the_oracle(seed):
+    n_starts = 40
     combos = 0
     for G, sigma, chi in _combos_upto_6():
         res = brute_force_dalembert(G, sigma, chi, n_starts=n_starts, seed=seed)
