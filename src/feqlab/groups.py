@@ -262,7 +262,8 @@ def subgroup_closure(G, gens):
 
 
 class IntegerLattice:
-    """Z^d with generators +-e_i; word length is the l1 norm."""
+    """Z^d with generators +-e_i; word length is the l1 norm. As an int64
+    row (mult_rows), an element is its coordinates."""
 
     def __init__(self, d):
         if d < 1:
@@ -286,6 +287,19 @@ class IntegerLattice:
     def mult(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
+    def row_width(self, depth):
+        return self.d
+
+    def mult_rows(self, rows, s):
+        """Each coordinate row times generators()[s], i.e. plus or minus
+        e_(s // 2)."""
+        out = rows.copy()
+        out[:, s // 2] += 1 - 2 * (s % 2)
+        return out
+
+    def row_elements(self, rows):
+        return list(map(tuple, rows.tolist()))
+
     def abelian_coords(self, a):
         return a
 
@@ -294,7 +308,8 @@ class DiscreteHeisenberg:
     """Upper-triangular 3x3 integer matrices, coordinates (a, b, c).
 
     (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b'); generators are the two
-    off-diagonal unit matrices and their inverses.
+    off-diagonal unit matrices and their inverses. As an int64 row
+    (mult_rows), an element is (a, b, c).
     """
 
     name = "H3"
@@ -310,6 +325,22 @@ class DiscreteHeisenberg:
         ap, bp, cp = v
         return (a + ap, b + bp, c + cp + a * bp)
 
+    def row_width(self, depth):
+        return 3
+
+    def mult_rows(self, rows, s):
+        """Each (a, b, c) row times generators()[s] = (a', b', 0), i.e.
+        (a + a', b + b', c + a * b')."""
+        ap, bp, _ = self.generators()[s]
+        out = rows.copy()
+        out[:, 0] += ap
+        out[:, 1] += bp
+        out[:, 2] += rows[:, 0] * bp
+        return out
+
+    def row_elements(self, rows):
+        return list(map(tuple, rows.tolist()))
+
     def abelian_coords(self, u):
         # the center (c coordinate) is the commutator subgroup
         return (u[0], u[1])
@@ -319,7 +350,8 @@ class FreeGroup:
     """Free group on `rank` letters; elements are reduced words.
 
     A word is a tuple of nonzero ints in {-rank..-1, 1..rank}; negative
-    means the inverse letter.
+    means the inverse letter. As an int64 row (mult_rows), a word is its
+    letters followed by zeros.
     """
 
     def __init__(self, rank):
@@ -344,6 +376,26 @@ class FreeGroup:
                 out.append(letter)
         return tuple(out)
 
+    def row_width(self, depth):
+        # a word of the depth ball with one more letter appended
+        return depth + 1
+
+    def mult_rows(self, rows, s):
+        """Each word times generators()[s], as zero-padded rows with room
+        for one more letter: the product drops the last letter when it is
+        the inverse of the new one, else appends the new one."""
+        letter = s + 1 if s < self.rank else self.rank - s - 1
+        length = np.count_nonzero(rows, axis=1)
+        last = np.maximum(length - 1, 0)
+        at = np.arange(len(rows))
+        cancel = (length > 0) & (rows[at, last] == -letter)
+        out = rows.copy()
+        out[at, np.where(cancel, last, length)] = np.where(cancel, 0, letter)
+        return out
+
+    def row_elements(self, rows):
+        return [tuple(filter(None, word)) for word in rows.tolist()]
+
     def abelian_coords(self, a):
         sums = [0] * self.rank
         for letter in a:
@@ -367,62 +419,182 @@ def _inverses(mul):
     return hits.argmax(axis=1)
 
 
+def _runs(radices):
+    """Split digit columns with these radices into runs whose radix product
+    stays within int64, each with its mixed-radix place values, first
+    column most significant: the digits of a run then pack into one exact
+    int64 code that orders rows as those digits do, lexicographically."""
+    starts, span = [], 2**63
+    for j, radix in enumerate(radices):
+        if span * radix >= 2**63:
+            starts.append(j)
+            span = 1
+        span *= radix
+    bounds = starts + [len(radices)]
+    return [(lo, hi, np.array([math.prod(radices[j + 1:hi])
+                               for j in range(lo, hi)], dtype=np.int64))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _pack(digits, runs):
+    """The (rows, runs) int64 codes of a digit array."""
+    codes = np.empty((len(digits), len(runs)), dtype=np.int64)
+    for j, (lo, hi, place) in enumerate(runs):
+        codes[:, j] = digits[:, lo:hi] @ place
+    return codes
+
+
+def _ranks(distinct, codes):
+    """Each code's rank among the sorted distinct codes of its column, or
+    their count where it is not one of them."""
+    out = np.empty_like(codes)
+    for j, u in enumerate(distinct):
+        at = np.searchsorted(u, codes[:, j])
+        at[u[np.minimum(at, len(u) - 1)] != codes[:, j]] = len(u)
+        out[:, j] = at
+    return out
+
+
+class _RowKeys:
+    """Exact int64 keys of int64 rows, and lookup of other rows among them
+    when the keyed rows are distinct. Each entry, less its column's
+    minimum, is a digit below the column's radix, and the digit equal to
+    the radix stands for every entry out of range; the digits pack into
+    codes by _runs. While a row takes more than one code, each code is
+    replaced by its rank (_ranks) and the ranks are packed again. Packing
+    and ranking are injective and keep order, so the keys order the rows
+    lexicographically, equal keys mean equal rows, and a row that is not
+    keyed gets a key that no keyed row has."""
+
+    def __init__(self, rows):
+        self.lo = rows.min(axis=0)
+        self.radix = rows.max(axis=0) - self.lo + 1
+        self.runs = _runs((self.radix + 1).tolist())
+        # packed in blocks, so the shifted digits stay small
+        block = max(1, _BALL_BLOCK_ENTRIES // rows.shape[1])
+        codes = np.concatenate([_pack(rows[lo:lo + block] - self.lo, self.runs)
+                                for lo in range(0, len(rows), block)])
+        # per repacking, the distinct codes of each column and the runs of
+        # their ranks
+        self.ranked = []
+        while codes.shape[1] > 1:
+            distinct = [np.unique(c) for c in codes.T]
+            runs = _runs([len(u) + 1 for u in distinct])
+            self.ranked.append((distinct, runs))
+            codes = _pack(_ranks(distinct, codes), runs)
+        self.keys = codes[:, 0]
+
+    @functools.cached_property
+    def _sorted(self):
+        order = np.argsort(self.keys)
+        return order, self.keys[order]
+
+    def find(self, rows):
+        """The index of each row among the keyed rows, -1 where absent."""
+        # a negative digit wraps to a large unsigned one
+        digits = np.minimum((rows - self.lo).view(np.uint64),
+                            self.radix.view(np.uint64)).view(np.int64)
+        codes = _pack(digits, self.runs)
+        for distinct, runs in self.ranked:
+            codes = _pack(_ranks(distinct, codes), runs)
+        order, keys = self._sorted
+        at = np.minimum(np.searchsorted(keys, codes[:, 0]), len(keys) - 1)
+        return np.where(keys[at] == codes[:, 0], order[at], -1)
+
+
+def _products(kind, rows, ngens):
+    """Every product rows[x] * gens[s], in blocks of at most
+    _BALL_BLOCK_ENTRIES entries, or of one row and one generator; a block
+    takes as many rows as fit, then as many generators. Yields the first
+    row lo and generator s0 of a block and its (rows, generators, width)
+    array of products."""
+    width = rows.shape[1]
+    block = max(1, min(len(rows), _BALL_BLOCK_ENTRIES // width))
+    per = max(1, min(ngens, _BALL_BLOCK_ENTRIES // (block * width)))
+    for lo in range(0, len(rows), block):
+        x = rows[lo:lo + block]
+        for s0 in range(0, ngens, per):
+            y = np.empty((len(x), min(per, ngens - s0), width), dtype=np.int64)
+            for j in range(y.shape[1]):
+                y[:, j] = kind.mult_rows(x, s0 + j)
+            yield lo, s0, y
+
+
+def _next_level(kind, known, count, ngens):
+    """The BFS level after the `known` levels, which end at id count - 1:
+    its rows in tuple order and, for each, the least edge id
+    parent id * ngens + generator index that reaches it. The generators
+    are closed under inverses, so a product of the last known level lies
+    in a known level or in the next one."""
+    seen, last = _RowKeys(np.concatenate(known)), known[-1]
+    new, edges = [], []
+    for lo, s0, y in _products(kind, last, ngens):
+        m, g, width = y.shape
+        y = y.reshape(m * g, width)
+        fresh = np.flatnonzero(seen.find(y) < 0)
+        x, s = np.divmod(fresh, g)
+        new.append(y[fresh])
+        edges.append((count - len(last) + lo + x) * ngens + s0 + s)
+    new, edges = np.concatenate(new), np.concatenate(edges)
+    key = _RowKeys(new).keys
+    order = np.lexsort((edges, key))
+    first = order[np.concatenate(([True], key[order[1:]] != key[order[:-1]]))]
+    return new[first], edges[first]
+
+
 def _bfs(kind, radius, depth, cap):
     """Breadth-first search of the ball of radius `depth` >= `radius`.
 
-    Returns its elements in BFS order (level-sorted, so each ball is a
-    prefix of every larger one), their index and word lengths, and for each
-    element but the identity the BFS parent id and generator index s of the
-    first edge that reaches it: elements[j] = elements[parent[j]] * gens[s].
+    Returns its elements as the int64 rows of `kind.mult_rows` (the
+    identity is the zero row) in BFS order (level-sorted, so each ball is a
+    prefix of every larger one), their word lengths, and for each element
+    but the identity the BFS parent id and generator index s of the first
+    edge that reaches it: rows[j] = rows[parent[j]] * gens[s].
     Levels up to `radius` are held under `cap` elements; from level `radius`
     on, the right-multiplication table over the elements found so far must
-    fit in BALL_AUX_BYTES. Both are checked before the next level is built."""
+    fit in BALL_AUX_BYTES. Both are checked before the next level is built.
+
+    Level k comes from the products of level k - 1 with every generator
+    (_next_level): those not in level k - 2 or k - 1 are new, and of equal
+    new products the one with the least (parent id, generator) is kept."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    gens = kind.generators()
-    e = kind.identity()
-    elements, index, length, parent, step = [e], {e: 0}, [0], [-1], [-1]
-    lo = 0
+    ngens = len(kind.generators())
+    levels = [np.zeros((1, kind.row_width(depth)), dtype=np.int64)]
+    parent, step = [np.array([-1])], [np.array([-1])]
+    count = 1
     for k in range(depth + 1):
         if k:
-            nxt = {}
-            for x_id in range(lo, len(elements)):
-                x = elements[x_id]
-                for s, g in enumerate(gens):
-                    y = kind.mult(x, g)
-                    if y not in index and y not in nxt:
-                        nxt[y] = (x_id, s)
-            lo = len(elements)
-            for y in sorted(nxt):
-                index[y] = len(elements)
-                elements.append(y)
-                length.append(k)
-                parent.append(nxt[y][0])
-                step.append(nxt[y][1])
-        if k <= radius and len(elements) > cap:
+            rows, edge = _next_level(kind, levels[-2:], count, ngens)
+            levels.append(rows)
+            parent.append(edge // ngens)
+            step.append(edge % ngens)
+            count += len(rows)
+        if k <= radius and count > cap:
             raise BallTooLarge(
                 f"ball of radius {radius} exceeds the element cap {cap}: "
-                f"radius {k} already holds {len(elements)} elements, so its "
+                f"radius {k} already holds {count} elements, so its "
                 f"multiplication table needs at least "
-                f"{8 * len(elements) ** 2 / 2**20:.1f} MiB "
+                f"{8 * count ** 2 / 2**20:.1f} MiB "
                 f"(budget {8 * cap ** 2 / 2**20:.1f} MiB)")
-        aux = 8 * len(gens) * (len(elements) + 1)
+        aux = 8 * ngens * (count + 1)
         if k >= radius and aux > BALL_AUX_BYTES:
             raise BallTooLarge(
                 f"ball of radius {radius} exceeds the auxiliary budget: "
-                f"right multiplication by {len(gens)} generators on the "
-                f"radius-{k} ball ({len(elements)} elements) needs at least "
+                f"right multiplication by {ngens} generators on the "
+                f"radius-{k} ball ({count} elements) needs at least "
                 f"{aux / 2**20:.1f} MiB "
                 f"(budget {BALL_AUX_BYTES / 2**20:.1f} MiB)")
-    return (elements, index, np.array(length, dtype=np.int64),
-            np.array(parent, dtype=np.int64), np.array(step, dtype=np.int64))
+    length = np.repeat(np.arange(len(levels)), [len(v) for v in levels])
+    return (np.concatenate(levels), length, np.concatenate(parent),
+            np.concatenate(step))
 
 
 def ball_elements(kind, radius, cap=BALL_ELEMENT_CAP):
     """The elements of the radius ball in BFS order (level-sorted, so each
     ball is a prefix of every larger one) and their word lengths."""
-    elements, _, length, _, _ = _bfs(kind, radius, radius, cap)
-    return elements, length
+    rows, length, _, _ = _bfs(kind, radius, radius, cap)
+    return kind.row_elements(rows), length
 
 
 # a function named like a class: the benchmark tracer wraps it by this name
@@ -435,17 +607,22 @@ def BallDomain(kind, radius, cap=BALL_ELEMENT_CAP):
     depth d = |p| leads back into the ball through p's BFS descendants only
     if |x * p| <= 2r - d, and |x * p| <= r + d; so every entry that matters
     lies in the auxiliary ball of radius floor(3r/2), on which right
-    multiplication is tabulated once with kind.mult. A product that leaves
-    the auxiliary ball becomes -1 and stays -1."""
+    multiplication is tabulated once, from the BFS rows by kind.mult_rows
+    and their exact keys. A product that leaves the auxiliary ball becomes
+    -1 and stays -1."""
     depth = 3 * radius // 2
-    elements, index, length, parent, step = _bfs(kind, radius, depth, cap)
+    rows, length, parent, step = _bfs(kind, radius, depth, cap)
     n = int(np.searchsorted(length, radius, side="right"))
-    gens = kind.generators()
+    ngens = len(kind.generators())
     # right[s, x] = x * gens[s]; the last column maps -1 to -1
-    right = np.full((len(gens), len(elements) + 1), -1, dtype=np.int64)
-    for s, g in enumerate(gens):
-        right[s, :-1] = [index.get(kind.mult(x, g), -1) for x in elements]
-    del elements[n:], index
+    right = np.full((ngens, len(rows) + 1), -1, dtype=np.int64)
+    keys = _RowKeys(rows)
+    for lo, s0, y in _products(kind, rows, ngens):
+        m, g, width = y.shape
+        right[s0:s0 + g, lo:lo + m] = \
+            keys.find(y.reshape(m * g, width)).reshape(m, g).T
+    elements = kind.row_elements(rows[:n])
+    del rows, keys
     starts = np.searchsorted(length, np.arange(radius + 2))
     mul = np.empty((n, n), dtype=np.int64)
     mul[:, 0] = np.arange(n)

@@ -62,6 +62,8 @@ def test_involutions_match_the_reference_search(name, kind):
         oracle.enumerate_involutions(G, kind)
     assert [(s.table.tobytes(), s.label, s.kind) for s in got] == \
         [(s.table.tobytes(), s.label, s.kind) for s in want]
+    # the search checks Cayley edges only; every product must follow
+    assert all(satisfies_morphism_law(G, s.table, kind) for s in got)
 
 
 @pytest.mark.parametrize("kind", KINDS)
