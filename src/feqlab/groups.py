@@ -492,8 +492,9 @@ class _RowKeys:
     def find(self, rows):
         """The index of each row among the keyed rows, -1 where absent."""
         # a negative digit wraps to a large unsigned one
-        digits = np.minimum((rows - self.lo).view(np.uint64),
-                            self.radix.view(np.uint64)).view(np.int64)
+        digits = rows - self.lo
+        np.minimum(digits.view(np.uint64), self.radix.view(np.uint64),
+                   out=digits.view(np.uint64))
         codes = _pack(digits, self.runs)
         for distinct, runs in self.ranked:
             codes = _pack(_ranks(distinct, codes), runs)
@@ -520,25 +521,40 @@ def _products(kind, rows, ngens):
             yield lo, s0, y
 
 
+def _first_rows(rows, edges):
+    """Index of the row with the least edge id in each set of equal rows,
+    in the order of the rows (lexicographic)."""
+    key = _RowKeys(rows).keys
+    order = np.lexsort((edges, key))
+    return order[np.concatenate(([True], key[order[1:]] != key[order[:-1]]))]
+
+
 def _next_level(kind, known, count, ngens):
     """The BFS level after the `known` levels, which end at id count - 1:
     its rows in tuple order and, for each, the least edge id
     parent id * ngens + generator index that reaches it. The generators
     are closed under inverses, so a product of the last known level lies
-    in a known level or in the next one."""
-    seen, last = _RowKeys(np.concatenate(known)), known[-1]
+    in a known level or in the next one.
+
+    Each block of products is keyed together with the known rows, which
+    take edge id -1: a set of equal rows whose first is a product is new.
+    New products of different blocks are merged the same way."""
+    last, known = known[-1], np.concatenate(known)
     new, edges = [], []
     for lo, s0, y in _products(kind, last, ngens):
         m, g, width = y.shape
-        y = y.reshape(m * g, width)
-        fresh = np.flatnonzero(seen.find(y) < 0)
-        x, s = np.divmod(fresh, g)
-        new.append(y[fresh])
-        edges.append((count - len(last) + lo + x) * ngens + s0 + s)
+        rows = np.concatenate((known, y.reshape(m * g, width)))
+        ids = np.full(len(rows), -1)
+        ids[len(known):] = ((count - len(last) + lo + np.arange(m))[:, None]
+                            * ngens + np.arange(s0, s0 + g)).ravel()
+        first = _first_rows(rows, ids)
+        first = first[first >= len(known)]
+        new.append(rows[first])
+        edges.append(ids[first])
+    if len(new) == 1:
+        return new[0], edges[0]
     new, edges = np.concatenate(new), np.concatenate(edges)
-    key = _RowKeys(new).keys
-    order = np.lexsort((edges, key))
-    first = order[np.concatenate(([True], key[order[1:]] != key[order[:-1]]))]
+    first = _first_rows(new, edges)
     return new[first], edges[first]
 
 

@@ -37,6 +37,24 @@ def test_ball_equals_the_reference_build(kind, radius):
     assert (got.name, got.radius, got.n) == (want.name, want.radius, want.n)
 
 
+SMALL_BLOCK_CASES = [(IntegerLattice(3), 3), (DiscreteHeisenberg(), 3),
+                     (FreeGroup(3), 3)]
+
+
+@pytest.mark.parametrize("kind, radius", SMALL_BLOCK_CASES,
+                         ids=[f"{k.name}_r{r}" for k, r in SMALL_BLOCK_CASES])
+def test_ball_built_in_small_blocks_equals_the_reference_build(
+        monkeypatch, kind, radius):
+    # blocks of at most 7 entries split every BFS level, the right table
+    # and the column recursion into many pieces
+    want = oracle.ball_domain(kind, radius)
+    monkeypatch.setattr(groups, "_BALL_BLOCK_ENTRIES", 7)
+    got = BallDomain(kind, radius)
+    assert got.mul.tobytes() == want.mul.tobytes()
+    assert got.elements == want.elements
+    assert got.length.tobytes() == want.length.tobytes()
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
 def test_ball_elements_equal_the_reference_search(kind):
     for r in range(5):
