@@ -3,8 +3,8 @@ exact-pair audits, perturbation, and ball-family stability experiments.
 
 Conventions shared by all subcommands:
 
-* a flat ``key = value`` config file (``--config``) can supply any flag;
-  explicitly passed flags win;
+* a flat ``key = value`` config file (``--config``) can supply any flag,
+  an on/off flag as ``true`` or ``false``; explicitly passed flags win;
 * floating-point output is printed with 17 significant digits, and the same
   config plus seed yields byte-identical output;
 * exit codes: 0 pass, 2 check mismatch/failure, 3 flagged numerical
@@ -83,15 +83,22 @@ def _load_config(path):
 
 
 def _merge_config(args):
-    """Fill unset flags (None) from the config file; flags keep priority."""
+    """Fill flags left unset on the command line from the config file:
+    a flag with a value where it is None, an on/off flag (False unless
+    passed) from true or false. Flags keep priority."""
     if not getattr(args, "config", None):
         return
     table = _load_config(args.config)
     known = vars(args)
     for key, value in table.items():
-        if key not in known:
+        if key not in known or key in ("command", "func", "config"):
             raise CliError(f"unknown config key {key!r}")
-        if known[key] is None:
+        if isinstance(known[key], bool):
+            if value not in ("true", "false"):
+                raise CliError(f"config key {key!r} takes true or false, "
+                               f"not {value!r}")
+            setattr(args, key, known[key] or value == "true")
+        elif known[key] is None:
             setattr(args, key, value)
 
 

@@ -106,7 +106,10 @@ class Domain:
         return int(self.inv[a])
 
     def is_abelian(self):
-        return (self.mul == self.mul.T).all()
+        """True when x and y commute wherever both xy and yx lie in the
+        domain."""
+        both = (self.mul >= 0) & (self.mul.T >= 0)
+        return bool((self.mul == self.mul.T)[both].all())
 
     def element_order(self, a):
         """The order of a; ValueError when a power of a leaves the domain."""
@@ -123,20 +126,6 @@ class Domain:
         return f"Domain({self.name}, n={self.n})"
 
     # --- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_func(cls, elements, mult, name="G"):
-        """Build from an element list and a multiplication callable.
-
-        elements[0] must be the identity.
-        """
-        index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        mul = np.zeros((n, n), dtype=np.int64)
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                mul[i, j] = index[mult(a, b)]
-        return cls(mul, name=name)
 
     @classmethod
     def cyclic(cls, n, name=None):
@@ -161,38 +150,27 @@ class Domain:
 
     @classmethod
     def dihedral(cls, n, name=None):
-        """D_n of order 2n: rotations r^k and reflections s r^k."""
+        """D_n of order 2n: rotations r^k and reflections s r^k, the element
+        s^i r^k at id i*n + k."""
         if not 1 <= n <= MAX_DIHEDRAL_N:
             raise ValueError(f"D_n supported for 1 <= n <= {MAX_DIHEDRAL_N}")
-        elements = [(0, k) for k in range(n)] + [(1, k) for k in range(n)]
-
-        def mult(a, b):
-            # (s^i r^k)(s^j r^m) = s^(i+j) r^(((-1)^j) k + m)
-            i, k = a
-            j, m = b
-            return ((i + j) % 2, ((k if j == 0 else -k) + m) % n)
-
-        return cls.from_func(elements, mult, name=name or f"D{n}")
+        i, k = np.divmod(np.arange(2 * n), n)
+        # (s^i r^k)(s^j r^m) = s^(i+j) r^(((-1)^j) k + m)
+        mul = (i[:, None] ^ i) * n + (k[:, None] * (1 - 2 * i) + k) % n
+        return cls(mul, name=name or f"D{n}")
 
     @classmethod
     def quaternion(cls, name="Q8"):
-        """Q8 = {1, -1, i, -i, j, -j, k, -k}."""
-        units = ["1", "i", "j", "k"]
-        table = {  # unit products, (u, v) -> (sign, unit)
-            ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-            ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-            ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-            ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-        }
-        elements = [(s, u) for u in units for s in (1, -1)]
-
-        def mult(a, b):
-            sa, ua = a
-            sb, ub = b
-            s, u = table[(ua, ub)]
-            return (sa * sb * s, u)
-
-        return cls.from_func(elements, mult, name=name)
+        """Q8 = {1, -1, i, -i, j, -j, k, -k}: the unit u in 1, i, j, k (0..3)
+        with sign bit s at id 2u + s. Units multiply as u xor v, with the
+        sign bit of the unit product uv in neg[u, v]."""
+        neg = np.array([[0, 0, 0, 0],   # 1 * (1, i, j, k)
+                        [0, 1, 0, 1],   # i * 1 = i, ii = -1, ij = k, ik = -j
+                        [0, 1, 1, 0],   # ji = -k, jj = -1, jk = i
+                        [0, 0, 1, 1]])  # ki = j, kj = -i, kk = -1
+        s, u = np.arange(8) % 2, np.arange(8) // 2
+        return cls(2 * (u[:, None] ^ u) + (s[:, None] ^ s ^ neg[np.ix_(u, u)]),
+                   name=name)
 
 
 def _check_order(n, name):
@@ -243,21 +221,6 @@ CATALOG_NAMES = [
 ]
 
 
-def subgroup_closure(G, gens):
-    """Smallest subgroup of G containing gens, as a sorted id list."""
-    seen = {G.identity}
-    frontier = [G.identity]
-    gens = set(gens) | {G.inverse(g) for g in gens}
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = G.op(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return sorted(seen)
-
-
 # --- infinite groups, seen through word-length balls ----------------------
 
 
@@ -271,9 +234,6 @@ class IntegerLattice:
         self.d = d
         self.name = f"Z^{d}"
 
-    def identity(self):
-        return (0,) * self.d
-
     def generators(self):
         gens = []
         for i in range(self.d):
@@ -283,9 +243,6 @@ class IntegerLattice:
             e[i] = -1
             gens.append(tuple(e))
         return gens
-
-    def mult(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
 
     def row_width(self, depth):
         return self.d
@@ -300,8 +257,9 @@ class IntegerLattice:
     def row_elements(self, rows):
         return list(map(tuple, rows.tolist()))
 
-    def abelian_coords(self, a):
-        return a
+    def row_coords(self, rows):
+        """The abelianized coordinates of each row: the row itself."""
+        return rows
 
 
 class DiscreteHeisenberg:
@@ -314,16 +272,8 @@ class DiscreteHeisenberg:
 
     name = "H3"
 
-    def identity(self):
-        return (0, 0, 0)
-
     def generators(self):
         return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
-
-    def mult(self, u, v):
-        a, b, c = u
-        ap, bp, cp = v
-        return (a + ap, b + bp, c + cp + a * bp)
 
     def row_width(self, depth):
         return 3
@@ -341,9 +291,10 @@ class DiscreteHeisenberg:
     def row_elements(self, rows):
         return list(map(tuple, rows.tolist()))
 
-    def abelian_coords(self, u):
-        # the center (c coordinate) is the commutator subgroup
-        return (u[0], u[1])
+    def row_coords(self, rows):
+        """(a, b) of each (a, b, c) row: the center (c coordinate) is the
+        commutator subgroup."""
+        return rows[:, :2]
 
 
 class FreeGroup:
@@ -360,21 +311,9 @@ class FreeGroup:
         self.rank = rank
         self.name = f"F{rank}"
 
-    def identity(self):
-        return ()
-
     def generators(self):
         return [(i,) for i in range(1, self.rank + 1)] + \
                [(-i,) for i in range(1, self.rank + 1)]
-
-    def mult(self, a, b):
-        out = list(a)
-        for letter in b:
-            if out and out[-1] == -letter:
-                out.pop()
-            else:
-                out.append(letter)
-        return tuple(out)
 
     def row_width(self, depth):
         # a word of the depth ball with one more letter appended
@@ -396,11 +335,13 @@ class FreeGroup:
     def row_elements(self, rows):
         return [tuple(filter(None, word)) for word in rows.tolist()]
 
-    def abelian_coords(self, a):
-        sums = [0] * self.rank
-        for letter in a:
-            sums[abs(letter) - 1] += 1 if letter > 0 else -1
-        return tuple(sums)
+    def row_coords(self, rows):
+        """The exponent sum of each letter in each word row."""
+        sums = np.zeros((len(rows), self.rank), dtype=np.int64)
+        at, pos = np.nonzero(rows)
+        letters = rows[at, pos]
+        np.add.at(sums, (at, np.abs(letters) - 1), np.sign(letters))
+        return sums
 
 
 class BallTooLarge(ValueError):
@@ -638,6 +579,8 @@ def BallDomain(kind, radius, cap=BALL_ELEMENT_CAP):
         right[s0:s0 + g, lo:lo + m] = \
             keys.find(y.reshape(m * g, width)).reshape(m, g).T
     elements = kind.row_elements(rows[:n])
+    # a copy, so that the auxiliary rows can be freed
+    coords = kind.row_coords(rows[:n]).copy()
     del rows, keys
     starts = np.searchsorted(length, np.arange(radius + 2))
     mul = np.empty((n, n), dtype=np.int64)
@@ -650,8 +593,6 @@ def BallDomain(kind, radius, cap=BALL_ELEMENT_CAP):
     del right
     # the columns hold auxiliary ids; those past the ball leave it
     mul[mul >= n] = -1
-    coords = np.array([kind.abelian_coords(el) for el in elements],
-                      dtype=np.int64)
     return Domain(mul, name=f"{kind.name}_ball{radius}", kind=kind,
                   elements=elements, length=length[:n].copy(), radius=radius,
                   coords=coords)

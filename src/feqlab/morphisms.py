@@ -23,8 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import subgroup_closure
-
 # complete generator assignments one involution or character search may
 # have to consider (the product of the generators' candidate counts)
 MORPHISM_SEARCH_BUDGET = 2_000_000
@@ -96,36 +94,28 @@ def identity_involution(domain):
 
 def inversion_involution(domain):
     """Inversion is always an anti-automorphism; it is reported as an
-    automorphism when it also is one, i.e. on abelian domains."""
-    tab = domain.inv.copy()
-    kind = "automorphism" if satisfies_morphism_law(domain, tab, "automorphism") \
-        else "anti-automorphism"
-    return Involution(tab, kind, label="inversion")
+    automorphism when it also is one, i.e. on abelian domains: with
+    u = a^-1 and v = b^-1, the automorphism law (ab)^-1 = a^-1 b^-1 asks
+    vu = uv wherever both products lie in the domain."""
+    kind = "automorphism" if domain.is_abelian() else "anti-automorphism"
+    return Involution(domain.inv.copy(), kind, label="inversion")
 
 
-def _generating_set(G):
-    """Greedy small generating set; empty for the trivial group."""
-    gens = []
-    have = {G.identity}
-    for a in range(G.order):
-        if a not in have:
-            gens.append(a)
-            have = set(subgroup_closure(G, gens))
-            if len(have) == G.order:
-                break
-    return gens
-
-
-def _edge_levels(G, gens):
-    """Cayley edges x -> x g_j grouped by the first generator prefix whose
+def _edge_levels(G):
+    """A generating set, each generator the least id that the walk from the
+    earlier ones has not reached (none for the trivial group), and its
+    Cayley edges x -> x g_j grouped by the first generator prefix whose
     subgroup holds them: level i lists, in walk order from the subgroup of
     gens[:i], every edge (x, j, x g_j) with x in <gens[:i+1]>, j <= i, that
     no earlier level lists. Each edge's source is reached before it is
-    used, so a walk over levels 0..i maps all of <gens[:i+1]>."""
+    used, so a walk over levels 0..i maps all of <gens[:i+1]>. Returns
+    (gens, levels)."""
     mul = G.mul.tolist()
     seen = {G.identity}
-    levels = []
-    for i in range(len(gens)):
+    gens, levels = [], []
+    while len(seen) < G.order:
+        i = len(gens)
+        gens.append(next(a for a in range(G.order) if a not in seen))
         old = set(seen)
         frontier = sorted(old)
         edges = []
@@ -140,11 +130,11 @@ def _edge_levels(G, gens):
                     seen.add(y)
                     frontier.append(y)
         levels.append(edges)
-    return levels
+    return gens, levels
 
 
 def _morphisms(G, candidates, law, unit):
-    """Every map out of G that sends each generator g of _generating_set(G)
+    """Every map out of G that sends each generator g of _edge_levels(G)
     into candidates(g) and agrees with every Cayley-graph edge x -> x g:
     image(x g) = law[image(x)][image(g)], image(e) = unit, where law is a
     composition table as nested lists. Yields the images as lists indexed
@@ -155,19 +145,18 @@ def _morphisms(G, candidates, law, unit):
     dropped at its first conflicting edge. A map consistent on every edge
     respects every product, since the generators reach all of G.
 
-    Raises MorphismSearchTooLarge before any work when the product of the
+    Raises MorphismSearchTooLarge before the search when the product of the
     candidate counts exceeds MORPHISM_SEARCH_BUDGET. The pruned search
     tries at most the sum over prefixes of their candidate products, under
     twice that estimate when every generator has two or more candidates.
     """
-    gens = _generating_set(G)
+    gens, levels = _edge_levels(G)
     choices = [list(candidates(g)) for g in gens]
     estimate = math.prod(len(c) for c in choices)
     if estimate > MORPHISM_SEARCH_BUDGET:
         raise MorphismSearchTooLarge(
             f"morphism search on {G.name} would try {estimate} generator "
             f"assignments (budget {MORPHISM_SEARCH_BUDGET})")
-    levels = _edge_levels(G, gens)
     table = [None] * G.order
     table[G.identity] = unit
     images = [None] * len(gens)
@@ -231,13 +220,6 @@ def _unit_roots(period):
                      for k in range(period)])
 
 
-def _turn_values(turns, period):
-    if period <= len(turns):
-        return _unit_roots(period)[turns]
-    return np.array([cmath.exp(2j * cmath.pi * (k / period))
-                     for k in turns.tolist()], dtype=np.complex128)
-
-
 # |chi(x) chi(sigma(x)) - 1| above this is incompatibility; on a finite
 # group G an incompatible character misses 1 by at least |exp(2 pi i/|G|) - 1|
 COMPAT_TOL = 1e-12
@@ -269,16 +251,8 @@ class Character:
     @classmethod
     def from_turns(cls, domain, turns, period):
         turns = np.asarray(turns, dtype=np.int64) % period
-        return cls(domain, _turn_values(turns, period), unitary=True,
+        return cls(domain, _unit_roots(period)[turns], unitary=True,
                    turns=turns, period=period)
-
-    @classmethod
-    def from_angles(cls, domain, angles):
-        angles = [Fraction(t) % 1 for t in angles]
-        period = math.lcm(*(t.denominator for t in angles))
-        return cls.from_turns(
-            domain, [t.numerator * (period // t.denominator) for t in angles],
-            period)
 
     @classmethod
     def zero(cls, domain):

@@ -524,13 +524,13 @@ def multiplicative_distance(ball, f):
     best = float(np.abs(fv).max())  # distance to the zero function
     fe = fv[ball.identity]
     if fe != 0:
-        # z_i is read off at the first generator with coordinates e_i
-        k = ball.coords.shape[1]
-        at = {}
-        for gen in reversed(ball.kind.generators()):
-            at[tuple(ball.kind.abelian_coords(gen))] = ball.index.get(gen)
-        ids = [at.get(tuple(int(j == i) for j in range(k))) for i in range(k)]
-        zs = None if None in ids else [fv[i] / fe for i in ids]
+        # z_i is read off at the generator with coordinates e_i, found among
+        # the elements of word length 1
+        gens = np.flatnonzero(ball.length == 1)
+        unit = np.eye(ball.coords.shape[1], dtype=np.int64)
+        hits = (ball.coords[gens] == unit[:, None]).all(axis=2)
+        zs = None if not hits.any(axis=1).all() else \
+            [fv[i] / fe for i in gens[hits.argmax(axis=1)]]
         if zs and all(z != 0 for z in zs):
             m = ball_character(ball, zs).values
             denom = np.vdot(m, m)

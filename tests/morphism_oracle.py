@@ -2,6 +2,9 @@
 the library used before its one generator-image search, and the Fraction
 arithmetic it used before integer turns.
 
+Subgroups come from a closure search, and the greedy generating set adds
+the least element its generators do not yet reach.
+
 Characters come from the abelianization: the quotient by the commutator
 subgroup, whose characters are extended along a chain of subgroups.
 Involutions come from a search that walks the Cayley graph afresh for each
@@ -11,14 +14,51 @@ the library's output with these, bit for bit.
 """
 
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from feqlab.groups import Domain, subgroup_closure
+from feqlab.groups import Domain
 from feqlab.morphisms import (Character, Involution, _classify_label,
-                              _generating_set, is_involutive,
-                              satisfies_morphism_law)
+                              is_involutive, satisfies_morphism_law)
+
+
+def subgroup_closure(G, gens):
+    """Smallest subgroup of G containing gens, as a sorted id list."""
+    seen = {G.identity}
+    frontier = [G.identity]
+    gens = set(gens) | {G.inverse(g) for g in gens}
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = G.op(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return sorted(seen)
+
+
+def generating_set(G):
+    """Greedy small generating set; empty for the trivial group."""
+    gens = []
+    have = {G.identity}
+    for a in range(G.order):
+        if a not in have:
+            gens.append(a)
+            have = set(subgroup_closure(G, gens))
+            if len(have) == G.order:
+                break
+    return gens
+
+
+def character_from_angles(G, angles):
+    """The character with these Fraction angles, as integer turns over the
+    lcm of their reduced denominators."""
+    angles = [Fraction(t) % 1 for t in angles]
+    period = math.lcm(*(t.denominator for t in angles))
+    return Character.from_turns(
+        G, [t.numerator * (period // t.denominator) for t in angles], period)
 
 
 def commutator_subgroup(G):
@@ -94,7 +134,7 @@ def enumerate_characters(G):
     out = []
     for phi in chars_q:
         angles = [phi[proj[a]] for a in range(G.order)]
-        out.append(Character.from_angles(G, angles))
+        out.append(character_from_angles(G, angles))
     out.sort(key=lambda c: tuple(c.angles))
     return out
 
@@ -129,7 +169,7 @@ def _extend_from_generators(G, gens, images, kind):
 
 def enumerate_involutions(G, kind):
     """All involutive morphisms of the kind, canonical instances first."""
-    gens = _generating_set(G)
+    gens = generating_set(G)
     orders = [G.element_order(a) for a in range(G.order)]
     by_order = {}
     for a in range(G.order):

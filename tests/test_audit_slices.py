@@ -59,7 +59,7 @@ def q8_setup():
 
 def ball_setup(kind, radius, sigma_spec):
     ball = BallDomain(kind, radius)
-    k = len(kind.abelian_coords(ball.elements[0]))
+    k = ball.coords.shape[1]
     zs = np.exp(2j * np.pi * np.arange(1, k + 1) / 7.0)
     return ball, ball_involution(ball, sigma_spec), ball_character(ball, zs)
 

@@ -1,6 +1,6 @@
 """Ball tables built by the column recursion along the BFS tree against the
-reference build, which fills every entry with kind.mult, compared bit for
-bit."""
+reference build, which fills every entry with a tuple product, compared bit
+for bit."""
 
 from math import comb
 
@@ -93,22 +93,6 @@ def test_closed_form_ball_sizes_match_the_search(kind, size):
     for d in range(1, 4):
         for r in range(5):
             assert size(d, r) == len(ball_elements(kind(d), r)[0])
-
-
-@pytest.mark.parametrize("kind", [IntegerLattice, FreeGroup],
-                         ids=lambda kind: kind.__name__)
-def test_build_makes_no_mult_calls(kind):
-    class Counting(kind):
-        calls = 0
-
-        def mult(self, a, b):
-            Counting.calls += 1
-            return super().mult(a, b)
-
-    for d, r in [(1, 6), (2, 3), (3, 2)]:
-        BallDomain(Counting(d), r)
-        ball_elements(Counting(d), r)
-    assert Counting.calls == 0
 
 
 @pytest.mark.parametrize("size", [lattice_ball_size, free_ball_size])

@@ -171,6 +171,36 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
     assert "grup" in err
 
 
+def test_config_file_turns_on_off_flags(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group = S3\nmorphisms = true\ncharacters = false\n")
+    code, out, _ = run(capsys, "catalog", "--config", str(cfg))
+    assert code == EXIT_OK
+    assert out == run(capsys, "catalog", "--group", "S3", "--morphisms")[1]
+    # a flag passed on the command line stays on
+    cfg.write_text("group = S3\nmorphisms = false\n")
+    _, out, _ = run(capsys, "catalog", "--config", str(cfg), "--morphisms")
+    assert "involutive automorphisms 4" in out
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["catalog"], "group = S3\nmorphisms = yes\n", "true or false"),
+    (["catalog"], "group = S3\ncharacters =\n", "true or false"),
+    (["solve"], "group = Z4\nfunc = x\n", "unknown config key 'func'"),
+    (["solve"], "group = Z4\ncommand = catalog\n",
+     "unknown config key 'command'"),
+    (["solve"], "group = Z4\nconfig = other.cfg\n",
+     "unknown config key 'config'"),
+], ids=["bad-bool", "empty-bool", "func", "command", "config"])
+def test_config_keys_that_set_no_flag_are_rejected(capsys, tmp_path, argv,
+                                                    text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert message in err
+
 def test_malformed_config_line_is_rejected(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("group Z4\n")

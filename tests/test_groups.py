@@ -1,5 +1,6 @@
 """Cayley-table groups, the catalog, and word-length balls."""
 
+import functools
 import itertools
 import tracemalloc
 
@@ -19,6 +20,7 @@ from feqlab.groups import (
     direct_product,
     CATALOG_NAMES,
 )
+import ball_oracle
 from morphism_oracle import abelianization, commutator_subgroup
 
 KNOWN_ORDERS = {
@@ -57,21 +59,77 @@ def test_symmetric_group_is_nonabelian():
     assert not S3.is_abelian()
 
 
+def _from_func(elements, mult, name):
+    """The group table of an element list (identity first) under a Python
+    multiplication of elements, filled entry by entry."""
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    mul = np.zeros((n, n), dtype=np.int64)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            mul[i, j] = index[mult(a, b)]
+    return Domain(mul, name=name)
+
+
 def _symmetric_by_compose(n):
-    """S_n through Domain.from_func and a Python compose on each pair of
-    permutation tuples, in lexicographic order."""
+    """S_n through a Python compose on each pair of permutation tuples, in
+    lexicographic order."""
     perms = list(itertools.permutations(range(n)))
 
     def compose(p, q):  # (p*q)(i) = p(q(i))
         return tuple(p[q[i]] for i in range(n))
 
-    return Domain.from_func(perms, compose, name=f"S{n}")
+    return _from_func(perms, compose, f"S{n}")
+
+
+def _dihedral_by_pairs(n):
+    """D_n on pairs (i, k) for s^i r^k, rotations first."""
+    elements = [(0, k) for k in range(n)] + [(1, k) for k in range(n)]
+
+    def mult(a, b):
+        # (s^i r^k)(s^j r^m) = s^(i+j) r^(((-1)^j) k + m)
+        (i, k), (j, m) = a, b
+        return ((i + j) % 2, ((k if j == 0 else -k) + m) % n)
+
+    return _from_func(elements, mult, f"D{n}")
+
+
+def _quaternion_by_units():
+    """Q8 on (sign, unit) pairs, each unit followed by its negative."""
+    table = {  # unit products, (u, v) -> (sign, unit)
+        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
+        ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"),
+        ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"), ("j", "1"): (1, "j"),
+        ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
+        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"),
+        ("k", "k"): (-1, "1"),
+    }
+    elements = [(s, u) for u in "1ijk" for s in (1, -1)]
+
+    def mult(a, b):
+        (sa, ua), (sb, ub) = a, b
+        s, u = table[(ua, ub)]
+        return (sa * sb * s, u)
+
+    return _from_func(elements, mult, "Q8")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_symmetric_table_equals_the_compose_oracle(n):
     G, want = Domain.symmetric(n), _symmetric_by_compose(n)
     assert G.mul.dtype == want.mul.dtype
+    assert G.mul.tobytes() == want.mul.tobytes()
+    assert G.inv.tobytes() == want.inv.tobytes()
+    assert G.name == want.name
+
+
+@pytest.mark.parametrize("G, want",
+                         [(Domain.dihedral(n), _dihedral_by_pairs(n))
+                          for n in range(1, 9)]
+                         + [(Domain.quaternion(), _quaternion_by_units())],
+                         ids=[f"D{n}" for n in range(1, 9)] + ["Q8"])
+def test_index_arithmetic_table_equals_the_pair_oracle(G, want):
+    assert G.mul.dtype == want.mul.dtype == np.int64
     assert G.mul.tobytes() == want.mul.tobytes()
     assert G.inv.tobytes() == want.inv.tobytes()
     assert G.name == want.name
@@ -253,9 +311,11 @@ def test_ball_negative_radius_rejected():
 
 def test_heisenberg_is_noncommutative():
     H = DiscreteHeisenberg()
-    x, y = (1, 0, 0), (0, 1, 0)
-    assert H.mult(x, y) == (1, 1, 1)
-    assert H.mult(y, x) == (1, 1, 0)
+    x, y = np.array([[1, 0, 0]]), np.array([[0, 1, 0]])
+    # generators()[0] is x, generators()[2] is y
+    assert H.mult_rows(x, 2).tolist() == [[1, 1, 1]]
+    assert H.mult_rows(y, 0).tolist() == [[1, 1, 0]]
+    assert not BallDomain(H, 2).is_abelian()
 
 
 vectors = st.lists(st.integers(-20, 20), min_size=2, max_size=2).map(tuple)
@@ -264,7 +324,10 @@ vectors = st.lists(st.integers(-20, 20), min_size=2, max_size=2).map(tuple)
 @given(vectors, vectors)
 def test_lattice_mult_is_componentwise(a, b):
     L = IntegerLattice(2)
-    assert L.mult(a, b) == (a[0] + b[0], a[1] + b[1])
+    assert ball_oracle.mult(L, a, b) == (a[0] + b[0], a[1] + b[1])
+    for s, g in enumerate(L.generators()):
+        assert L.mult_rows(np.array([a]), s).tolist() == \
+            [list(ball_oracle.mult(L, a, g))]
 
 
 triples = st.lists(st.integers(-5, 5), min_size=3, max_size=3).map(tuple)
@@ -273,8 +336,14 @@ triples = st.lists(st.integers(-5, 5), min_size=3, max_size=3).map(tuple)
 @given(triples, triples, triples)
 def test_heisenberg_mult_is_associative(u, v, w):
     H = DiscreteHeisenberg()
-    assert H.mult(H.mult(u, v), w) == H.mult(u, H.mult(v, w))
-    assert H.abelian_coords(H.mult(u, v)) == (u[0] + v[0], u[1] + v[1])
+    mult = functools.partial(ball_oracle.mult, H)
+    assert mult(mult(u, v), w) == mult(u, mult(v, w))
+    assert ball_oracle.abelian_coords(H, mult(u, v)) == \
+        (u[0] + v[0], u[1] + v[1])
+    assert H.row_coords(np.array([mult(u, v)])).tolist() == \
+        [[u[0] + v[0], u[1] + v[1]]]
+    for s, g in enumerate(H.generators()):
+        assert H.mult_rows(np.array([u]), s).tolist() == [list(mult(u, g))]
 
 
 letters = st.integers(-2, 2).filter(lambda k: k != 0)
@@ -283,11 +352,15 @@ letters = st.integers(-2, 2).filter(lambda k: k != 0)
 @given(st.lists(letters, max_size=8))
 def test_free_group_words_reduce(raw):
     F = FreeGroup(2)
-    w = F.identity()
+    w, row = (), np.zeros((1, len(raw) + 1), dtype=np.int64)
     for letter in raw:
-        w = F.mult(w, (letter,))
+        w = ball_oracle.mult(F, w, (letter,))
+        row = F.mult_rows(row, F.generators().index((letter,)))
     # reduced: no adjacent letter cancels
     assert all(w[i] != -w[i + 1] for i in range(len(w) - 1))
+    assert F.row_elements(row) == [w]
+    assert F.row_coords(row).tolist() == \
+        [[raw.count(1) - raw.count(-1), raw.count(2) - raw.count(-2)]]
 
 
 @settings(max_examples=25)

@@ -11,7 +11,7 @@ import pytest
 import morphism_oracle as oracle
 from feqlab.families import twisted_companion
 from feqlab.groups import CATALOG_NAMES, build_catalog_group
-from feqlab.morphisms import (Character, compatible_characters,
+from feqlab.morphisms import (_edge_levels, compatible_characters,
                               enumerate_characters, enumerate_involutions,
                               enumerate_multiplicative, is_involutive,
                               satisfies_morphism_law, trivial_character)
@@ -101,20 +101,29 @@ def test_turns_match_the_fraction_angles(name):
             [oracle.key_label(key) for key, _ in want]
 
 
+
+@pytest.mark.parametrize("name", GROUPS + ["S5"])
+def test_edge_walk_picks_the_greedy_closure_generators(name):
+    G = build_catalog_group(name)
+    gens, levels = _edge_levels(G)
+    assert gens == oracle.generating_set(G)
+    assert len(levels) == len(gens)
+
 def _exact_characters(G):
     """Enumerated characters over the group exponent; the trivial one over
-    period 1; the same angles through from_angles, over the lcm of their
-    reduced denominators; shifted by 1/3, a period that need not divide
-    the exponent; and bent tables that are not characters."""
+    period 1; the same angles through the oracle's character_from_angles,
+    over the lcm of their reduced denominators; shifted by 1/3, a period
+    that need not divide the exponent; and bent tables that are not
+    characters."""
     chars = enumerate_characters(G)
     out = list(chars) + [trivial_character(G)]
     for chi in chars:
-        out.append(Character.from_angles(G, chi.angles))
-        out.append(Character.from_angles(
+        out.append(oracle.character_from_angles(G, chi.angles))
+        out.append(oracle.character_from_angles(
             G, [t + Fraction(1, 3) for t in chi.angles]))
         bent = list(chi.angles)
         bent[-1] += Fraction(1, 2 * G.order)
-        out.append(Character.from_angles(G, bent))
+        out.append(oracle.character_from_angles(G, bent))
     return out
 
 

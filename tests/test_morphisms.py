@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from feqlab import cli, morphisms
 from feqlab.groups import CATALOG_NAMES, BallDomain, FreeGroup, IntegerLattice, \
-    DiscreteHeisenberg, build_catalog_group
+    DiscreteHeisenberg, Domain, build_catalog_group
 from feqlab.morphisms import (
     AdditiveMap,
     Character,
@@ -31,7 +31,7 @@ from feqlab.morphisms import (
     trivial_character,
     write_character,
 )
-from morphism_oracle import abelianization
+from morphism_oracle import abelianization, character_from_angles
 
 
 def test_involution_kind_validated():
@@ -170,7 +170,7 @@ def test_character_angle_product_closure():
     chars = enumerate_characters(G)
     for a in chars:
         for b in chars:
-            prod = Character.from_angles(
+            prod = character_from_angles(
                 G, [(x + y) % 1 for x, y in zip(a.angles, b.angles)])
             assert prod.check_multiplicative()
 
@@ -281,7 +281,7 @@ def test_value_multiplicativity_matches_the_angle_oracle(name):
             bent = list(chi.angles)
             x = 1 if G.identity == 0 else 0
             bent[x] += Fraction(1, 2 * G.order)
-            bent = Character.from_angles(G, bent)
+            bent = character_from_angles(G, bent)
             assert not bent.check_multiplicative()
             assert not angle_check_multiplicative(bent)
 
@@ -338,11 +338,42 @@ def test_ball_character_respects_products():
                 assert np.isclose(m.values[mul[i, j]], m.values[i] * m.values[j])
 
 
+
+INVERSION_DOMAINS = [(name, build_catalog_group(name)) for name in CATALOG_NAMES] \
+    + [(f"{kind.name}_r{r}", BallDomain(kind, r))
+       for kind in (IntegerLattice(1), IntegerLattice(2), DiscreteHeisenberg(),
+                    FreeGroup(2))
+       for r in range(5)]
+
+
+@pytest.mark.parametrize("name, domain", INVERSION_DOMAINS,
+                         ids=[name for name, _ in INVERSION_DOMAINS])
+def test_inversion_kind_agrees_with_the_morphism_law(name, domain):
+    law = satisfies_morphism_law(domain, domain.inv, "automorphism")
+    assert (inversion_involution(domain).kind == "automorphism") == law
+    if domain.radius is not None and domain.radius >= 2 and \
+            not isinstance(domain.kind, IntegerLattice):
+        # some pairs have exactly one of xy, yx in the ball
+        one_sided = (domain.mul >= 0) != (domain.mul.T >= 0)
+        assert one_sided.any() and not law
+
+
+def test_inversion_kind_skips_products_that_leave_the_domain():
+    # Z^1 r=3 with the product 1 * 2 cut out, but 2 * 1 kept: the law only
+    # compares xy with yx where both are defined
+    ball = BallDomain(IntegerLattice(1), 3)
+    mul = ball.mul.copy()
+    mul[ball.index[(1,)], ball.index[(2,)]] = -1
+    cut = Domain(mul, name="cut", kind=ball.kind, elements=ball.elements,
+                 length=ball.length, radius=3, coords=ball.coords)
+    assert satisfies_morphism_law(cut, cut.inv, "automorphism")
+    assert inversion_involution(cut).kind == "automorphism"
+
 def test_additive_basis_sizes():
     # an additive map has one coefficient per abelianized coordinate
-    assert len(IntegerLattice(2).abelian_coords((0, 0))) == 2
+    assert BallDomain(IntegerLattice(2), 1).coords.shape[1] == 2
     # the central coordinate is a commutator, so only two survive
-    assert len(DiscreteHeisenberg().abelian_coords((0, 0, 0))) == 2
+    assert BallDomain(DiscreteHeisenberg(), 1).coords.shape[1] == 2
 
 
 def test_additive_map_is_additive_on_ball():
@@ -386,6 +417,6 @@ def test_character_file_rejects_non_multiplicative(tmp_path):
 @given(st.integers(2, 9), st.integers(0, 8))
 def test_cyclic_power_characters_are_multiplicative(n, m):
     G = build_catalog_group(f"Z{n}")
-    chi = Character.from_angles(G, [Fraction(m * k, n) for k in range(n)])
+    chi = character_from_angles(G, [Fraction(m * k, n) for k in range(n)])
     assert chi.check_multiplicative()
     assert chi.unitary

@@ -392,7 +392,7 @@ def _dichotomy_per_radius(kind, radii, f_provider, g_provider=None,
             delta = residual_symmetrized_cauchy(ball, f).sup
         else:
             sigma = ball_involution(ball, sigma_spec)
-            k = len(ball.kind.abelian_coords(ball.elements[0]))
+            k = ball.coords.shape[1]
             chi = ball_character(ball, chi_zs if chi_zs else [1.0] * k)
             delta = residual_wilson(ball, sigma, chi, f, g).sup
         dist = multiplicative_distance(ball, f)
@@ -417,7 +417,7 @@ def _scan_per_radius(kind, radii, f_provider, g_provider, sigma_spec="inv",
         f = GroupFunction(ball, [f_provider(el) for el in ball.elements])
         g = GroupFunction(ball, [g_provider(el) for el in ball.elements])
         sigma = ball_involution(ball, sigma_spec)
-        k = len(ball.kind.abelian_coords(ball.elements[0]))
+        k = ball.coords.shape[1]
         chi = ball_character(ball, chi_zs if chi_zs else [1.0] * k)
         delta = residual_wilson(ball, sigma, chi, f, g).sup
         table.append((r, f.sup(), g.sup(), delta))
@@ -453,8 +453,7 @@ def _scan_per_radius(kind, radii, f_provider, g_provider, sigma_spec="inv",
         coef, intercept, resid = stability._additive_fit(ball, h)
         scale = max(1.0, float(np.abs(h).max()))
         if resid <= tol * scale and abs(intercept) <= tol * scale:
-            a_vals = np.array([ball.kind.abelian_coords(el) for el in
-                               ball.elements]) @ coef
+            a_vals = ball.coords @ coef
             odd = float(np.abs(a_vals[sigma.table] + a_vals).max())
             details["additive_fit_coefficients"] = list(coef)
             details["a_sigma_antisymmetry_defect"] = odd
