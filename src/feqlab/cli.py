@@ -453,10 +453,8 @@ def cmd_stability(args):
                                    result.measured_delta, a=a)
     print(f"measured_delta {_fmt(result.measured_delta)}")
     sys.stdout.write(report.table())
-    f_map = {el: result.f.values[i] for i, el in enumerate(max_ball.elements)}
-    g_map = {el: result.g.values[i] for i, el in enumerate(max_ball.elements)}
-    scan = dichotomy_experiment(kind, radii, f_map.__getitem__,
-                                g_map.__getitem__, preset="WilsonVariant",
+    scan = dichotomy_experiment(max_ball, radii, result.f.values,
+                                result.g.values, preset="WilsonVariant",
                                 sigma_spec=sigma_spec, chi_zs=zs)
     report.growth_rows = scan.growth_rows
     csv_text = report.csv()

@@ -477,26 +477,19 @@ def _next_level(kind, known, count, ngens):
     are closed under inverses, so a product of the last known level lies
     in a known level or in the next one.
 
-    Each block of products is keyed together with the known rows, which
-    take edge id -1: a set of equal rows whose first is a product is new.
-    New products of different blocks are merged the same way."""
-    last, known = known[-1], np.concatenate(known)
-    new, edges = [], []
-    for lo, s0, y in _products(kind, last, ngens):
-        m, g, width = y.shape
-        rows = np.concatenate((known, y.reshape(m * g, width)))
-        ids = np.full(len(rows), -1)
-        ids[len(known):] = ((count - len(last) + lo + np.arange(m))[:, None]
-                            * ngens + np.arange(s0, s0 + g)).ravel()
-        first = _first_rows(rows, ids)
-        first = first[first >= len(known)]
-        new.append(rows[first])
-        edges.append(ids[first])
-    if len(new) == 1:
-        return new[0], edges[0]
-    new, edges = np.concatenate(new), np.concatenate(edges)
-    first = _first_rows(new, edges)
-    return new[first], edges[first]
+    The known rows, which take edge id -1, and the products of the last
+    level with every generator, in edge id order, are keyed together in
+    one array: a set of equal rows whose first is a product is new."""
+    last, at = known[-1], sum(len(rows) for rows in known)
+    rows = np.empty((at + len(last) * ngens, last.shape[1]), dtype=np.int64)
+    np.concatenate(known, out=rows[:at])
+    for s in range(ngens):
+        rows[at + s::ngens] = kind.mult_rows(last, s)
+    ids = np.full(len(rows), -1)
+    ids[at:] = np.arange((count - len(last)) * ngens, count * ngens)
+    first = _first_rows(rows, ids)
+    first = first[first >= at]
+    return rows[first], ids[first]
 
 
 def _bfs(kind, radius, depth, cap):

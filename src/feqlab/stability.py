@@ -27,7 +27,7 @@ import numpy as np
 
 from .feq import (GroupFunction, companion_mg, residual_symmetrized_cauchy,
                   residual_wilson, section_function)
-from .groups import BallDomain, IntegerLattice, ball_elements
+from .groups import BallDomain, Domain, IntegerLattice, ball_elements
 from .morphisms import ball_character, ball_involution, satisfies_morphism_law
 
 AUDIT_TOL = 1e-9
@@ -370,7 +370,8 @@ def audit_centrality_bound(domain, sigma, chi, f, g, delta):
     """|g(zy) - g(yz)| |f(x)| <= 2|g(z)| delta + 2|g(y)| delta + 6 delta.
 
     Certificate: when sigma is an anti-automorphism, f(x) (g(zy) - g(yz))
-    is a combination of the eight residuals of CENTRALITY_WINDOWS. Only the
+    is a combination of the eight residuals of CENTRALITY_WINDOWS; with no
+    law it is not, and run_stability_battery reports the audit N/A. Only the
     windows its pair masks allow are gathered, in chunks, so peak memory is
     O(n^2) plus a few MiB for any ball size.
     """
@@ -461,18 +462,23 @@ def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
 
 def run_stability_battery(domain, sigma, chi, f, g, delta, a=0):
     """The four proof-constant audits plus the symmetrized variant.
-    Inapplicable audits are reported, not run."""
+    Inapplicable audits are reported, not run: centrality's certificate
+    needs sigma to be an anti-automorphism, the section sine's an
+    automorphism."""
     report = StabilityReport(measured_delta=delta)
-    report.rows.append(audit_centrality_bound(domain, sigma, chi, f, g, delta))
-    report.rows.append(audit_mg_shift_bound(domain, sigma, chi, f, g, delta))
-    report.rows.append(audit_parity_bound(domain, sigma, chi, f, g, delta))
+    args = (domain, sigma, chi, f, g, delta)
+    if satisfies_morphism_law(domain, sigma.table, "anti-automorphism"):
+        report.rows.append(audit_centrality_bound(*args))
+    else:
+        report.not_applicable.append(("centrality_defect", "sigma is not an "
+                                      "anti-homomorphism on this domain"))
+    report.rows.append(audit_mg_shift_bound(*args))
+    report.rows.append(audit_parity_bound(*args))
     try:
-        report.rows.append(
-            audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=a))
+        report.rows.append(audit_sine_addition_bound(*args, a=a))
     except AuditInapplicable as why:
         report.not_applicable.append(("section_sine_addition_defect", str(why)))
-    report.rows.append(
-        audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=a))
+    report.rows.append(audit_symmetrized_sine_addition_bound(*args, a=a))
     return report
 
 
@@ -539,28 +545,36 @@ def multiplicative_distance(ball, f):
     return best
 
 
-def _provided(ball, provider):
-    """A provider's values on the ball's elements, as one complex vector."""
-    return np.asarray([provider(el) for el in ball.elements],
-                      dtype=np.complex128)
+def _growing_pairs(space, radii, f_values, g_values=None):
+    """(radius, ball, f, g) for each radius in increasing order, on the
+    restrictions of one ball: `space` itself, with value vectors in BFS
+    order, or the largest ball of the kind `space`, read through element
+    providers. g is f where g_values is None."""
+    radii = sorted(radii)
+    largest = space
+    if not isinstance(space, Domain):
+        largest = BallDomain(space, radii[-1])
+        f_values, g_values = [
+            None if p is None else np.asarray(
+                [p(el) for el in largest.elements], dtype=np.complex128)
+            for p in (f_values, g_values)]
+    for r in radii:
+        ball = largest.restrict(r)
+        f = GroupFunction(ball, f_values[:ball.n])
+        g = f if g_values is None else GroupFunction(ball, g_values[:ball.n])
+        yield r, ball, f, g
 
 
-def dichotomy_experiment(kind, radii, f_provider, g_provider=None,
+def dichotomy_experiment(space, radii, f_values, g_values=None,
                          preset="SymmetrizedCauchy", sigma_spec="id",
                          chi_zs=None):
     """Per-radius sup, measured residual, and distance to the multiplicative
     family; the growth label across radii exhibits the bounded-or-exact
-    dichotomy."""
-    radii = sorted(radii)
+    dichotomy. `space` is the ball of the largest radius with value
+    vectors on it, or a ball kind with element providers
+    (_growing_pairs)."""
     rows = []
-    sups_f = []
-    largest = BallDomain(kind, radii[-1])
-    fv = _provided(largest, f_provider)
-    gv = fv if g_provider is None else _provided(largest, g_provider)
-    for r in radii:
-        ball = largest.restrict(r)
-        f = GroupFunction(ball, fv[:ball.n])
-        g = f if g_provider is None else GroupFunction(ball, gv[:ball.n])
+    for r, ball, f, g in _growing_pairs(space, radii, f_values, g_values):
         if preset == "SymmetrizedCauchy":
             delta = residual_symmetrized_cauchy(ball, f).sup
         else:
@@ -569,8 +583,7 @@ def dichotomy_experiment(kind, radii, f_provider, g_provider=None,
             delta = residual_wilson(ball, sigma, chi, f, g).sup
         dist = multiplicative_distance(ball, f)
         rows.append(DichotomyRow(r, f.sup(), g.sup(), delta, dist, ""))
-        sups_f.append(f.sup())
-    label = classify_growth(sups_f)
+    label = classify_growth([row.sup_f for row in rows])
     for row in rows:
         row.branch_label = label
     delta_max = max((row.delta for row in rows), default=0.0)
@@ -630,15 +643,10 @@ def theorem37_case_scan(kind, radii, f_provider, g_provider, sigma_spec="inv",
     bounded); both growing (proportional to g, additive-times-g, or the
     mixed two-character form). Ambiguous growth is labeled inconclusive.
     """
-    radii = sorted(radii)
     table = []
-    largest = BallDomain(kind, radii[-1])
-    fv, gv = _provided(largest, f_provider), _provided(largest, g_provider)
     # the last pass, on the largest ball itself, leaves the pair that the
     # branch checks below examine
-    for r in radii:
-        ball = largest.restrict(r)
-        f, g = GroupFunction(ball, fv[:ball.n]), GroupFunction(ball, gv[:ball.n])
+    for r, ball, f, g in _growing_pairs(kind, radii, f_provider, g_provider):
         sigma = ball_involution(ball, sigma_spec)
         chi = ball_character(ball, chi_zs or [1.0] * ball.coords.shape[1])
         delta = residual_wilson(ball, sigma, chi, f, g).sup

@@ -241,3 +241,93 @@ def test_certificate_sums_to_the_closed_form_within_the_stated_bound(name,
                                       **kwargs).evaluated
             checked += evaluated
     assert checked > 0
+
+
+# --- certificates at generic windows ----------------------------------------
+
+# x, y, z three distinct generators of F3, each possibly inverted: no two
+# points of a certificate coincide unless the free group forces it
+GENERIC_WINDOWS = [
+    {c: (sign * letter,) for c, sign, letter in zip("xyz", signs, perm)}
+    for perm in itertools.permutations((1, 2, 3))
+    for signs in itertools.product((1, -1), repeat=3)]
+# the sigma that satisfies each law on a free group
+LAW_SIGMAS = {"anti-automorphism": ("inv",), "automorphism": ("id",),
+              None: ("id", "inv")}
+
+
+@pytest.fixture(scope="module")
+def free_ball():
+    return BallDomain(FreeGroup(3), 4)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATES))
+def test_certificate_holds_at_generic_free_group_windows(name, free_ball):
+    windows, _, law, coefficients, closed_form, stated = CERTIFICATES[name]
+    ball = free_ball
+    chi = ball_character(ball, np.exp(2j * np.pi * np.arange(1, 4) / 7.0))
+    f, g = random_pair(ball, seed=11)
+    assert len(GENERIC_WINDOWS) == 48
+    for spec in LAW_SIGMAS[law]:
+        sigma = ball_involution(ball, spec)
+        assert law is None or satisfies_morphism_law(ball, sigma.table, law)
+        for letters in GENERIC_WINDOWS:
+            at = {c: ball.index[word] for c, word in letters.items()}
+            # the sine sections are taken at the third generator
+            p = Point({**at, "a": at["z"]}, ball, sigma, chi, f, g)
+            residuals = {w: p.residual(*w) for w in windows}
+            assert None not in residuals.values(), letters
+            coeff = coefficients(p)
+            terms = {w: coeff[w] * residuals[w] for w in windows}
+            total, closed = sum(terms.values()), closed_form(p)
+            scale = sum(abs(t) for t in terms.values())
+            assert abs(total - closed) <= 1e-12 * scale, (spec, letters)
+            assert sum(abs(c) for c in coeff.values()) <= stated(p) + 1e-12
+            for w in windows:
+                # with one coefficient's sign flipped the sum misses
+                assert abs(total - 2.0 * terms[w] - closed) > 1e-6 * scale
+
+
+def test_no_centrality_certificate_without_an_anti_automorphism():
+    """Least squares over every window (u, v) built from x, y, z (three
+    generators of F3), each letter at most once and possibly inverted, with
+    coefficients in span{1, g(x), g(y), g(z), g(yz), g(zy)} and trivial chi,
+    for the centrality left-hand side f(x) (g(zy) - g(yz)). Under inversion
+    the fit is exact (the certificate); under the identity it is not, which
+    is why the battery reports centrality N/A there."""
+    ball = BallDomain(FreeGroup(3), 3)
+    at = {c: ball.index[(i,)] for i, c in enumerate("xyz", 1)}
+    windows = []
+    for k in (1, 2, 3):
+        for letters in itertools.permutations("xyz", k):
+            for inverted in itertools.product((False, True), repeat=k):
+                word = "".join(c.upper() if up else c
+                               for c, up in zip(letters, inverted))
+                windows += [(word[:cut], word[cut:]) for cut in range(k)]
+    assert len(windows) == 198
+    unknowns = 6 * len(windows)
+    rng = np.random.default_rng(5)
+    shape = (3 * unknowns // 2, ball.n)
+    f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    misfit = {}
+    for spec in ("inv", "id"):
+        sigma = ball_involution(ball, spec)
+
+        def el(word):
+            return element(word, at, ball, sigma)
+
+        span = np.stack([np.ones(shape[0])] + [
+            g[:, el(w)] for w in ("x", "y", "z", "yz", "zy")], axis=1)
+        columns = []
+        for u, v in windows:
+            eu, ev = el(u), el(v)
+            uv, svu = ball.mul[eu, ev], ball.mul[sigma.table[ev], eu]
+            residual = f[:, uv] + f[:, svu] - 2.0 * f[:, eu] * g[:, ev]
+            columns.append(span * residual[:, None])
+        A = np.hstack(columns)
+        lhs = f[:, el("x")] * (g[:, el("zy")] - g[:, el("yz")])
+        coef, *_ = np.linalg.lstsq(A, lhs, rcond=None)
+        misfit[spec] = np.linalg.norm(A @ coef - lhs) / np.linalg.norm(lhs)
+    assert misfit["inv"] <= 1e-12
+    assert misfit["id"] > 0.05

@@ -406,6 +406,55 @@ def test_stability_output_is_byte_identical(capsys, tmp_path):
     assert csv_path.read_bytes() == first
 
 
+@pytest.mark.parametrize("domain, radii", [
+    ("lattice:2", "4,8,12"), ("heisenberg", "1,2,3"), ("free:2", "1,2,3")])
+def test_stability_builds_one_ball_for_the_audits_and_the_growth_rows(
+        capsys, monkeypatch, domain, radii):
+    built, handed = [], []
+
+    def counting(*args):
+        built.append(groups.BallDomain(*args))
+        return built[-1]
+
+    def recording(space, radii, f_values, g_values, **kwargs):
+        handed.append((space, f_values, g_values))
+        return dichotomy(space, radii, f_values, g_values, **kwargs)
+
+    dichotomy = cli.dichotomy_experiment
+    monkeypatch.setattr(cli, "BallDomain", counting)
+    monkeypatch.setattr(stability, "BallDomain", counting)
+    monkeypatch.setattr(cli, "dichotomy_experiment", recording)
+    code, _, _ = run(capsys, "stability", "--domain", domain, "--radii", radii)
+    assert code == EXIT_OK
+    assert [ball.radius for ball in built] == [int(radii.split(",")[-1])]
+    [(space, f_values, g_values)] = handed
+    assert space is built[0]
+    assert f_values.shape == g_values.shape == (space.n,)
+
+
+CENTRALITY_NA = ("centrality_defect - - - - - "
+                 "N/A[sigma is not an anti-homomorphism on this domain]")
+
+
+@pytest.mark.parametrize("domain, radii", [
+    ("heisenberg", "1,2,3"), ("free:2", "1,2"), ("lattice:2", "1,2,3")])
+def test_stability_runs_centrality_only_under_an_anti_automorphism(
+        capsys, domain, radii):
+    # inversion is an anti-automorphism of every group, the identity only
+    # of an abelian one (a lattice)
+    for sigma in ("id", "inv"):
+        code, out, _ = run(capsys, "stability", "--domain", domain,
+                           "--radii", radii, "--sigma", sigma)
+        assert code == EXIT_OK
+        rows = [line for line in out.splitlines()
+                if line.startswith("centrality_defect")]
+        if sigma == "id" and domain != "lattice:2":
+            assert rows == [CENTRALITY_NA]
+        else:
+            assert len(rows) == 1 and rows[0].endswith(" PASS")
+            assert rows[0].startswith("centrality_defect [2|g(z)|d")
+
+
 def test_stability_rejects_non_unitary_chi(capsys):
     code, _, err = run(capsys, "stability", "--domain", "lattice:1",
                        "--radii", "2,4", "--chi-z", "2", "--epsilon", "0.01")

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feqlab import groups
 from feqlab.groups import (
+    BALL_ELEMENT_CAP,
     BallDomain,
     DiscreteHeisenberg,
     Domain,
@@ -307,6 +309,41 @@ def test_ball_cap_enforced():
 def test_ball_negative_radius_rejected():
     with pytest.raises(ValueError):
         BallDomain(IntegerLattice(1), -1)
+
+
+@pytest.mark.parametrize("kind", [IntegerLattice(3), DiscreteHeisenberg(),
+                                  FreeGroup(3)], ids=lambda kind: kind.name)
+def test_each_bfs_level_is_keyed_by_one_sort(monkeypatch, kind):
+    # even with blocks of 7 entries, the products of a level are keyed in
+    # one _first_rows call together with the known levels
+    calls = []
+
+    def counting(rows, edges):
+        calls.append(len(rows))
+        return first_rows(rows, edges)
+
+    first_rows = groups._first_rows
+    monkeypatch.setattr(groups, "_first_rows", counting)
+    monkeypatch.setattr(groups, "_BALL_BLOCK_ENTRIES", 7)
+    rows, length, _, _ = groups._bfs(kind, 3, 4, BALL_ELEMENT_CAP)
+    ngens = len(kind.generators())
+    sizes = np.bincount(length)
+    assert calls == [sizes[max(0, k - 2):k].sum() + sizes[k - 1] * ngens
+                     for k in range(1, 5)]
+
+
+def test_bfs_of_a_high_rank_lattice_keeps_its_peak_memory_low():
+    # the products of level 2 with the 60 generators are the largest array
+    # (108,000 x 30 int64, 24.7 MiB); keying it must not hold a second
+    # copy of the new products
+    tracemalloc.start()
+    try:
+        rows, _, _, _ = groups._bfs(IntegerLattice(30), 2, 3, BALL_ELEMENT_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1 + 60 + 1800 + 36020
+    assert peak < 45 * 2**20
 
 
 def test_heisenberg_is_noncommutative():

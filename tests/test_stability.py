@@ -531,3 +531,28 @@ def test_growth_experiments_build_only_the_largest_ball(monkeypatch):
     dichotomy_experiment(kind, [4, 1, 2], f)
     theorem37_case_scan(kind, [2, 4, 3], f, f)
     assert built == [4, 4]
+
+
+@pytest.mark.parametrize("kind", GROWTH_KINDS, ids=lambda kind: kind.name)
+@pytest.mark.parametrize("with_g, kwargs", [
+    (False, {}), (True, {}),
+    (True, {"preset": "WilsonVariant", "sigma_spec": "inv"}),
+    (True, {"preset": "WilsonVariant", "sigma_spec": "id"})],
+    ids=["cauchy", "cauchy-g", "wilson-inv", "wilson-id"])
+def test_dichotomy_on_a_built_ball_matches_the_kind_form(monkeypatch, kind,
+                                                         with_g, kwargs):
+    f = bounded_noise_candidate(kind, 3, seed=31, epsilon=0.02)
+    g = bounded_noise_candidate(kind, 3, seed=32, epsilon=0.02) if with_g \
+        else None
+    want = dichotomy_experiment(kind, [1, 3, 2], f, g, **kwargs)
+    ball = BallDomain(kind, 3)
+    fv = np.array([f(el) for el in ball.elements])
+    gv = np.array([g(el) for el in ball.elements]) if with_g else None
+
+    def no_build(*args):
+        raise AssertionError("the ball form builds no ball")
+
+    monkeypatch.setattr(stability, "BallDomain", no_build)
+    got = dichotomy_experiment(ball, [2, 1, 3], fv, gv, **kwargs)
+    assert got == want
+    assert [row.radius for row in got.growth_rows] == [1, 2, 3]
