@@ -8,11 +8,11 @@ Conventions shared by all subcommands:
 * floating-point output is printed with 17 significant digits, and the same
   config plus seed yields byte-identical output;
 * exit codes: 0 pass, 2 check mismatch/failure, 3 flagged numerical
-  ambiguity, 4 invalid configuration, including a ball radius or a group
-  order whose tables would exceed the memory budget, an audit whose
-  candidate windows would exceed the window budget, a morphism search whose
-  generator assignments would exceed the search budget (the estimate goes
-  to stderr) and an output file that cannot be written.
+  ambiguity, 4 invalid configuration, including a ball radius whose tables
+  would exceed the memory budget, a group order over the order cap, an audit
+  whose candidate windows would exceed the window budget, a morphism search
+  whose generator assignments would exceed the search budget (the estimate
+  goes to stderr) and an output file that cannot be written.
 """
 
 import argparse

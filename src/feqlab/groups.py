@@ -9,6 +9,7 @@ when the product falls outside a ball window), and ``inv[a]`` the inverse id.
 import functools
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -25,23 +26,19 @@ BALL_ELEMENT_CAP = math.isqrt(BALL_TABLE_BYTES // 8)
 BALL_AUX_BYTES = 64 * 2**20
 # the column recursion gathers at most this many table entries at a time
 _BALL_BLOCK_ENTRIES = 2**18
-# the two n x n x n int64 grids of a finite group's associativity check may
-# take at most this much together; the order cap follows from it and is
-# enforced by the cyclic and direct-product constructors, before any table
-# is allocated
-GROUP_CHECK_BYTES = 256 * 2**20
-GROUP_ORDER_CAP = next(n for n in itertools.count()
-                       if 16 * (n + 1) ** 3 > GROUP_CHECK_BYTES)
+# the largest finite group order: solving on a group of order n takes a
+# dense n^2 x n complex128 system, 16 n^3 bytes, 256 MiB at this order.
+# Enforced by the constructors before any table is allocated
+GROUP_ORDER_CAP = 256
 
 # keep n^2 residual sweeps under a second
-MAX_SYMMETRIC_N = 5
 MAX_DIHEDRAL_N = 8
 
 
 class Domain:
     """A finite group (kind None; its table is checked against the group
     axioms) or a word-length ball of the infinite group `kind`, with its
-    BFS-ordered `elements`, their `index`, word `length` and `radius`.
+    BFS-ordered `elements`, their word `length` and `radius`.
     coords[a] holds a's abelianized integer coordinates: width 0 on a finite
     group, whose only additive map is zero."""
 
@@ -55,8 +52,6 @@ class Domain:
         self.name = name
         self.kind = kind
         self.elements = elements
-        self.index = None if elements is None else \
-            {el: i for i, el in enumerate(elements)}
         self.length = length
         self.radius = radius
         self.coords = np.zeros((self.n, 0), np.int64) if coords is None else coords
@@ -85,19 +80,54 @@ class Domain:
                       radius=r, coords=self.coords[:k])
 
     def check(self):
-        """Assert the group axioms on the table. Exact integer checks."""
-        n = self.order
-        if not ((self.mul >= 0) & (self.mul < n)).all():
+        """Assert the group axioms on the table. Exact integer checks; for
+        associativity, Light's test: (xa)y = x(ay) for all x, y, one n x n
+        comparison per generator a of edge_levels. The passing a contain e
+        and are closed under products: for passing a and b, (x(ab))y =
+        ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), by a, b, a, then a at
+        x = a. The walk reaches every element as a product of generators,
+        so every element passes."""
+        n, mul = self.order, self.mul
+        if not ((mul >= 0) & (mul < n)).all():
             raise ValueError("table entries out of range")
-        if not (self.mul[0] == np.arange(n)).all() or not (self.mul[:, 0] == np.arange(n)).all():
+        if not (mul[0] == np.arange(n)).all() or not (mul[:, 0] == np.arange(n)).all():
             raise ValueError("index 0 is not a two-sided identity")
-        # associativity: (ab)c == a(bc) via table composition
-        ab_c = self.mul[self.mul, :]            # [a,b,c] -> (ab)c
-        a_bc = self.mul[:, self.mul]            # [a,b,c] -> a(bc)
-        if not (ab_c == a_bc).all():
-            raise ValueError("table is not associative")
+        for a in self.edge_levels[0]:
+            if not (mul[mul[:, a]] == mul[:, mul[a]]).all():
+                raise ValueError("table is not associative")
         if sorted(self.inv) != list(range(n)):
             raise ValueError("inverse map is not a bijection")
+
+    @functools.cached_property
+    def edge_levels(self):
+        """The Cayley walk of a finite group (a ball's table has -1
+        entries): (gens, levels). Each generator is the least id that the
+        walk from the earlier ones has not reached (none for the trivial
+        group); level i lists, in walk order from <gens[:i]>, every edge
+        (x, j, x g_j) with x in <gens[:i+1]>, j <= i, that no earlier level
+        lists. Each edge's source is reached before it is used, so a walk
+        over levels 0..i maps all of <gens[:i+1]>."""
+        mul = self.mul.tolist()
+        seen = {self.identity}
+        gens, levels = [], []
+        while len(seen) < self.order:
+            i = len(gens)
+            gens.append(next(a for a in range(self.order) if a not in seen))
+            old = set(seen)
+            frontier = sorted(old)
+            edges = []
+            while frontier:
+                x = frontier.pop()
+                for j in range(i + 1):
+                    if j < i and x in old:
+                        continue
+                    y = mul[x][gens[j]]
+                    edges.append((x, j, y))
+                    if y not in seen:
+                        seen.add(y)
+                        frontier.append(y)
+            levels.append(edges)
+        return gens, levels
 
     def op(self, a, b):
         return int(self.mul[a, b])
@@ -138,8 +168,10 @@ class Domain:
 
     @classmethod
     def symmetric(cls, n, name=None):
-        if not 1 <= n <= MAX_SYMMETRIC_N:
-            raise ValueError(f"S_n supported for 1 <= n <= {MAX_SYMMETRIC_N}")
+        # n! > n, so a larger n is refused before n! is expanded
+        if not 1 <= n <= GROUP_ORDER_CAP:
+            raise ValueError(f"S_n needs 1 <= n <= {GROUP_ORDER_CAP}")
+        _check_order(math.factorial(n), name or f"S{n}")
         # lexicographic order, identity first; (p*q)(i) = p(q(i)) is P[p, P[q]]
         P = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
         # a permutation read as base-n digits indexes its lexicographic rank
@@ -174,28 +206,27 @@ class Domain:
 
 
 def _check_order(n, name):
-    """Refuse a finite group whose table check would pass GROUP_CHECK_BYTES;
-    the error gives the estimate."""
+    """Refuse a finite group above GROUP_ORDER_CAP; the error gives the size
+    of its dense solve system (exact arithmetic: n! overflows a float)."""
     if n > GROUP_ORDER_CAP:
         raise ValueError(
             f"group {name} of order {n} exceeds the order cap "
-            f"{GROUP_ORDER_CAP}: checking its table needs "
-            f"{16 * n ** 3 / 2**20:.1f} MiB (budget "
-            f"{GROUP_CHECK_BYTES / 2**20:.1f} MiB)")
+            f"{GROUP_ORDER_CAP}: solving on it needs a dense n^2 x n "
+            f"complex128 system of {Decimal(16 * n ** 3) / 2**20:.6g} MiB "
+            f"({16 * GROUP_ORDER_CAP ** 3 / 2**20:.6g} MiB at the cap)")
 
 
 def direct_product(G, H):
     """Componentwise product group on pairs, ordered G-major with (e,e) first."""
     nG, nH = G.order, H.order
     _check_order(nG * nH, f"{G.name}x{H.name}")
-    mulG = G.mul[:, None, :, None]
-    mulH = H.mul[None, :, None, :]
-    mul = (mulG * nH + mulH).reshape(nG * nH, nG * nH)
-    return Domain(mul, name=f"{G.name}x{H.name}")
+    mul = G.mul[:, None, :, None] * nH + H.mul[None, :, None, :]
+    return Domain(mul.reshape(nG * nH, nG * nH), name=f"{G.name}x{H.name}")
 
 
 def build_catalog_group(spec):
-    """Build a group from a short name: Zn, ZmxZn, Sn (n<=5), Dn (n<=8), Q8."""
+    """Build a group from a short name: Zn, ZmxZn, Sn, Dn (n<=8), Q8, of
+    order at most GROUP_ORDER_CAP."""
     s = spec.strip()
     if s.upper() == "Q8":
         return Domain.quaternion()

@@ -101,40 +101,8 @@ def inversion_involution(domain):
     return Involution(domain.inv.copy(), kind, label="inversion")
 
 
-def _edge_levels(G):
-    """A generating set, each generator the least id that the walk from the
-    earlier ones has not reached (none for the trivial group), and its
-    Cayley edges x -> x g_j grouped by the first generator prefix whose
-    subgroup holds them: level i lists, in walk order from the subgroup of
-    gens[:i], every edge (x, j, x g_j) with x in <gens[:i+1]>, j <= i, that
-    no earlier level lists. Each edge's source is reached before it is
-    used, so a walk over levels 0..i maps all of <gens[:i+1]>. Returns
-    (gens, levels)."""
-    mul = G.mul.tolist()
-    seen = {G.identity}
-    gens, levels = [], []
-    while len(seen) < G.order:
-        i = len(gens)
-        gens.append(next(a for a in range(G.order) if a not in seen))
-        old = set(seen)
-        frontier = sorted(old)
-        edges = []
-        while frontier:
-            x = frontier.pop()
-            for j in range(i + 1):
-                if j < i and x in old:
-                    continue
-                y = mul[x][gens[j]]
-                edges.append((x, j, y))
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        levels.append(edges)
-    return gens, levels
-
-
 def _morphisms(G, candidates, law, unit):
-    """Every map out of G that sends each generator g of _edge_levels(G)
+    """Every map out of G that sends each generator g of G.edge_levels
     into candidates(g) and agrees with every Cayley-graph edge x -> x g:
     image(x g) = law[image(x)][image(g)], image(e) = unit, where law is a
     composition table as nested lists. Yields the images as lists indexed
@@ -150,7 +118,7 @@ def _morphisms(G, candidates, law, unit):
     tries at most the sum over prefixes of their candidate products, under
     twice that estimate when every generator has two or more candidates.
     """
-    gens, levels = _edge_levels(G)
+    gens, levels = G.edge_levels
     choices = [list(candidates(g)) for g in gens]
     estimate = math.prod(len(c) for c in choices)
     if estimate > MORPHISM_SEARCH_BUDGET:

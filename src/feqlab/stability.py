@@ -707,8 +707,8 @@ def _recover_mixed_form(ball, f, g, sigma, chi, tol):
     it is linear."""
     if not isinstance(ball.kind, IntegerLattice) or ball.kind.d != 1:
         return None
-    i1 = ball.index.get((1,))
-    if i1 is None:
+    i1 = int(np.argmax(ball.coords[:, 0] == 1))  # on Z^1, coords[x] = x
+    if ball.coords[i1, 0] != 1:
         return None
     two_g = complex(2.0 * g.values[i1])
     w = complex(chi.values[i1])

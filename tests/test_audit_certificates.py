@@ -272,7 +272,7 @@ def test_certificate_holds_at_generic_free_group_windows(name, free_ball):
         sigma = ball_involution(ball, spec)
         assert law is None or satisfies_morphism_law(ball, sigma.table, law)
         for letters in GENERIC_WINDOWS:
-            at = {c: ball.index[word] for c, word in letters.items()}
+            at = {c: ball.elements.index(word) for c, word in letters.items()}
             # the sine sections are taken at the third generator
             p = Point({**at, "a": at["z"]}, ball, sigma, chi, f, g)
             residuals = {w: p.residual(*w) for w in windows}
@@ -296,7 +296,7 @@ def test_no_centrality_certificate_without_an_anti_automorphism():
     the fit is exact (the certificate); under the identity it is not, which
     is why the battery reports centrality N/A there."""
     ball = BallDomain(FreeGroup(3), 3)
-    at = {c: ball.index[(i,)] for i, c in enumerate("xyz", 1)}
+    at = {c: ball.elements.index((i,)) for i, c in enumerate("xyz", 1)}
     windows = []
     for k in (1, 2, 3):
         for letters in itertools.permutations("xyz", k):

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: subcommands, config files, exit codes, output
 determinism. Everything runs in-process through main(argv)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -600,6 +602,41 @@ def test_over_cap_group_exits_with_the_estimate(capsys):
     assert out == ""
     assert f"order cap {GROUP_ORDER_CAP}" in err
     assert "MiB" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, order", [("Z2xZ4", 8), ("S4", 24)])
+def test_group_over_a_lowered_cap_exits_with_the_estimate(capsys, monkeypatch,
+                                                          spec, order):
+    # the direct-product path and the factorial path of the order cap
+    monkeypatch.setattr(groups, "GROUP_ORDER_CAP", 7)
+    code, out, err = run(capsys, "catalog", "--group", spec)
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert f"group {spec} of order {order} exceeds the order cap 7" in err
+    mib = f"{16 * order ** 3 / 2**20:.6g}"
+    assert f"complex128 system of {mib} MiB" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, group", [
+    (("solve", "--group", "S3", "--sigma", "auto:1"), "S3"),
+    (("audit", "--group", "S3", "--sigma", "anti:1"), "S3"),
+    (("catalog", "--group", "S5", "--morphisms", "--characters"), "S5"),
+], ids=["solve", "audit", "catalog"])
+def test_each_call_walks_its_group_once(capsys, monkeypatch, argv, group):
+    # the table check and every morphism search read one cached walk
+    walked = []
+    walk = groups.Domain.edge_levels.func
+
+    def counted(G):
+        walked.append(G.name)
+        return walk(G)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(groups.Domain, "edge_levels")
+    monkeypatch.setattr(groups.Domain, "edge_levels", prop)
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert walked == [group]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -119,7 +119,7 @@ def test_case_iv_on_a_lattice_ball():
     additive = AdditiveMap(ball, [1.0, 0.0])
     pair = family_case_iv(m, chi, sigma, additive, 1.0)
     assert pair.residual_sup == 0.0
-    assert pair.f.values[ball.index[(1, 0)]] == 2.0  # a + f(e) at x1 = 1
+    assert pair.f.values[ball.elements.index((1, 0))] == 2.0  # a + f(e) at x1 = 1
     assert np.allclose(pair.g.values, 1.0)
 
 

@@ -197,8 +197,8 @@ def test_companion_is_partial_on_balls():
     ball = BallDomain(IntegerLattice(1), 2)
     g = GroupFunction(ball, np.ones(ball.n))
     mg = companion_mg(g)
-    assert mg.values[ball.index[(2,)]] == 0  # (2,)^2 leaves the window
-    assert mg.values[ball.index[(1,)]] == 1
+    assert mg.values[ball.elements.index((2,))] == 0  # (2,)^2 leaves the window
+    assert mg.values[ball.elements.index((1,))] == 1
 
 
 def test_section_at_identity_is_f_minus_fe_g():

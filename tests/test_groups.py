@@ -23,6 +23,7 @@ from feqlab.groups import (
     CATALOG_NAMES,
 )
 import ball_oracle
+import group_oracle
 from morphism_oracle import abelianization, commutator_subgroup
 
 KNOWN_ORDERS = {
@@ -177,6 +178,82 @@ def test_non_associative_table_rejected():
         Domain(mul)
 
 
+# a loop of order 5 that is not a group: (1*2)*2 = 3*2 = 4, 1*(2*2) = 1*0 = 1
+NON_ASSOCIATIVE_LOOP_5 = [[0, 1, 2, 3, 4],
+                          [1, 0, 3, 4, 2],
+                          [2, 4, 0, 1, 3],
+                          [3, 2, 4, 0, 1],
+                          [4, 3, 1, 2, 0]]
+
+
+def random_loop(n, rng):
+    """A random loop of order n: a Latin square whose row and column 0 are
+    the identity, filled cell by cell in row order with random symbols and
+    backtracking."""
+    mul = np.zeros((n, n), dtype=np.int64)
+    mul[0] = mul[:, 0] = np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(mul[i, :j].tolist()) | set(mul[:i, j].tolist())
+        for v in rng.permutation(n).tolist():
+            if v not in used:
+                mul[i, j] = v
+                if fill(k + 1):
+                    return True
+        return False
+
+    assert fill(0)
+    return mul
+
+
+def accepts(mul):
+    try:
+        Domain(mul)
+    except ValueError as exc:
+        assert str(exc) == "table is not associative"
+        return False
+    return True
+
+
+def test_fixed_non_associative_loop_is_rejected():
+    mul = np.array(NON_ASSOCIATIVE_LOOP_5)
+    assert not group_oracle.is_associative(mul)
+    with pytest.raises(ValueError, match="table is not associative"):
+        Domain(mul)
+
+
+def test_light_test_agrees_with_the_cubic_check_on_random_loops():
+    # a loop has an identity and unique inverses, so only associativity
+    # can fail; orders 3 and 4 are groups, most loops of orders 5-7 are not
+    rng = np.random.default_rng(0)
+    verdicts = []
+    for k in range(400):
+        mul = random_loop(3 + k % 5, rng)
+        verdicts.append(group_oracle.is_associative(mul))
+        assert accepts(mul) == verdicts[-1], mul.tolist()
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_catalog_groups_pass_the_cubic_check():
+    for name in CATALOG_NAMES + ["S5", "D8", "Z4xZ8"]:
+        assert group_oracle.is_associative(build_catalog_group(name).mul)
+
+
+def test_building_z256_takes_no_cubic_memory():
+    # the two n^3 int64 grids of the cubic check took 272.5 MiB here
+    tracemalloc.start()
+    try:
+        build_catalog_group("Z256")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_duplicate_inverse_rejected():
     mul = np.array([[0, 1], [1, 1]])  # 1*1 = 1 leaves 1 with no inverse
     with pytest.raises(ValueError, match="element 1 has 0 right inverses"):
@@ -212,7 +289,11 @@ def test_over_cap_group_is_refused_before_any_table():
     tracemalloc.start()
     try:
         for build in (lambda: Domain.cyclic(1000),
-                      lambda: direct_product(Z32, Z32)):
+                      lambda: direct_product(Z32, Z32),
+                      lambda: Domain.symmetric(6),
+                      # the estimates for these overflow a float
+                      lambda: Domain.symmetric(100),
+                      lambda: Domain.cyclic(10**110)):
             with pytest.raises(ValueError) as info:
                 build()
             errors.append(str(info.value))
@@ -222,6 +303,10 @@ def test_over_cap_group_is_refused_before_any_table():
     assert errors[0].startswith("group Z1000 of order 1000 exceeds the "
                                 f"order cap {GROUP_ORDER_CAP}")
     assert errors[1].startswith("group Z32xZ32 of order 1024 exceeds")
+    assert errors[2].startswith("group S6 of order 720 exceeds the order cap")
+    assert "system of 5695.31 MiB" in errors[2]
+    assert errors[3].startswith("group S100 of order 933262154439441")
+    assert "system of 1.52588e+325 MiB" in errors[4]
     assert all("MiB" in e for e in errors)
     # one row of the Z1000 table alone would take 8000 bytes
     assert peak < 8000
@@ -257,7 +342,6 @@ def test_restricted_ball_equals_a_fresh_build(kind):
         assert np.array_equal(small.mul, fresh.mul)
         assert np.array_equal(small.inv, fresh.inv)
         assert small.elements == fresh.elements
-        assert small.index == fresh.index
         assert np.array_equal(small.length, fresh.length)
         assert np.array_equal(small.coords, fresh.coords)
         assert small.coords.dtype == fresh.coords.dtype == np.int64
@@ -280,9 +364,9 @@ def test_finite_group_has_no_sub_balls_and_no_coordinates():
 
 def test_ball_products_outside_are_marked():
     ball = BallDomain(IntegerLattice(1), 2)
-    i2, i1 = ball.index[(2,)], ball.index[(1,)]
+    i2, i1 = ball.elements.index((2,)), ball.elements.index((1,))
     assert ball.op(i2, i1) == -1
-    assert ball.op(i2, ball.index[(-1,)]) == ball.index[(1,)]
+    assert ball.op(i2, ball.elements.index((-1,))) == ball.elements.index((1,))
 
 
 def test_ball_inverses_are_total():
@@ -297,7 +381,7 @@ def test_element_order_raises_when_a_power_leaves_the_ball():
     # (-1,) has infinite order: its third power already leaves the r=2 ball
     ball = BallDomain(IntegerLattice(1), 2)
     with pytest.raises(ValueError, match="power 3 of element 1 leaves"):
-        ball.element_order(ball.index[(-1,)])
+        ball.element_order(ball.elements.index((-1,)))
     assert ball.element_order(ball.identity) == 1
 
 

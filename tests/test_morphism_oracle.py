@@ -11,10 +11,10 @@ import pytest
 import morphism_oracle as oracle
 from feqlab.families import twisted_companion
 from feqlab.groups import CATALOG_NAMES, build_catalog_group
-from feqlab.morphisms import (_edge_levels, compatible_characters,
-                              enumerate_characters, enumerate_involutions,
-                              enumerate_multiplicative, is_involutive,
-                              satisfies_morphism_law, trivial_character)
+from feqlab.morphisms import (compatible_characters, enumerate_characters,
+                              enumerate_involutions, enumerate_multiplicative,
+                              is_involutive, satisfies_morphism_law,
+                              trivial_character)
 from feqlab.solver import _angle_key, _key_label, candidate_gs
 
 KINDS = ("automorphism", "anti-automorphism")
@@ -105,7 +105,7 @@ def test_turns_match_the_fraction_angles(name):
 @pytest.mark.parametrize("name", GROUPS + ["S5"])
 def test_edge_walk_picks_the_greedy_closure_generators(name):
     G = build_catalog_group(name)
-    gens, levels = _edge_levels(G)
+    gens, levels = G.edge_levels
     assert gens == oracle.generating_set(G)
     assert len(levels) == len(gens)
 

@@ -1,5 +1,6 @@
 """Perturbation machinery, inequality audits, dichotomy and branch scans."""
 
+import cmath
 import math
 
 import numpy as np
@@ -234,7 +235,7 @@ def test_multiplicative_distance_units():
     assert multiplicative_distance(ball, GroupFunction(ball, char.values)) == 0.0
     assert multiplicative_distance(ball, GroupFunction.zero(ball)) == 0.0
     bumped = char.values.copy()
-    bumped[ball.index[(3,)]] += 0.25
+    bumped[ball.elements.index((3,))] += 0.25
     d = multiplicative_distance(ball, GroupFunction(ball, bumped))
     assert 0.2 <= d <= 0.26
 
@@ -323,6 +324,22 @@ def test_scan_additive_over_constant_g_is_branch_three():
     assert rec.details["additive_fit_residual"] <= 1e-9
     assert rec.details["g_multiplicative_defect"] <= 1e-12
     assert rec.details["g_sigma_symmetry_defect"] <= 1e-12
+
+
+def test_scan_mixed_pair_recovers_its_base_at_the_element_one():
+    # f = 2^x and g = (2^x + w^x 2^-x)/2 solve the pair equation on Z^1 with
+    # sigma = inv and chi(x) = w^x; the base is read off g(1) and chi(1), and
+    # g(-1) = g(1)/w would give a base that does not fit g
+    w = cmath.exp(0.7j)
+
+    def g(el):
+        return (2.0 ** el[0] + w ** el[0] * 2.0 ** -el[0]) / 2
+
+    rec = theorem37_case_scan(IntegerLattice(1), [4, 8, 16],
+                              lambda el: 2.0 ** el[0], g,
+                              sigma_spec="inv", chi_zs=[w])
+    assert (rec.branch, rec.sub_branch) == ("iv", "3")
+    assert min(abs(rec.details["recovered_base"] - z) for z in (2.0, w / 2)) < 1e-9
 
 
 def test_scan_shifted_additive_recovers_the_intercept():
