@@ -176,7 +176,7 @@ def canned_half_trace(G):
     """
     if G.kind is not None:
         raise ValueError("finite groups only")
-    orders = [G.element_order(a) for a in range(G.order)]
+    orders = G.element_orders
     vals = np.zeros(G.order, dtype=np.complex128)
     vals[G.identity] = 1.0
     if G.order == 6 and 3 in orders and not G.is_abelian():  # S3 pattern

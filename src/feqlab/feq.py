@@ -5,6 +5,12 @@ The central object is the pair residual
 evaluated over all pairs of a domain. On ball domains a pair is evaluated
 only when every product it needs stays inside the ball; such skips are
 counted, never silently dropped.
+
+F is evaluated one block of x-rows at a time (Domain.row_blocks), and in a
+block with a product outside the ball only at the in-ball pairs, so no
+n x n temporary is built. The block maxima combine as one argmax over the
+whole grid would: ties go to the first pair in C order, and NaN beats any
+number.
 """
 
 from dataclasses import dataclass
@@ -95,39 +101,53 @@ class ResidualReport:
     skipped: int
 
 
-def _report(resid, valid):
-    n = valid.shape[0]
-    pairs = int(valid.sum())
-    if pairs == 0:
-        return ResidualReport(0.0, -1, -1, 0, n * n)
-    masked = np.where(valid, resid, -1.0)
-    flat = int(np.argmax(masked))
-    return ResidualReport(float(masked.flat[flat]), flat // n, flat % n,
-                          pairs, n * n - pairs)
-
-
 def _check_domains(domain, *funcs):
     for f in funcs:
         if f is not None and f.domain is not domain:
             raise ValueError("all functions must live on the same domain")
 
 
-def residual_matrix_wilson(domain, sigma, chi, f, g):
-    """Pointwise |F(x, y)| and the validity mask of evaluated pairs."""
-    _check_domains(domain, f, g)
-    mul = domain.mul
-    xy = mul
-    syx = mul[sigma.table].T  # [x, y] -> sigma(y) * x
-    valid = (xy >= 0) & (syx >= 0)
-    fv, gv, cv = f.values, g.values, chi.values
-    lhs = fv[np.maximum(xy, 0)] + cv[None, :] * fv[np.maximum(syx, 0)]
-    resid = np.abs(lhs - 2.0 * fv[:, None] * gv[None, :])
-    return resid, valid
+def replaces_max(v, worst):
+    """Whether a later block's maximum v replaces the running maximum worst
+    (None before the first block), so that blocks in C order combine as
+    one np.argmax over the whole grid: a tie keeps the earlier witness, and
+    NaN beats any number."""
+    return (worst is None or v > worst
+            or (np.isnan(v) and not np.isnan(worst)))
 
 
 def residual_wilson(domain, sigma, chi, f, g):
-    resid, valid = residual_matrix_wilson(domain, sigma, chi, f, g)
-    return _report(resid, valid)
+    """sup |F(x, y)| over the evaluated pairs, its first witness in C order,
+    and the counts of evaluated and skipped pairs."""
+    _check_domains(domain, f, g)
+    n, mul, st = domain.n, domain.mul, sigma.table
+    fv, gv, cv = f.values, g.values, chi.values
+    pairs, worst, at = 0, None, -1
+    for x0, x1 in domain.row_blocks():
+        xy = mul[x0:x1]
+        syx = mul[st, x0:x1].T  # [x, y] -> sigma(y) * x
+        valid = (xy >= 0) & (syx >= 0)
+        if valid.all():
+            # the operands keep one ndim: numpy rounds a complex product
+            # of a size-1 2-d and a 1-d operand without its fused multiply-add
+            resid = np.abs(fv[xy] + cv[None, :] * fv[syx]
+                           - (2.0 * fv[x0:x1, None]) * gv[None, :])
+            flat = None
+        else:
+            flat = np.flatnonzero(valid)
+            if not flat.size:
+                continue
+            x, y = np.divmod(flat, n)
+            resid = np.abs(fv[xy.ravel()[flat]] + cv[y] * fv[syx.ravel()[flat]]
+                           - (2.0 * fv[x0 + x]) * gv[y])
+        i = int(np.argmax(resid))
+        v = resid.flat[i]
+        pairs += resid.size
+        if replaces_max(v, worst):
+            worst, at = v, x0 * n + (i if flat is None else int(flat[i]))
+    if pairs == 0:
+        return ResidualReport(0.0, -1, -1, 0, n * n)
+    return ResidualReport(float(worst), at // n, at % n, pairs, n * n - pairs)
 
 
 def residual_dalembert(domain, sigma, chi, f):

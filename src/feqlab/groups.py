@@ -13,6 +13,8 @@ from decimal import Decimal
 
 import numpy as np
 
+from .morphisms import search_character_turns
+
 # a ball's n x n int64 multiplication table may take at most this much; the
 # element cap follows from it and is enforced level by level during the BFS,
 # before any table is allocated
@@ -26,6 +28,9 @@ BALL_ELEMENT_CAP = math.isqrt(BALL_TABLE_BYTES // 8)
 BALL_AUX_BYTES = 64 * 2**20
 # the column recursion gathers at most this many table entries at a time
 _BALL_BLOCK_ENTRIES = 2**18
+# an n^2 sweep over a table (the pair residual, the morphism law) reads it
+# in row blocks of about this many entries
+_ROW_BLOCK_ENTRIES = 2**16
 # the largest finite group order: solving on a group of order n takes a
 # dense n^2 x n complex128 system, 16 n^3 bytes, 256 MiB at this order.
 # Enforced by the constructors before any table is allocated
@@ -128,6 +133,34 @@ class Domain:
                         frontier.append(y)
             levels.append(edges)
         return gens, levels
+
+    @functools.cached_property
+    def element_orders(self):
+        """The order of each element of a finite group, by id."""
+        if self.kind is not None:
+            raise ValueError(f"{self.name} is a ball, not a finite group")
+        ids = np.arange(self.n)
+        orders = np.zeros(self.n, dtype=np.int64)
+        power, k = ids, 1
+        while not orders.all():
+            orders[(power == self.identity) & (orders == 0)] = k
+            power = self.mul[power, ids]
+            k += 1
+        return tuple(orders.tolist())
+
+    @functools.cached_property
+    def character_turns(self):
+        """(N, tables) for a finite group: its exponent N and the sorted
+        turn tables of its characters (morphisms.search_character_turns)."""
+        return search_character_turns(self)
+
+    def row_blocks(self):
+        """Row ranges (x0, x1) that cover the table in order, each of about
+        _ROW_BLOCK_ENTRIES entries and at least one row, so that an n^2
+        sweep holds no n x n temporary."""
+        rows = max(1, _ROW_BLOCK_ENTRIES // self.n)
+        for x0 in range(0, self.n, rows):
+            yield x0, min(x0 + rows, self.n)
 
     def op(self, a, b):
         return int(self.mul[a, b])

@@ -77,15 +77,20 @@ def is_involutive(domain, table):
 
 
 def satisfies_morphism_law(domain, table, kind):
-    """Exact law check over all pairs; skips out-of-ball products."""
+    """Exact law check over all pairs, one row block at a time; skips
+    out-of-ball products."""
     mul = domain.mul
-    mapped = np.where(mul >= 0, table[np.maximum(mul, 0)], -1)
-    if kind == "automorphism":
-        law = mul[np.ix_(table, table)]
-    else:
-        law = mul[np.ix_(table, table)].T  # sigma(x y) = sigma(y) sigma(x)
-    ok = (mul >= 0) & (law >= 0)
-    return (mapped[ok] == law[ok]).all()
+    for x0, x1 in domain.row_blocks():
+        xy = mul[x0:x1]
+        if kind == "automorphism":
+            law = mul[np.ix_(table[x0:x1], table)]
+        else:
+            # sigma(x y) = sigma(y) sigma(x)
+            law = mul[np.ix_(table, table[x0:x1])].T
+        ok = (xy >= 0) & (law >= 0)
+        if not (table[xy[ok]] == law[ok]).all():
+            return False
+    return True
 
 
 def identity_involution(domain):
@@ -160,7 +165,7 @@ def enumerate_involutions(G, kind):
     """
     if kind not in ("automorphism", "anti-automorphism"):
         raise ValueError(f"unknown morphism kind {kind!r}")
-    orders = [G.element_order(a) for a in range(G.order)]
+    orders = G.element_orders
     by_order = {}
     for a in range(G.order):
         by_order.setdefault(orders[a], []).append(a)
@@ -258,16 +263,24 @@ class Character:
 def enumerate_characters(G):
     """All characters of a finite group, sorted by their turns over the
     group exponent N (the order of their Fraction angles, since every table
-    shares the denominator N): the homomorphisms into Z/N, from the
-    generator-image search with turns k*N/r at a generator of order r."""
-    N = math.lcm(*(G.element_order(a) for a in range(G.order)))
+    shares the denominator N). The search runs once per group; its tables
+    are cached on G."""
+    N, tables = G.character_turns
+    return [Character.from_turns(G, t, N) for t in tables]
+
+
+def search_character_turns(G):
+    """(N, tables): the group exponent N and, sorted, every homomorphism
+    into Z/N as a turn table, from the generator-image search with turns
+    k*N/r at a generator of order r."""
+    orders = G.element_orders
+    N = math.lcm(*orders)
 
     def turns(g):
-        return range(0, N, N // G.element_order(g))
+        return range(0, N, N // orders[g])
 
     add = (np.add.outer(np.arange(N), np.arange(N)) % N).tolist()
-    tables = sorted(_morphisms(G, turns, add, 0))
-    return [Character.from_turns(G, t, N) for t in tables]
+    return N, tuple(sorted(map(tuple, _morphisms(G, turns, add, 0))))
 
 
 def trivial_character(domain):

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feq import (GroupFunction, companion_mg, residual_symmetrized_cauchy,
-                  residual_wilson, section_function)
+from .feq import (GroupFunction, companion_mg, replaces_max,
+                  residual_symmetrized_cauchy, residual_wilson,
+                  section_function)
 from .groups import BallDomain, Domain, IntegerLattice, ball_elements
 from .morphisms import ball_character, ball_involution, satisfies_morphism_law
 
@@ -186,8 +187,7 @@ def _row_from_chunks(name, bound, total, chunks, tol=AUDIT_TOL):
             masked = np.where(valid, excess, -np.inf)
             i = int(np.argmax(masked))
             v = masked[i]
-            if (worst is None or v > worst
-                    or (np.isnan(v) and not np.isnan(worst))):
+            if replaces_max(v, worst):
                 worst, witness = v, tuple(int(w[i]) for w in windows)
         evaluated += count
     if evaluated == 0:
@@ -616,10 +616,17 @@ class ScanRecord:
 
 
 def _g_multiplicative_defect(ball, g):
-    mul = ball.mul
-    ok = mul >= 0
-    vals = np.abs(_val(g.values, mul) - g.values[:, None] * g.values[None, :])
-    return float(vals[ok].max()) if ok.any() else 0.0
+    """max |g(xy) - g(x) g(y)| over the pairs with xy in the ball, one row
+    block at a time; NaN wins, as in one max over the whole grid."""
+    gv = g.values
+    worst = []
+    for x0, x1 in ball.row_blocks():
+        xy = ball.mul[x0:x1].ravel()
+        flat = np.flatnonzero(xy >= 0)
+        if flat.size:
+            x, y = np.divmod(flat, ball.n)
+            worst.append(np.abs(gv[xy[flat]] - gv[x0 + x] * gv[y]).max())
+    return float(np.max(worst)) if worst else 0.0
 
 
 def _additive_fit(ball, h_values):

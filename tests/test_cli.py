@@ -639,6 +639,41 @@ def test_each_call_walks_its_group_once(capsys, monkeypatch, argv, group):
     assert walked == [group]
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--group", "Z2xZ4", "--sigma", "inv"),
+    ("audit", "--group", "S3", "--sigma", "inv"),
+], ids=["solve", "audit"])
+def test_each_call_searches_the_characters_once(capsys, monkeypatch, argv):
+    # the chi selector and the candidate g's read one cached search; id and
+    # inv need no involution search, so each generator-image search counted
+    # here is a character search
+    searched = []
+    search = morphisms._morphisms
+
+    def counted(G, *rest):
+        searched.append(G.name)
+        return search(G, *rest)
+
+    monkeypatch.setattr(morphisms, "_morphisms", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert searched == [argv[2]]
+
+
+def test_no_search_computes_an_element_order_by_the_power_loop(capsys,
+                                                              monkeypatch):
+    # every search reads the cached element_orders
+    def refused(G, a):
+        raise AssertionError("element_order called")
+
+    monkeypatch.setattr(groups.Domain, "element_order", refused)
+    code, _, _ = run(capsys, "catalog", "--group", "S4", "--morphisms",
+                     "--characters")
+    assert code == EXIT_OK
+    code, _, _ = run(capsys, "audit", "--group", "D4", "--sigma", "inv")
+    assert code == EXIT_OK
+
+
 @pytest.mark.parametrize("argv, message", [
     (("solve", "--group", "Z2", "--out-dir", "{file}"), "File exists"),
     (("audit", "--group", "S3", "--sigma", "inv", "--out", "{missing}/x.txt"),

@@ -20,7 +20,6 @@ from feqlab.feq import (
     write_function,
     zero_tolerance,
 )
-from feqlab.feq import _report
 from feqlab.groups import BallDomain, DiscreteHeisenberg, FreeGroup, \
     IntegerLattice, build_catalog_group
 from feqlab.morphisms import (
@@ -30,6 +29,8 @@ from feqlab.morphisms import (
     inversion_involution,
     trivial_character,
 )
+
+from residual_oracle import report
 
 
 def z4_mixed_pair():
@@ -96,7 +97,7 @@ def old_symmetrized_cauchy(domain, f):
     fv = f.values
     resid = np.abs(fv[np.maximum(xy, 0)] + fv[np.maximum(yx, 0)]
                    - 2.0 * fv[:, None] * fv[None, :])
-    return _report(resid, valid)
+    return report(resid, valid)
 
 
 CAUCHY_DOMAINS = {

@@ -385,6 +385,18 @@ def test_element_order_raises_when_a_power_leaves_the_ball():
     assert ball.element_order(ball.identity) == 1
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_element_orders_match_the_power_loop(name):
+    G = build_catalog_group(name)
+    assert G.element_orders == tuple(G.element_order(a) for a in range(G.n))
+
+
+def test_a_ball_has_no_element_orders():
+    ball = BallDomain(IntegerLattice(1), 2)
+    with pytest.raises(ValueError, match="is a ball"):
+        ball.element_orders
+
+
 def test_ball_cap_enforced():
     with pytest.raises(ValueError):
         BallDomain(IntegerLattice(2), 10, cap=50)
