@@ -35,10 +35,11 @@ from .morphisms import (AdditiveMap, MorphismSearchTooLarge, ball_character,
                         enumerate_involutions, identity_involution,
                         inversion_involution, read_character)
 from .morphisms import compatibility_witness as _compat_witness
-from .solver import (AuditNotApplicable, candidate_gs, completeness_check,
-                     solve_f_given_g, theorem22_audit)
-from .stability import (AuditTooLarge, PerturbationConfig, _fmt,
-                        dichotomy_experiment, perturb, run_stability_battery)
+from .solver import (candidate_gs, completeness_check, solve_f_given_g,
+                     theorem22_audit)
+from .stability import (AuditInapplicable, AuditTooLarge, PerturbationConfig,
+                        _fmt, dichotomy_experiment, perturb,
+                        run_stability_battery)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -165,9 +166,9 @@ def _resolve_chi(G, sigma, args):
 
 
 def _angles_str(chi):
-    if chi.angles is None:
+    if chi.turns is None:
         return " ".join(_fmt_c(v) for v in chi.values)
-    return " ".join(str(t) for t in chi.angles)
+    return " ".join(chi.angle_labels())
 
 
 # --- subcommands ----------------------------------------------------------
@@ -274,7 +275,7 @@ def cmd_audit(args):
     for label, f, g in pairs:
         try:
             report = theorem22_audit(G, sigma, chi, f, g, tol=tol)
-        except AuditNotApplicable as why:
+        except AuditInapplicable as why:
             raise CliError(f"audit not applicable: {why}") from None
         out_lines.append(f"pair {label}: "
                          f"{'PASS' if report.passed else 'FAIL'}")

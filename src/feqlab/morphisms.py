@@ -207,7 +207,8 @@ class Character:
     values[x] = exp(2*pi*i*turns[x]/N). turns and period are None when only
     floating-point values are available (the zero function, characters read
     from a file, ball characters with free z's). angles is the derived
-    list of Fractions turns[x]/N, for printing.
+    list of Fractions turns[x]/N; angle_labels() prints them without
+    building them.
     """
 
     def __init__(self, domain, values, unitary=None, turns=None, period=None):
@@ -236,6 +237,13 @@ class Character:
         if self.turns is None:
             return None
         return [Fraction(k, self.period) for k in self.turns.tolist()]
+
+    def angle_labels(self):
+        """str(Fraction(k, N)) of each turn k, without the Fractions: k/N
+        reduced by gcd(k, N), the numerator alone where that leaves N = 1."""
+        d = np.gcd(self.turns, self.period)
+        return [f"{k}/{p}" if p != 1 else str(k) for k, p in
+                zip((self.turns // d).tolist(), (self.period // d).tolist())]
 
     @property
     def is_zero(self):

@@ -20,6 +20,7 @@ from .families import dalembert_family, twisted_companion
 from .feq import (GroupFunction, companion_mg, parity_parts, residual_wilson,
                   zero_tolerance)
 from .morphisms import enumerate_multiplicative, satisfies_morphism_law
+from .stability import AuditInapplicable
 
 SVD_KERNEL_CUTOFF = 1e-10
 GUARD_BAND = 10.0
@@ -231,10 +232,10 @@ def completeness_check(G, sigma, chi, tol=1e-9):
 
 
 def _chi_label(chi):
-    if chi.angles is not None:
-        if all(t == 0 for t in chi.angles):
+    if chi.turns is not None:
+        if not chi.turns.any():
             return "trivial"
-        return "(" + ",".join(str(t) for t in chi.angles) + ")"
+        return "(" + ",".join(chi.angle_labels()) + ")"
     return "numeric"
 
 
@@ -292,9 +293,9 @@ class _SelfPairedSystem:
         self.mul_flat = G.mul.reshape(-1)
         self.shift_flat = G.mul[sigma.table].T.reshape(-1)  # sigma(y) x
         self.chi_ys = chi.values[self.ys]
+        # the linear part: the pair system's matrix at g = 0
         base = np.zeros((n * n + 1, n), dtype=np.complex128)
-        np.add.at(base, (rows, self.mul_flat), 1.0)
-        np.add.at(base, (rows, self.shift_flat), self.chi_ys)
+        base[:-1] = wilson_system_matrix(G, sigma, chi, GroupFunction.zero(G))
         base[-1, 0] = 1.0
         self.base = base
 
@@ -448,10 +449,6 @@ def function_sets_equal(set_a, set_b, tol=1e-6):
 # --- audit of the anti-automorphism solution properties -------------------
 
 
-class AuditNotApplicable(ValueError):
-    pass
-
-
 @dataclass
 class AuditRow:
     name: str
@@ -488,16 +485,17 @@ def _max_witness(arr):
 def theorem22_audit(domain, sigma, chi, f, g, tol=1e-10):
     """Property checklist for exact solutions with an anti-automorphism.
 
-    Requires f != 0 (the properties say nothing otherwise) and a total
-    multiplication table.
+    Raises AuditInapplicable, the exception of every audit that does not
+    apply, unless the table is total, f != 0 (the properties say nothing
+    otherwise) and sigma satisfies the anti-automorphism law.
     """
     if not domain.is_total:
-        raise AuditNotApplicable("audit needs a total multiplication table")
+        raise AuditInapplicable("audit needs a total multiplication table")
     if np.abs(f.values).max() == 0:
-        raise AuditNotApplicable("audit does not apply to f = 0")
+        raise AuditInapplicable("audit does not apply to f = 0")
     # the law is what matters; on abelian domains every automorphism counts
     if not satisfies_morphism_law(domain, sigma.table, "anti-automorphism"):
-        raise AuditNotApplicable("audit is for anti-automorphism sigma")
+        raise AuditInapplicable("audit is for anti-automorphism sigma")
     n = domain.n
     mul, inv = domain.mul, domain.inv
     fv, gv, cv = f.values, g.values, chi.values

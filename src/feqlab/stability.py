@@ -3,7 +3,9 @@ and the bounded-or-exact dichotomy experiments on growing balls.
 
 Each inequality audit is stated with its certificate: the pair-residual
 windows F(u, v) whose signed sum is its left-hand side, so the stated bound
-holds wherever every point of those residuals exists. One evaluator derives
+holds wherever every point of those residuals exists. Two certificates also
+carry a law on sigma; where sigma fails it, the audit raises
+AuditInapplicable instead of returning a row. One evaluator derives
 the validity mask from the windows: on a ball, a window (pair or triple) is
 skipped exactly when a point of its certificate's residuals leaves the
 ball. Skipped windows are counted and reported.
@@ -235,20 +237,38 @@ def _chunks(blocks, size):
         yield [np.concatenate(parts) for parts in zip(*held)]
 
 
-# Each audit's certificate: the pair-residual windows (u, v) whose signed sum
-# is its left-hand side. Words use the letters x, y, z, a, a capital for an
-# inverse (Y = y^-1) and s(w) for sigma(w); w, and so v, holds no s. The
-# first window to reach a node fixes how it is built; any grouping gives the
-# same element.
-CENTRALITY_WINDOWS = (("s(y)x", "z"), ("s(z)x", "y"), ("xz", "y"), ("xy", "z"),
-                      ("x", "zy"), ("x", "yz"), ("x", "z"), ("x", "y"))
-COMPANION_SHIFT_WINDOWS = (("x", "y"), ("xy", "y"), ("s(y)x", "y"),
-                           ("x", "yy"))
-PARITY_WINDOWS = (("x", "Y"), ("xY", "y"), ("s(y)xY", "y"), ("xY", "yy"),
-                  ("s(Y)x", "y"), ("s(Y)xy", "y"), ("s(Y)x", "yy"))
-SECTION_SINE_WINDOWS = (("a", "xy"), ("ax", "y"), ("s(y)a", "x"), ("a", "y"))
-SYMMETRIZED_SINE_WINDOWS = SECTION_SINE_WINDOWS + (
-    ("a", "yx"), ("ay", "x"), ("s(x)a", "y"), ("a", "x"))
+@dataclass(frozen=True)
+class Certificate:
+    """An audit's row name, stated bound, the pair-residual windows (u, v)
+    whose signed sum is its left-hand side, and the law sigma must satisfy
+    for that (None: any sigma). Words use the letters x, y, z, a, a capital
+    for an inverse (Y = y^-1) and s(w) for sigma(w); w, and so v, holds no
+    s. The first window to reach a node fixes how it is built; any grouping
+    gives the same element."""
+    name: str
+    bound: str
+    windows: tuple
+    law: str | None = None
+
+
+CENTRALITY = Certificate(
+    "centrality_defect", "2|g(z)|d + 2|g(y)|d + 6d",
+    (("s(y)x", "z"), ("s(z)x", "y"), ("xz", "y"), ("xy", "z"), ("x", "zy"),
+     ("x", "yz"), ("x", "z"), ("x", "y")), "anti-automorphism")
+COMPANION_SHIFT = Certificate(
+    "companion_shift_defect", "|g(y)|d + 1.5d",
+    (("x", "y"), ("xy", "y"), ("s(y)x", "y"), ("x", "yy")))
+PARITY = Certificate(
+    "parity_defect", "|m_g(y)|d + 2|g(y)|d + 4d",
+    (("x", "Y"), ("xY", "y"), ("s(y)xY", "y"), ("xY", "yy"), ("s(Y)x", "y"),
+     ("s(Y)xy", "y"), ("s(Y)x", "yy")))
+SECTION_SINE = Certificate(
+    "section_sine_addition_defect", "|g(x)|d + 1.5d",
+    (("a", "xy"), ("ax", "y"), ("s(y)a", "x"), ("a", "y")), "automorphism")
+SYMMETRIZED_SINE = Certificate(
+    "symmetrized_sine_addition_defect", "|g(x)|d + |g(y)|d + 3d",
+    SECTION_SINE.windows + (("a", "yx"), ("ay", "x"), ("s(x)a", "y"),
+                            ("a", "x")))
 
 
 def _program(windows):
@@ -275,7 +295,7 @@ def _program(windows):
     return steps
 
 
-def _certified_row(name, bound, domain, sigma, windows, excess, a=0):
+def _certified_row(cert, domain, sigma, excess, a=0):
     """Audit row over the (x, y[, z]) grid of a certificate's windows.
 
     A window is evaluated exactly when every product node of its residuals
@@ -291,19 +311,27 @@ def _certified_row(name, bound, domain, sigma, windows, excess, a=0):
     on one chunk, where node(word) is the index array of a node on it; only
     nodes that are factors of another node are kept.
 
-    Raises AuditTooLarge before any chunk is gathered when the pair masks
-    allow more than AUDIT_WINDOW_BUDGET windows: sum over x of |Y_x| |Z_x|
-    on a triple grid, of |Y_x| on a pair grid.
+    Raises AuditInapplicable first when sigma fails the certificate's law
+    on the domain: there the windows do not sum to the left-hand side, so
+    no row would be a verdict. Raises AuditTooLarge before any chunk is
+    gathered when the pair masks allow more than AUDIT_WINDOW_BUDGET
+    windows: sum over x of |Y_x| |Z_x| on a triple grid, of |Y_x| on a pair
+    grid.
     """
+    if cert.law and not satisfies_morphism_law(domain, sigma.table, cert.law):
+        what = ("an anti-homomorphism" if cert.law == "anti-automorphism"
+                else "a homomorphism")
+        raise AuditInapplicable(f"sigma is not {what} on this domain")
     n, m = domain.n, domain.n + 1
     # flat padded tables: u * m + v lands on the pad whenever u or v is -1;
     # int32 holds it, since the element cap keeps m^2 far below 2^31
     mp = _padded(domain.mul).astype(np.int32).ravel()
     sp = _padded(sigma.table).astype(np.int32)
     inv = domain.inv.astype(np.int32)
-    steps = _program(windows)
+    steps = _program(cert.windows)
     factors = {k for ops in steps.values() for k in ops}
-    axes = [c for c in "xyz" if any(c in (u + v).lower() for u, v in windows)]
+    axes = [c for c in "xyz"
+            if any(c in (u + v).lower() for u, v in cert.windows)]
 
     def leaves(grids):
         env = {"a": a}
@@ -347,9 +375,9 @@ def _certified_row(name, bound, domain, sigma, windows, excess, a=0):
     work = int(work.sum())
     if work > AUDIT_WINDOW_BUDGET:
         raise AuditTooLarge(
-            f"the {name} audit on {n} elements exceeds the window budget: "
-            f"its certificate's pair masks leave {work} candidate windows "
-            f"to gather (budget {AUDIT_WINDOW_BUDGET})")
+            f"the {cert.name} audit on {n} elements exceeds the window "
+            f"budget: its certificate's pair masks leave {work} candidate "
+            f"windows to gather (budget {AUDIT_WINDOW_BUDGET})")
 
     def chunks():
         blocks = _candidate_blocks(masks, n)
@@ -363,17 +391,17 @@ def _certified_row(name, bound, domain, sigma, windows, excess, a=0):
 
             yield excess(node), valid, window
 
-    return _row_from_chunks(name, bound, n ** len(axes), chunks())
+    return _row_from_chunks(cert.name, cert.bound, n ** len(axes), chunks())
 
 
 def audit_centrality_bound(domain, sigma, chi, f, g, delta):
     """|g(zy) - g(yz)| |f(x)| <= 2|g(z)| delta + 2|g(y)| delta + 6 delta.
 
     Certificate: when sigma is an anti-automorphism, f(x) (g(zy) - g(yz))
-    is a combination of the eight residuals of CENTRALITY_WINDOWS; with no
-    law it is not, and run_stability_battery reports the audit N/A. Only the
-    windows its pair masks allow are gathered, in chunks, so peak memory is
-    O(n^2) plus a few MiB for any ball size.
+    is a combination of the eight residuals of CENTRALITY.windows; with no
+    law it is not, and the audit raises AuditInapplicable (CENTRALITY.law).
+    Only the windows its pair masks allow are gathered, in chunks, so peak
+    memory is O(n^2) plus a few MiB for any ball size.
     """
     gv, ag, fv = g.values, np.abs(g.values), np.abs(f.values)
 
@@ -382,8 +410,7 @@ def audit_centrality_bound(domain, sigma, chi, f, g, delta):
         gap = np.abs(_val(gv, node("zy")) - _val(gv, node("yz")))
         return gap * fv[node("x")] - (2.0 * ag[Z] + 2.0 * ag[Y] + 6.0) * delta
 
-    return _certified_row("centrality_defect", "2|g(z)|d + 2|g(y)|d + 6d",
-                          domain, sigma, CENTRALITY_WINDOWS, excess)
+    return _certified_row(CENTRALITY, domain, sigma, excess)
 
 
 def audit_mg_shift_bound(domain, sigma, chi, f, g, delta):
@@ -397,8 +424,7 @@ def audit_mg_shift_bound(domain, sigma, chi, f, g, delta):
                      - chi.values[Y] * _val(f.values, node("s(y)xy")))
         return lhs - rhs[Y]
 
-    return _certified_row("companion_shift_defect", "|g(y)|d + 1.5d", domain,
-                          sigma, COMPANION_SHIFT_WINDOWS, excess)
+    return _certified_row(COMPANION_SHIFT, domain, sigma, excess)
 
 
 def audit_parity_bound(domain, sigma, chi, f, g, delta):
@@ -412,18 +438,16 @@ def audit_parity_bound(domain, sigma, chi, f, g, delta):
         Y = node("y")
         return np.abs(2.0 * f.values[node("x")] * gap[Y]) - rhs[Y]
 
-    return _certified_row("parity_defect", "|m_g(y)|d + 2|g(y)|d + 4d",
-                          domain, sigma, PARITY_WINDOWS, excess)
+    return _certified_row(PARITY, domain, sigma, excess)
 
 
 def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     """|f_a(xy) - f_a(x) g(y) - f_a(y) g(x)| <= |g(x)| delta + 1.5 delta.
 
     Valid when sigma is a homomorphism (its certificate cancels a
-    sigma(xy) = sigma(x) sigma(y) pair); raises AuditInapplicable otherwise.
+    sigma(xy) = sigma(x) sigma(y) pair); raises AuditInapplicable otherwise
+    (SECTION_SINE.law).
     """
-    if not satisfies_morphism_law(domain, sigma.table, "automorphism"):
-        raise AuditInapplicable("sigma is not a homomorphism on this domain")
     fv, gv = f.values, g.values
     fa = section_function(f, g, a).values
 
@@ -433,8 +457,7 @@ def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
                      - fa[X] * gv[Y] - fa[Y] * gv[X])
         return lhs - (np.abs(gv)[X] + 1.5) * delta
 
-    return _certified_row("section_sine_addition_defect", "|g(x)|d + 1.5d",
-                          domain, sigma, SECTION_SINE_WINDOWS, excess, a)
+    return _certified_row(SECTION_SINE, domain, sigma, excess, a)
 
 
 def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
@@ -455,30 +478,28 @@ def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
                      - 2.0 * fa[Y] * gv[X])
         return lhs - (np.abs(gv)[X] + np.abs(gv)[Y] + 3.0) * delta
 
-    return _certified_row("symmetrized_sine_addition_defect",
-                          "|g(x)|d + |g(y)|d + 3d", domain, sigma,
-                          SYMMETRIZED_SINE_WINDOWS, excess, a)
+    return _certified_row(SYMMETRIZED_SINE, domain, sigma, excess, a)
 
 
 def run_stability_battery(domain, sigma, chi, f, g, delta, a=0):
-    """The four proof-constant audits plus the symmetrized variant.
-    Inapplicable audits are reported, not run: centrality's certificate
-    needs sigma to be an anti-automorphism, the section sine's an
-    automorphism."""
+    """The four proof-constant audits plus the symmetrized variant, in this
+    order. An audit whose certificate's law sigma fails raises
+    AuditInapplicable before it gathers anything, and is reported N/A."""
     report = StabilityReport(measured_delta=delta)
     args = (domain, sigma, chi, f, g, delta)
-    if satisfies_morphism_law(domain, sigma.table, "anti-automorphism"):
-        report.rows.append(audit_centrality_bound(*args))
-    else:
-        report.not_applicable.append(("centrality_defect", "sigma is not an "
-                                      "anti-homomorphism on this domain"))
-    report.rows.append(audit_mg_shift_bound(*args))
-    report.rows.append(audit_parity_bound(*args))
-    try:
-        report.rows.append(audit_sine_addition_bound(*args, a=a))
-    except AuditInapplicable as why:
-        report.not_applicable.append(("section_sine_addition_defect", str(why)))
-    report.rows.append(audit_symmetrized_sine_addition_bound(*args, a=a))
+    # the audits are looked up when called, so a wrapper set on the module
+    # runs in the battery too
+    for cert, audit in (
+            (CENTRALITY, lambda: audit_centrality_bound(*args)),
+            (COMPANION_SHIFT, lambda: audit_mg_shift_bound(*args)),
+            (PARITY, lambda: audit_parity_bound(*args)),
+            (SECTION_SINE, lambda: audit_sine_addition_bound(*args, a=a)),
+            (SYMMETRIZED_SINE,
+             lambda: audit_symmetrized_sine_addition_bound(*args, a=a))):
+        try:
+            report.rows.append(audit())
+        except AuditInapplicable as why:
+            report.not_applicable.append((cert.name, str(why)))
     return report
 
 

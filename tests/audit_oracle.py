@@ -133,11 +133,15 @@ def oracle_centrality(domain, sigma, chi, f, g, delta, valid=None):
 def old_centrality_bound(domain, sigma, chi, f, g, delta):
     """|g(zy) - g(yz)| |f(x)| <= 2|g(z)| delta + 2|g(y)| delta + 6 delta.
 
-    Certificate: the difference is a combination of eight pair residuals at
-    points built from x, y, z; windows where any of them leaves the ball are
-    skipped. The n^3 grid is evaluated in slices of x, so peak memory is
-    O(n^2) for any ball size.
+    Certificate: when sigma is an anti-automorphism, the difference is a
+    combination of eight pair residuals at points built from x, y, z;
+    windows where any of them leaves the ball are skipped. Raises
+    AuditInapplicable for any other sigma. The n^3 grid is evaluated in
+    slices of x, so peak memory is O(n^2) for any ball size.
     """
+    if not satisfies_morphism_law(domain, sigma.table, "anti-automorphism"):
+        raise AuditInapplicable("sigma is not an anti-homomorphism on this "
+                                "domain")
     n = domain.n
     mp, sp = _padded(domain.mul), _padded(sigma.table)
     Y = np.arange(n)[None, :, None]

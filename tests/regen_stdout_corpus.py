@@ -1,0 +1,175 @@
+"""The standing stdout corpus: argvs of the feqlab CLI, each with the sha256
+of its stdout and its exit code, in tests/stdout_corpus.json.
+
+    PYTHONPATH=src python tests/regen_stdout_corpus.py          # list changes
+    PYTHONPATH=src python tests/regen_stdout_corpus.py --write  # re-record
+
+Every argv runs in-process through cli.main. Without --write the script
+prints each argv whose stdout or exit code differs from the stored corpus;
+with --write it records the corpus afresh, with the numpy version and the
+OpenBLAS core it ran on (the last bits of a printed float may depend on
+them). A change that alters stdout on purpose re-records the corpus and
+lists the changed argvs.
+"""
+
+import contextlib
+import ctypes
+import glob
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from feqlab import cli
+from feqlab.groups import CATALOG_NAMES
+
+CORPUS = Path(__file__).with_name("stdout_corpus.json")
+INVOLUTIONS = {"S3": 4, "Q8": 10, "D4": 6}  # of each kind
+
+PERTURB_Z4 = ["perturb", "--group", "Z4", "--sigma", "inv", "--epsilon", "0.01"]
+STABILITY_Z2 = ["stability", "--domain", "lattice:2", "--radii", "2",
+                "--epsilon", "0.01"]
+
+# the argvs of tests/test_cli.py that are refused with exit code 4 and
+# need no file
+CONFIG_ERRORS = [
+    ["frobnicate"],
+    ["catalog", "--group", "E8"],
+    ["solve"],
+    ["solve", "--group", "Z4", "--sigma", "inv", "--chi", "7"],
+    ["perturb", "--group", "Z4", "--sigma", "inv"],
+    PERTURB_Z4 + ["--shape", "nope"],
+    PERTURB_Z4 + ["--target", "x"],
+    PERTURB_Z4 + ["--epsilon", "-1"],
+    PERTURB_Z4 + ["--epsilon", "nan"],
+    PERTURB_Z4 + ["--seed", "-1"],
+    PERTURB_Z4 + ["--shape", "single-point", "--point", "99"],
+    PERTURB_Z4 + ["--tol", "1e-9"],
+    STABILITY_Z2 + ["--point", "999"],
+    STABILITY_Z2 + ["--shape", "single-point", "--point", "-1"],
+    STABILITY_Z2 + ["--a", "-2"],
+    STABILITY_Z2 + ["--a", "13"],
+    ["stability", "--domain", "lattice:2", "--radii", "0"],
+    ["stability", "--domain", "lattice:2", "--radii", "a,b"],
+    ["stability", "--domain", "tree:3", "--epsilon", "0.01"],
+    ["perturb", "--domain", "lattice:2", "--radius", "-1", "--epsilon", "1e-2"],
+    ["perturb", "--domain", "lattice:0", "--epsilon", "1e-2"],
+    ["stability", "--domain", "free:0"],
+    ["stability", "--domain", "lattice:x"],
+    ["perturb", "--group", "S3", "--sigma", "auto:x", "--epsilon", "1e-2"],
+    ["solve", "--group", "S3", "--sigma", "anti:x"],
+    ["stability", "--domain", "lattice:2", "--sigma", "conj"],
+    ["stability", "--domain", "lattice:1", "--radii", "2", "--chi-z", "0"],
+    ["perturb", "--domain", "lattice:1", "--radius", "3", "--chi-z", "inf",
+     "--epsilon", "1e-2"],
+    ["perturb", "--domain", "lattice:1", "--radius", "3", "--chi-z", "1e300",
+     "--epsilon", "1e-2"],
+    ["perturb", "--domain", "lattice:1", "--radius", "3", "--chi", "2",
+     "--epsilon", "0.01"],
+    ["perturb", "--group", "Z4", "--epsilon", "0.01", "--radius", "3",
+     "--chi-z", "2"],
+    ["perturb", "--group", "Z4", "--domain", "S3", "--epsilon", "0.01"],
+    ["stability", "--domain", "lattice:2", "--radii", "300"],
+    ["perturb", "--domain", "free:2", "--radius", "40", "--epsilon", "0.01"],
+]
+
+
+def argvs():
+    """Every argv of the corpus, in a fixed order."""
+    out = [["catalog"]]
+    out += [["catalog", "--group", name, "--morphisms", "--characters"]
+            for name in [*CATALOG_NAMES, "Z2xZ128"]]
+    for name in CATALOG_NAMES:
+        specs = ["id", "inv"] + [f"{kind}:{k}" for kind in ("auto", "anti")
+                                 for k in range(INVOLUTIONS.get(name, 0))]
+        out += [[sub, "--group", name, "--sigma", spec]
+                for sub in ("solve", "audit") for spec in specs]
+    # exit code 2: no check passes below a negative tolerance
+    out += [["solve", "--group", "Z4", "--sigma", "inv", "--tol", "-1"],
+            ["audit", "--group", "S3", "--sigma", "inv", "--tol", "-1"]]
+    # each domain at radius 1, where sigma = id and inv satisfy both laws,
+    # and past it, where one of the two N/A rows appears off lattices
+    for domain, radii in (("lattice:1", ("1", "1,2")),
+                          ("lattice:2", ("1", "1,2", "2,4,6,8")),
+                          ("heisenberg", ("1", "1,2", "1,2,3")),
+                          ("free:2", ("1", "1,2", "1,2,3"))):
+        out += [["stability", "--domain", domain, "--radii", r, "--sigma", s]
+                for r in radii for s in ("id", "inv")]
+    out += [["stability", "--domain", "lattice:1"],
+            ["stability", "--domain", "lattice:2", "--radii", "2,4",
+             "--shape", "character-phase", "--target", "f"],
+            PERTURB_Z4,
+            ["perturb", "--group", "S3", "--sigma", "inv", "--epsilon",
+             "0.01", "--shape", "single-point", "--point", "2"],
+            ["perturb", "--domain", "lattice:2", "--radius", "6",
+             "--epsilon", "0.01"],
+            ["perturb", "--domain", "heisenberg", "--radius", "2",
+             "--epsilon", "0.01", "--sigma", "id"]]
+    return out + CONFIG_ERRORS
+
+
+def run(argv):
+    """The sha256 of the stdout and the exit code of one in-process run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return {"stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8"))
+            .hexdigest(), "exit": code}
+
+
+def blas_core():
+    """The OpenBLAS core of numpy's own copy, or "unknown"."""
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(
+        np.__file__)), "numpy.libs", "libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def environment():
+    return {"numpy": np.__version__, "openblas_core": blas_core()}
+
+
+def key(argv):
+    return " ".join(argv)
+
+
+def changed(stored):
+    """The argvs whose run differs from the stored one (argv key -> run),
+    then the stored argvs the corpus no longer lists."""
+    now = {key(argv): run(argv) for argv in argvs()}
+    return ([k for k in now if stored.get(k) != now[k]]
+            + [k for k in stored if k not in now])
+
+
+def main(write):
+    if write:
+        runs = {key(argv): run(argv) for argv in argvs()}
+        CORPUS.write_text(json.dumps(
+            {"recorded_with": environment(), "runs": runs}, indent=1) + "\n")
+        print(f"recorded {len(runs)} argvs")
+        return 0
+    stored = json.loads(CORPUS.read_text())
+    if stored["recorded_with"] != environment():
+        print(f"corpus recorded with {stored['recorded_with']}, "
+              f"running on {environment()}")
+    keys = changed(stored["runs"])
+    for k in keys:
+        print(k)
+    print(f"{len(keys)} of {len(argvs())} argvs changed")
+    return 1 if keys else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main("--write" in sys.argv[1:]))

@@ -89,6 +89,38 @@ def test_certified_audits_give_the_rows_of_the_hand_written_lists(name):
                 assert _audit_row(new, *args, **kw) == want, (fn_name, delta, kw)
 
 
+@pytest.mark.parametrize("kind", [DiscreteHeisenberg(), FreeGroup(2)],
+                         ids=["H3", "F2"])
+def test_centrality_outside_its_law_raises(kind):
+    # sigma = id is no anti-automorphism of a nonabelian ball of radius 3
+    domain, sigma, chi = ball_setups(kind, 3)[0]
+    assert sigma.is_identity
+    f, g = random_pair(domain, seed=3)
+    with pytest.raises(AuditInapplicable,
+                       match="sigma is not an anti-homomorphism"):
+        stability.audit_centrality_bound(domain, sigma, chi, f, g, 0.1)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_the_battery_reports_n_a_exactly_where_a_law_fails(name):
+    # each law checked here, independently of the certificate records
+    laws = [("centrality_defect", "anti-automorphism",
+             "sigma is not an anti-homomorphism on this domain"),
+            ("section_sine_addition_defect", "automorphism",
+             "sigma is not a homomorphism on this domain")]
+    rows = ["centrality_defect", "companion_shift_defect", "parity_defect",
+            "section_sine_addition_defect",
+            "symmetrized_sine_addition_defect"]
+    for domain, sigma, chi in CORPUS[name]():
+        f, g = random_pair(domain, seed=domain.n)
+        want = [(row, why) for row, law, why in laws
+                if not satisfies_morphism_law(domain, sigma.table, law)]
+        report = stability.run_stability_battery(domain, sigma, chi, f, g, 0.1)
+        assert report.not_applicable == want
+        assert [r.name for r in report.rows] == [
+            row for row in rows if row not in dict(want)]
+
+
 # --- certificates ---------------------------------------------------------
 
 
@@ -159,12 +191,11 @@ def _sine_coefficients(p):
             ("s(y)a", "x"): -p.chi("y") / 2, ("a", "y"): -p.g("x")}
 
 
-# name: (windows in src, audit, sigma must be, proof coefficients per window,
+# name: (certificate record in src, audit, proof coefficients per window,
 #        closed-form inner LHS, stated RHS at delta = 1)
 CERTIFICATES = {
     "centrality": (
-        stability.CENTRALITY_WINDOWS, stability.audit_centrality_bound,
-        "anti-automorphism",
+        stability.CENTRALITY, stability.audit_centrality_bound,
         lambda p: {("x", "zy"): -0.5, ("x", "yz"): 0.5, ("xz", "y"): 0.5,
                    ("xy", "z"): -0.5, ("x", "z"): p.g("y"),
                    ("x", "y"): -p.g("z"), ("s(y)x", "z"): -p.chi("y") / 2,
@@ -172,14 +203,13 @@ CERTIFICATES = {
         lambda p: p.f("x") * (p.g("zy") - p.g("yz")),
         lambda p: 2 * abs(p.g("z")) + 2 * abs(p.g("y")) + 6),
     "companion_shift": (
-        stability.COMPANION_SHIFT_WINDOWS, stability.audit_mg_shift_bound,
-        None,
+        stability.COMPANION_SHIFT, stability.audit_mg_shift_bound,
         lambda p: {("x", "y"): -p.g("y"), ("xy", "y"): -0.5,
                    ("s(y)x", "y"): -p.chi("y") / 2, ("x", "yy"): 0.5},
         lambda p: p.mg("y") * p.f("x") - p.chi("y") * p.f("s(y)xy"),
         lambda p: abs(p.g("y")) + 1.5),
     "parity": (
-        stability.PARITY_WINDOWS, stability.audit_parity_bound, None,
+        stability.PARITY, stability.audit_parity_bound,
         lambda p: {("x", "Y"): p.mg("y"), ("xY", "y"): p.g("y"),
                    ("s(y)xY", "y"): p.chi("y") / 2, ("xY", "yy"): -0.5,
                    ("s(Y)x", "y"): p.chi("Y") * p.g("y"),
@@ -188,13 +218,13 @@ CERTIFICATES = {
         lambda p: 2.0 * p.f("x") * (p.g("y") - p.mg("y") * p.g("Y")),
         lambda p: abs(p.mg("y")) + 2 * abs(p.g("y")) + 4),
     "section_sine": (
-        stability.SECTION_SINE_WINDOWS, stability.audit_sine_addition_bound,
-        "automorphism", _sine_coefficients,
+        stability.SECTION_SINE, stability.audit_sine_addition_bound,
+        _sine_coefficients,
         lambda p: p.fa("xy") - p.fa("x") * p.g("y") - p.fa("y") * p.g("x"),
         lambda p: abs(p.g("x")) + 1.5),
     "symmetrized_sine": (
-        stability.SYMMETRIZED_SINE_WINDOWS,
-        stability.audit_symmetrized_sine_addition_bound, None,
+        stability.SYMMETRIZED_SINE,
+        stability.audit_symmetrized_sine_addition_bound,
         lambda p: {**_sine_coefficients(p), ("a", "yx"): 0.5,
                    ("ay", "x"): 0.5, ("s(x)a", "y"): -p.chi("x") / 2,
                    ("a", "x"): -p.g("y")},
@@ -214,11 +244,13 @@ IDENTITY_SETUPS = {
 @pytest.mark.parametrize("name", sorted(CERTIFICATES))
 def test_certificate_sums_to_the_closed_form_within_the_stated_bound(name,
                                                                      setup):
-    windows, audit, law, coefficients, closed_form, stated = CERTIFICATES[name]
+    cert, audit, coefficients, closed_form, stated = CERTIFICATES[name]
+    windows = cert.windows
     assert len(set(windows)) == len(windows)
     checked = 0
     for domain, sigma, chi in IDENTITY_SETUPS[setup]():
-        if law and not satisfies_morphism_law(domain, sigma.table, law):
+        if cert.law and not satisfies_morphism_law(domain, sigma.table,
+                                                   cert.law):
             continue
         f, g = random_pair(domain, seed=7)
         letters = "xyz" if name == "centrality" else "xy"
@@ -263,7 +295,8 @@ def free_ball():
 
 @pytest.mark.parametrize("name", sorted(CERTIFICATES))
 def test_certificate_holds_at_generic_free_group_windows(name, free_ball):
-    windows, _, law, coefficients, closed_form, stated = CERTIFICATES[name]
+    cert, _, coefficients, closed_form, stated = CERTIFICATES[name]
+    windows, law = cert.windows, cert.law
     ball = free_ball
     chi = ball_character(ball, np.exp(2j * np.pi * np.arange(1, 4) / 7.0))
     f, g = random_pair(ball, seed=11)

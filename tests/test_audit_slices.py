@@ -8,6 +8,7 @@ outside the ball, and take one argmax. Rows must agree exactly, witness and
 counts included.
 """
 
+import dataclasses
 import itertools
 import re
 import tracemalloc
@@ -29,6 +30,16 @@ from feqlab.stability import (AuditInapplicable, AuditTooLarge, _val,
                               audit_centrality_bound,
                               audit_sine_addition_bound,
                               audit_symmetrized_sine_addition_bound)
+
+
+@pytest.fixture(autouse=True)
+def lawless_centrality(monkeypatch):
+    """The centrality record without its law. These tests hold the
+    evaluator to the whole-grid oracles under every sigma, the ones that
+    fail the anti-automorphism law included, since its validity masks do
+    not depend on the law; test_audit_certificates checks the law gate."""
+    monkeypatch.setattr(stability, "CENTRALITY",
+                        dataclasses.replace(stability.CENTRALITY, law=None))
 
 
 def force_chunks(monkeypatch, size):

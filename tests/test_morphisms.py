@@ -155,6 +155,13 @@ def test_z4_characters_are_fourth_roots():
     assert np.allclose(chars[1].values, [1, 1j, -1, -1j])
 
 
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "Z2xZ128"])
+def test_angle_labels_are_the_fraction_strings(name):
+    G = build_catalog_group(name)
+    for chi in enumerate_characters(G):
+        assert chi.angle_labels() == [str(t) for t in chi.angles]
+
+
 def test_characters_are_unitary_homomorphisms():
     for name in ("Z8", "S3", "Q8", "Z2xZ3"):
         G = build_catalog_group(name)

@@ -206,6 +206,16 @@ def test_morphism_law_matches_the_dense_form(monkeypatch, name, domain, tables):
                 assert satisfies_morphism_law(domain, table, kind) is want
 
 
+@pytest.mark.parametrize("name, domain, tables", list(law_cases()),
+                         ids=[case[0] for case in law_cases()])
+def test_is_abelian_matches_the_dense_form(monkeypatch, name, domain, tables):
+    mul = domain.mul
+    want = bool((mul == mul.T)[(mul >= 0) & (mul.T >= 0)].all())
+    for rows in BLOCK_ROWS:
+        force_rows(monkeypatch, domain, rows)
+        assert domain.is_abelian() is want
+
+
 @pytest.fixture(scope="module")
 def z2_r36():
     return BallDomain(IntegerLattice(2), 36)
@@ -230,3 +240,9 @@ def test_the_sweeps_build_no_n_by_n_array(z2_r36):
         lambda: stability._g_multiplicative_defect(ball, g)) < 16
     assert traced_peak_mib(
         lambda: satisfies_morphism_law(ball, sigma.table, "automorphism")) < 16
+
+
+def test_is_abelian_holds_no_n_by_n_mask(z2_r36):
+    # n = 2,665: one n x n boolean mask is 6.8 MiB
+    assert z2_r36.is_abelian()
+    assert traced_peak_mib(z2_r36.is_abelian) < 1

@@ -17,7 +17,6 @@ from feqlab.morphisms import (
 )
 from feqlab.solver import (
     SVD_KERNEL_CUTOFF,
-    AuditNotApplicable,
     BruteForceResult,
     brute_force_dalembert,
     candidate_gs,
@@ -28,6 +27,7 @@ from feqlab.solver import (
     theorem22_audit,
     wilson_system_matrix,
 )
+from feqlab.stability import AuditInapplicable
 
 
 def test_system_matrix_matches_hand_computation():
@@ -280,17 +280,17 @@ def test_audit_not_applicable_cases():
     Q8 = build_catalog_group("Q8")
     chi = trivial_character(Q8)
     inv = inversion_involution(Q8)
-    with pytest.raises(AuditNotApplicable):
+    with pytest.raises(AuditInapplicable):
         theorem22_audit(Q8, inv, chi, GroupFunction.zero(Q8),
                         canned_half_trace(Q8))
     S3 = build_catalog_group("S3")
     f = GroupFunction(S3, np.ones(6))
-    with pytest.raises(AuditNotApplicable):
+    with pytest.raises(AuditInapplicable):
         # identity is not an anti-automorphism on a nonabelian group
         theorem22_audit(S3, identity_involution(S3), trivial_character(S3), f, f)
     ball = BallDomain(IntegerLattice(1), 2)
     fb = GroupFunction(ball, np.ones(ball.n))
-    with pytest.raises(AuditNotApplicable):
+    with pytest.raises(AuditInapplicable):
         theorem22_audit(ball, identity_involution(ball),
                         trivial_character(ball), fb, fb)
 
