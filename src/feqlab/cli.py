@@ -439,7 +439,15 @@ def cmd_perturb(args):
 def cmd_stability(args):
     kind, key = _ball_kind(getattr(args, "domain", None))
     radii = _parse_radii(args, key)
-    max_ball = BallDomain(kind, radii[-1])
+    while True:
+        try:
+            max_ball = BallDomain(kind, radii[-1])
+            break
+        except BallTooLarge:
+            # default radii past the element cap are dropped, down to [1]
+            if getattr(args, "radii", None) or radii == [1]:
+                raise
+            radii = radii[:-1] or [1]
     sigma_spec = getattr(args, "sigma", None) or "inv"
     sigma, chi, zs = _ball_maps(max_ball, sigma_spec, args)
     if not chi.unitary:

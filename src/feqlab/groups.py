@@ -429,88 +429,51 @@ def _inverses(mul):
     return hits.argmax(axis=1)
 
 
-def _runs(radices):
-    """Split digit columns with these radices into runs whose radix product
-    stays within int64, each with its mixed-radix place values, first
-    column most significant: the digits of a run then pack into one exact
-    int64 code that orders rows as those digits do, lexicographically."""
-    starts, span = [], 2**63
-    for j, radix in enumerate(radices):
-        if span * radix >= 2**63:
-            starts.append(j)
-            span = 1
-        span *= radix
-    bounds = starts + [len(radices)]
-    return [(lo, hi, np.array([math.prod(radices[j + 1:hi])
-                               for j in range(lo, hi)], dtype=np.int64))
-            for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _pack(digits, runs):
-    """The (rows, runs) int64 codes of a digit array."""
-    codes = np.empty((len(digits), len(runs)), dtype=np.int64)
-    for j, (lo, hi, place) in enumerate(runs):
-        codes[:, j] = digits[:, lo:hi] @ place
-    return codes
-
-
-def _ranks(distinct, codes):
-    """Each code's rank among the sorted distinct codes of its column, or
-    their count where it is not one of them."""
-    out = np.empty_like(codes)
-    for j, u in enumerate(distinct):
-        at = np.searchsorted(u, codes[:, j])
-        at[u[np.minimum(at, len(u) - 1)] != codes[:, j]] = len(u)
-        out[:, j] = at
-    return out
-
-
 class _RowKeys:
-    """Exact int64 keys of int64 rows, and lookup of other rows among them
-    when the keyed rows are distinct. Each entry, less its column's
-    minimum, is a digit below the column's radix, and the digit equal to
-    the radix stands for every entry out of range; the digits pack into
-    codes by _runs. While a row takes more than one code, each code is
-    replaced by its rank (_ranks) and the ranks are packed again. Packing
-    and ranking are injective and keep order, so the keys order the rows
-    lexicographically, equal keys mean equal rows, and a row that is not
-    keyed gets a key that no keyed row has."""
+    """Keys of int64 rows that sort as the rows do, lexicographically, and
+    lookup of other rows among them when the keyed rows are distinct.
+
+    A key is the bytes of a row's digits. Each entry becomes the digit
+    entry - lo, lo one below its column's minimum, capped at top, one above
+    its column's maximum less lo: so an entry out of the keyed range (below
+    lo it wraps to a large unsigned digit) takes the digit 0 or top, which
+    no keyed row holds there. The digits are big-endian in the narrowest
+    unsigned width that holds top, zero-padded to whole 8-byte words, and
+    read as one uint64 when they fill one word, else as one void, which
+    compares bytewise."""
 
     def __init__(self, rows):
-        self.lo = rows.min(axis=0)
-        self.radix = rows.max(axis=0) - self.lo + 1
-        self.runs = _runs((self.radix + 1).tolist())
+        self.lo = rows.min(axis=0) - 1
+        self.top = (rows.max(axis=0) + 1 - self.lo).view(np.uint64)
+        self.digit = np.min_scalar_type(self.top.max()).newbyteorder(">")
+        self.words = -(-rows.shape[1] * self.digit.itemsize // 8)
         # packed in blocks, so the shifted digits stay small
         block = max(1, _BALL_BLOCK_ENTRIES // rows.shape[1])
-        codes = np.concatenate([_pack(rows[lo:lo + block] - self.lo, self.runs)
-                                for lo in range(0, len(rows), block)])
-        # per repacking, the distinct codes of each column and the runs of
-        # their ranks
-        self.ranked = []
-        while codes.shape[1] > 1:
-            distinct = [np.unique(c) for c in codes.T]
-            runs = _runs([len(u) + 1 for u in distinct])
-            self.ranked.append((distinct, runs))
-            codes = _pack(_ranks(distinct, codes), runs)
-        self.keys = codes[:, 0]
+        self.keys = np.concatenate([self._keys(rows[lo:lo + block])
+                                    for lo in range(0, len(rows), block)])
+
+    def _keys(self, rows):
+        out = np.zeros((len(rows), 8 * self.words // self.digit.itemsize),
+                       dtype=self.digit)
+        np.minimum((rows - self.lo).view(np.uint64), self.top,
+                   out=out[:, :rows.shape[1]], casting="unsafe")
+        if self.words == 1:
+            return out.view(">u8")[:, 0].astype(np.uint64)
+        return out.view(f"V{8 * self.words}")[:, 0]
 
     @functools.cached_property
     def _sorted(self):
-        order = np.argsort(self.keys)
+        # a ball's rows come in sorted runs, one per BFS level, and the
+        # stable sort merges runs
+        order = np.argsort(self.keys, kind="stable")
         return order, self.keys[order]
 
     def find(self, rows):
         """The index of each row among the keyed rows, -1 where absent."""
-        # a negative digit wraps to a large unsigned one
-        digits = rows - self.lo
-        np.minimum(digits.view(np.uint64), self.radix.view(np.uint64),
-                   out=digits.view(np.uint64))
-        codes = _pack(digits, self.runs)
-        for distinct, runs in self.ranked:
-            codes = _pack(_ranks(distinct, codes), runs)
-        order, keys = self._sorted
-        at = np.minimum(np.searchsorted(keys, codes[:, 0]), len(keys) - 1)
-        return np.where(keys[at] == codes[:, 0], order[at], -1)
+        keys = self._keys(rows)
+        order, keyed = self._sorted
+        at = np.minimum(np.searchsorted(keyed, keys), len(keyed) - 1)
+        return np.where(keyed[at] == keys, order[at], -1)
 
 
 def _products(kind, rows, ngens):
@@ -531,12 +494,10 @@ def _products(kind, rows, ngens):
             yield lo, s0, y
 
 
-def _first_rows(rows, edges):
-    """Index of the row with the least edge id in each set of equal rows,
-    in the order of the rows (lexicographic)."""
-    key = _RowKeys(rows).keys
-    order = np.lexsort((edges, key))
-    return order[np.concatenate(([True], key[order[1:]] != key[order[:-1]]))]
+def _first_rows(rows):
+    """Index of the first of each set of equal rows, in the order of the
+    rows (lexicographic): np.unique sorts stably."""
+    return np.unique(_RowKeys(rows).keys, return_index=True)[1]
 
 
 def _next_level(kind, known, count, ngens):
@@ -546,19 +507,18 @@ def _next_level(kind, known, count, ngens):
     are closed under inverses, so a product of the last known level lies
     in a known level or in the next one.
 
-    The known rows, which take edge id -1, and the products of the last
-    level with every generator, in edge id order, are keyed together in
-    one array: a set of equal rows whose first is a product is new."""
+    The known rows, then the products of the last level with every
+    generator in edge id order, are keyed together in one array: a set of
+    equal rows whose first is a product is new, and that first has the
+    least edge id."""
     last, at = known[-1], sum(len(rows) for rows in known)
     rows = np.empty((at + len(last) * ngens, last.shape[1]), dtype=np.int64)
     np.concatenate(known, out=rows[:at])
     for s in range(ngens):
         rows[at + s::ngens] = kind.mult_rows(last, s)
-    ids = np.full(len(rows), -1)
-    ids[at:] = np.arange((count - len(last)) * ngens, count * ngens)
-    first = _first_rows(rows, ids)
+    first = _first_rows(rows)
     first = first[first >= at]
-    return rows[first], ids[first]
+    return rows[first], first - at + (count - len(last)) * ngens
 
 
 def _bfs(kind, radius, depth, cap):

@@ -109,6 +109,12 @@ def argvs():
              "--epsilon", "0.01"],
             ["perturb", "--domain", "heisenberg", "--radius", "2",
              "--epsilon", "0.01", "--sigma", "id"]]
+    # the noise is drawn per element id, so these pin the BFS order of
+    # rows keyed in one word of 2-byte digits (300 levels), and in two
+    # words (9-entry lattice rows, 10-letter words)
+    out += [["perturb", "--domain", domain, "--radius", r, "--epsilon", "0.01"]
+            for domain, r in (("lattice:9", "2"), ("free:2", "6"),
+                              ("lattice:1", "200"))]
     return out + CONFIG_ERRORS
 
 

@@ -547,6 +547,22 @@ def test_over_budget_ball_exits_with_the_estimate(capsys, argv):
     assert "MiB" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cap, radii", [(BALL_ELEMENT_CAP, [2, 4]), (10, [1])])
+def test_default_radii_past_the_element_cap_are_dropped(capsys, monkeypatch,
+                                                        cap, radii):
+    # free:3 holds 4,687 elements at radius 5 and 31 at radius 2
+    monkeypatch.setattr(cli, "BallDomain",
+                        functools.partial(groups.BallDomain, cap=cap))
+    code, out, _ = run(capsys, "stability", "--domain", "free:3")
+    assert code == EXIT_OK
+    growth = out.split("\nradius,sup_f,")[1].splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in growth] == radii
+    code, out, err = run(capsys, "stability", "--domain", "free:3",
+                         "--radii", "2,4,6,8")
+    assert code == EXIT_BADCONFIG
+    assert out == "" and f"element cap {cap}" in err
+
+
 def test_over_budget_auxiliary_table_exits_with_the_estimate(capsys,
                                                              monkeypatch):
     # lattice:2 r=8 (145 elements) multiplies on the radius-12 auxiliary

@@ -414,9 +414,9 @@ def test_each_bfs_level_is_keyed_by_one_sort(monkeypatch, kind):
     # one _first_rows call together with the known levels
     calls = []
 
-    def counting(rows, edges):
+    def counting(rows):
         calls.append(len(rows))
-        return first_rows(rows, edges)
+        return first_rows(rows)
 
     first_rows = groups._first_rows
     monkeypatch.setattr(groups, "_first_rows", counting)
@@ -426,6 +426,43 @@ def test_each_bfs_level_is_keyed_by_one_sort(monkeypatch, kind):
     sizes = np.bincount(length)
     assert calls == [sizes[max(0, k - 2):k].sum() + sizes[k - 1] * ngens
                      for k in range(1, 5)]
+
+
+# entry spans whose digits take 1, 2, 4 and 8 bytes; widths whose keys are
+# one uint64 word or a void of several words at each digit size
+@pytest.mark.parametrize("span, size", [(10, 1), (1000, 2), (100_000, 4),
+                                        (2**40, 8)])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9, 17, 40])
+def test_row_keys_sort_and_find_rows_as_a_dict_does(span, size, width):
+    rng = np.random.default_rng(width * 131 + size)
+    rows = rng.integers(-span // 2, span - span // 2, size=(200, width))
+    rows = np.concatenate([rows, rows[rng.integers(0, 200, 60)]])
+    keys = groups._RowKeys(rows).keys
+    words = -(-width * size // 8)
+    assert keys.dtype == (np.uint64 if words == 1 else f"V{8 * words}")
+    order = np.argsort(keys, kind="stable")
+    assert order.tolist() == np.lexsort(rows.T[::-1]).tolist()
+    same_key = keys[order[1:]] == keys[order[:-1]]
+    same_row = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+    assert same_key.tolist() == same_row.tolist()
+    first = order[np.concatenate(([True], ~same_row))]
+    assert groups._first_rows(rows).tolist() == first.tolist()
+
+    keyed = np.unique(rows, axis=0)
+    index = {row: i for i, row in enumerate(map(tuple, keyed.tolist()))}
+    lo, hi = keyed.min(axis=0), keyed.max(axis=0)
+    queries = [keyed, rng.integers(-span, span, size=(200, width))]
+    # one entry of a keyed row moved just out of range, far below it (so
+    # that entry - (min - 1) wraps to a large unsigned digit) or above it
+    for moved in (lo - 1, lo - 2, np.full(width, -2**62), hi + 1, hi + 5):
+        q = keyed[rng.integers(0, len(keyed), 20)].copy()
+        col = rng.integers(0, width, len(q))
+        q[np.arange(len(q)), col] = moved[col]
+        queries.append(q)
+    queries = np.concatenate(queries)
+    want = [index.get(row, -1) for row in map(tuple, queries.tolist())]
+    assert groups._RowKeys(keyed).find(queries).tolist() == want
+    assert want.count(-1) >= 100
 
 
 def test_bfs_of_a_high_rank_lattice_keeps_its_peak_memory_low():
