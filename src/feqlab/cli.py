@@ -12,12 +12,16 @@ Conventions shared by all subcommands:
   would exceed the memory budget, a group order over the order cap, an audit
   whose candidate windows would exceed the window budget, a morphism search
   whose generator assignments would exceed the search budget (the estimate
-  goes to stderr) and an output file that cannot be written.
+  goes to stderr), a perturbation whose residual or audit arithmetic leaves
+  the float range, a --tol that is not finite and >= 0, and an output file
+  that cannot be written.
 """
 
 import argparse
 import cmath
+import contextlib
 import functools
+import math
 import os
 import sys
 
@@ -113,6 +117,27 @@ def _get(args, key, default=None, cast=str):
         raise CliError(f"bad value for --{key.replace('_', '-')}: {exc}") from None
 
 
+def _tolerance(args, default):
+    tol = _get(args, "tol", default, float)
+    if not 0 <= tol < math.inf:
+        raise CliError("--tol must be finite and >= 0")
+    return tol
+
+
+@contextlib.contextmanager
+def _finite_arithmetic():
+    """Float overflow or an invalid operation (inf - inf, 0 * inf) in the
+    perturbation, its measured residual or the audits is a configuration
+    error: that perturbation leaves the float range, and the run would
+    print inf or nan."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise CliError(f"the perturbed pair's arithmetic leaves the float "
+                       f"range ({exc}); lower --epsilon") from None
+
+
 def _resolve_group(spec):
     if spec is None:
         raise CliError("--group is required")
@@ -206,7 +231,7 @@ def cmd_solve(args):
     if sigma.kind != "automorphism":
         raise CliError("completeness solving needs an automorphism sigma")
     chi = _resolve_chi(G, sigma, args)
-    tol = _get(args, "tol", 1e-9, float)
+    tol = _tolerance(args, 1e-9)
     report = completeness_check(G, sigma, chi, tol=tol)
     sys.stdout.write(report.table())
     for row in report.rows:
@@ -256,7 +281,7 @@ def cmd_audit(args):
     G = _resolve_group(args.group)
     sigma = _resolve_sigma(G, args.sigma)
     chi = _resolve_chi(G, sigma, args)
-    tol = _get(args, "tol", 1e-10, float)
+    tol = _tolerance(args, 1e-10)
     f_path, g_path = getattr(args, "f", None), getattr(args, "g", None)
     if (f_path is None) != (g_path is None):
         raise CliError("--f and --g must be given together")
@@ -427,7 +452,8 @@ def cmd_perturb(args):
             raise CliError("no exact pair with f != 0 available to perturb")
         _, f, g = first
         pair = SolutionPair(f, g, "External", sigma=sigma, chi=chi)
-    result = perturb(pair, config)
+    with _finite_arithmetic():
+        result = perturb(pair, config)
     print(f"measured_delta {_fmt(result.measured_delta)}")
     prefix = getattr(args, "out_prefix", None)
     if prefix:
@@ -457,14 +483,15 @@ def cmd_stability(args):
     a = _get(args, "a", max_ball.identity, int)
     if not 0 <= a < max_ball.n:
         raise CliError(f"--a must be an element id in 0..{max_ball.n - 1}")
-    result = perturb(pair, config)
-    report = run_stability_battery(max_ball, sigma, chi, result.f, result.g,
-                                   result.measured_delta, a=a)
+    with _finite_arithmetic():
+        result = perturb(pair, config)
+        report = run_stability_battery(max_ball, sigma, chi, result.f,
+                                       result.g, result.measured_delta, a=a)
     print(f"measured_delta {_fmt(result.measured_delta)}")
     sys.stdout.write(report.table())
     scan = dichotomy_experiment(max_ball, radii, result.f.values,
-                                result.g.values, preset="WilsonVariant",
-                                sigma_spec=sigma_spec, chi_zs=zs)
+                                result.g.values, sigma_spec=sigma_spec,
+                                chi_zs=zs)
     report.growth_rows = scan.growth_rows
     csv_text = report.csv()
     out = getattr(args, "csv_out", None)

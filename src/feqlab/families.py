@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from .feq import (GroupFunction, residual_dalembert, residual_wilson,
-                  zero_tolerance)
+from .feq import GroupFunction, residual_wilson, zero_tolerance
 from .morphisms import Character
 
 # c and f(e) samples used by exhaustive family sweeps; the families are
@@ -88,20 +87,6 @@ def family_case_ii(m, chi, sigma, f_at_e):
                         sigma=sigma, chi=chi)
 
 
-def case_iii_balance_condition(m, chi, sigma):
-    """Pointwise check of (chi - 1) m = (chi - 1) m o sigma.
-
-    Returns (holds, witness). The condition is reported for diagnostics; the
-    twisted family below is exact whether or not it holds.
-    """
-    lhs = (chi.values - 1.0) * m.values
-    rhs = (chi.values - 1.0) * m.values[sigma.table]
-    bad = np.abs(lhs - rhs) > 1e-12
-    if bad.any():
-        return False, int(np.flatnonzero(bad)[0])
-    return True, None
-
-
 def family_case_iii(m, chi, sigma, c, f_at_e):
     """g = (m + chi m o sigma)/2, f = (c + f(e)/2) m - (c - f(e)/2) chi (m o sigma)."""
     c = complex(c)
@@ -112,11 +97,7 @@ def family_case_iii(m, chi, sigma, c, f_at_e):
     g = _mixed_g(m, chi, sigma)
     f_vals = (c + fe / 2.0) * m.values - (c - fe / 2.0) * M.values
     f = GroupFunction(m.domain, f_vals)
-    holds, witness = case_iii_balance_condition(m, chi, sigma)
-    return SolutionPair(f, g, "CaseIII",
-                        parameters={"c": c, "f_at_e": fe,
-                                    "balance_condition_holds": holds,
-                                    "balance_condition_witness": witness},
+    return SolutionPair(f, g, "CaseIII", parameters={"c": c, "f_at_e": fe},
                         sigma=sigma, chi=chi)
 
 
@@ -151,20 +132,11 @@ def dalembert_family(m, chi, sigma):
     """f = (m + chi m o sigma)/2 solves the g = f specialization; m = 0 gives f = 0."""
     f = _mixed_g(m, chi, sigma)
     tol = zero_tolerance(m.domain)
-    rep = residual_dalembert(m.domain, sigma, chi, f)
+    rep = residual_wilson(m.domain, sigma, chi, f, f)
     if rep.sup > tol:
         raise FamilyConstructionError(
             f"self-paired family residual {rep.sup:.3e}; sigma/chi incompatible")
     return f
-
-
-def half_trace_candidate(domain, class_values):
-    """Wrap externally supplied values (e.g. half the trace of a 2-dim
-    representation) as a candidate g. No residual guarantee."""
-    values = np.asarray(list(class_values), dtype=np.complex128)
-    if values.shape != (domain.n,):
-        raise ValueError(f"expected {domain.n} values, got {values.shape[0]}")
-    return GroupFunction(domain, values)
 
 
 def canned_half_trace(G):
@@ -183,7 +155,7 @@ def canned_half_trace(G):
         for a in range(G.order):
             if orders[a] == 3:
                 vals[a] = -0.5
-        return half_trace_candidate(G, vals)
+        return GroupFunction(G, vals)
     if G.order == 8 and not G.is_abelian():
         # D4 / Q8 pattern: the unique central square of an order-4 element
         squares = {G.op(a, a) for a in range(G.order) if orders[a] == 4}
@@ -191,7 +163,7 @@ def canned_half_trace(G):
         if len(squares) != 1:
             return None
         vals[squares.pop()] = -1.0
-        return half_trace_candidate(G, vals)
+        return GroupFunction(G, vals)
     return None
 
 

@@ -150,10 +150,6 @@ def residual_wilson(domain, sigma, chi, f, g):
     return ResidualReport(float(worst), at // n, at % n, pairs, n * n - pairs)
 
 
-def residual_dalembert(domain, sigma, chi, f):
-    return residual_wilson(domain, sigma, chi, f, f)
-
-
 def residual_symmetrized_cauchy(domain, f):
     """|f(xy) + f(yx) - 2 f(x) f(y)| over pairs with both products inside:
     the pair residual with g = f, sigma = id and chi = 1."""

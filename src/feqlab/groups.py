@@ -179,17 +179,6 @@ class Domain:
                 return False
         return True
 
-    def element_order(self, a):
-        """The order of a; ValueError when a power of a leaves the domain."""
-        k, x = 1, a
-        while x != self.identity:
-            x = self.op(x, a)
-            if x < 0:
-                raise ValueError(
-                    f"power {k + 1} of element {a} leaves {self.name}")
-            k += 1
-        return k
-
     def __repr__(self):
         return f"Domain({self.name}, n={self.n})"
 
@@ -476,24 +465,6 @@ class _RowKeys:
         return np.where(keyed[at] == keys, order[at], -1)
 
 
-def _products(kind, rows, ngens):
-    """Every product rows[x] * gens[s], in blocks of at most
-    _BALL_BLOCK_ENTRIES entries, or of one row and one generator; a block
-    takes as many rows as fit, then as many generators. Yields the first
-    row lo and generator s0 of a block and its (rows, generators, width)
-    array of products."""
-    width = rows.shape[1]
-    block = max(1, min(len(rows), _BALL_BLOCK_ENTRIES // width))
-    per = max(1, min(ngens, _BALL_BLOCK_ENTRIES // (block * width)))
-    for lo in range(0, len(rows), block):
-        x = rows[lo:lo + block]
-        for s0 in range(0, ngens, per):
-            y = np.empty((len(x), min(per, ngens - s0), width), dtype=np.int64)
-            for j in range(y.shape[1]):
-                y[:, j] = kind.mult_rows(x, s0 + j)
-            yield lo, s0, y
-
-
 def _first_rows(rows):
     """Index of the first of each set of equal rows, in the order of the
     rows (lexicographic): np.unique sorts stably."""
@@ -521,7 +492,7 @@ def _next_level(kind, known, count, ngens):
     return rows[first], first - at + (count - len(last)) * ngens
 
 
-def _bfs(kind, radius, depth, cap):
+def _bfs(kind, radius, depth):
     """Breadth-first search of the ball of radius `depth` >= `radius`.
 
     Returns its elements as the int64 rows of `kind.mult_rows` (the
@@ -529,16 +500,17 @@ def _bfs(kind, radius, depth, cap):
     prefix of every larger one), their word lengths, and for each element
     but the identity the BFS parent id and generator index s of the first
     edge that reaches it: rows[j] = rows[parent[j]] * gens[s].
-    Levels up to `radius` are held under `cap` elements; from level `radius`
-    on, the right-multiplication table over the elements found so far must
-    fit in BALL_AUX_BYTES. Both are checked before the next level is built.
+    Levels up to `radius` are held under BALL_ELEMENT_CAP elements; from
+    level `radius` on, the right-multiplication table over the elements
+    found so far must fit in BALL_AUX_BYTES. Both are checked before the
+    next level is built.
 
     Level k comes from the products of level k - 1 with every generator
     (_next_level): those not in level k - 2 or k - 1 are new, and of equal
     new products the one with the least (parent id, generator) is kept."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    ngens = len(kind.generators())
+    ngens, cap = len(kind.generators()), BALL_ELEMENT_CAP
     levels = [np.zeros((1, kind.row_width(depth)), dtype=np.int64)]
     parent, step = [np.array([-1])], [np.array([-1])]
     count = 1
@@ -569,15 +541,15 @@ def _bfs(kind, radius, depth, cap):
             np.concatenate(step))
 
 
-def ball_elements(kind, radius, cap=BALL_ELEMENT_CAP):
+def ball_elements(kind, radius):
     """The elements of the radius ball in BFS order (level-sorted, so each
     ball is a prefix of every larger one) and their word lengths."""
-    rows, length, _, _ = _bfs(kind, radius, radius, cap)
+    rows, length, _, _ = _bfs(kind, radius, radius)
     return kind.row_elements(rows), length
 
 
 # a function named like a class: the benchmark tracer wraps it by this name
-def BallDomain(kind, radius, cap=BALL_ELEMENT_CAP):
+def BallDomain(kind, radius):
     """The word-length ball of this radius in `kind`, as a Domain.
 
     Its table is built one BFS level of columns at a time: column j = p * s
@@ -586,20 +558,21 @@ def BallDomain(kind, radius, cap=BALL_ELEMENT_CAP):
     depth d = |p| leads back into the ball through p's BFS descendants only
     if |x * p| <= 2r - d, and |x * p| <= r + d; so every entry that matters
     lies in the auxiliary ball of radius floor(3r/2), on which right
-    multiplication is tabulated once, from the BFS rows by kind.mult_rows
-    and their exact keys. A product that leaves the auxiliary ball becomes
+    multiplication is tabulated once, one generator and one block of BFS
+    rows at a time, from kind.mult_rows and their exact keys. A product that leaves the auxiliary ball becomes
     -1 and stays -1."""
     depth = 3 * radius // 2
-    rows, length, parent, step = _bfs(kind, radius, depth, cap)
+    rows, length, parent, step = _bfs(kind, radius, depth)
     n = int(np.searchsorted(length, radius, side="right"))
     ngens = len(kind.generators())
     # right[s, x] = x * gens[s]; the last column maps -1 to -1
     right = np.full((ngens, len(rows) + 1), -1, dtype=np.int64)
     keys = _RowKeys(rows)
-    for lo, s0, y in _products(kind, rows, ngens):
-        m, g, width = y.shape
-        right[s0:s0 + g, lo:lo + m] = \
-            keys.find(y.reshape(m * g, width)).reshape(m, g).T
+    block = max(1, _BALL_BLOCK_ENTRIES // rows.shape[1])
+    for lo in range(0, len(rows), block):
+        hi = min(lo + block, len(rows))
+        for s in range(ngens):
+            right[s, lo:hi] = keys.find(kind.mult_rows(rows[lo:hi], s))
     elements = kind.row_elements(rows[:n])
     # a copy, so that the auxiliary rows can be freed
     coords = kind.row_coords(rows[:n]).copy()

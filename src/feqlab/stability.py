@@ -27,11 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# residual_symmetrized_cauchy is unused here: the benchmark tracer wraps it
 from .feq import (GroupFunction, companion_mg, replaces_max,
                   residual_symmetrized_cauchy, residual_wilson,
                   section_function)
 from .groups import BallDomain, Domain, IntegerLattice, ball_elements
-from .morphisms import ball_character, ball_involution, satisfies_morphism_law
+from .morphisms import (ball_character, ball_involution, multiplicative_defect,
+                        satisfies_morphism_law)
 
 AUDIT_TOL = 1e-9
 # windows per gathered chunk of an audit (64 KiB per int32 node array)
@@ -566,11 +568,14 @@ def multiplicative_distance(ball, f):
     return best
 
 
-def _growing_pairs(space, radii, f_values, g_values=None):
-    """(radius, ball, f, g) for each radius in increasing order, on the
-    restrictions of one ball: `space` itself, with value vectors in BFS
-    order, or the largest ball of the kind `space`, read through element
-    providers. g is f where g_values is None."""
+def _growing_pairs(space, radii, f_values, g_values=None, sigma_spec="id",
+                   chi_zs=None):
+    """(radius, ball, f, g, sigma, chi, delta) for each radius in increasing
+    order, on the restrictions of one ball: `space` itself, with value
+    vectors in BFS order, or the largest ball of the kind `space`, read
+    through element providers. g is f where g_values is None; sigma is the
+    named ball involution, chi the coordinate character of chi_zs (1 by
+    default) and delta the sup of the pair residual of (f, g)."""
     radii = sorted(radii)
     largest = space
     if not isinstance(space, Domain):
@@ -583,25 +588,23 @@ def _growing_pairs(space, radii, f_values, g_values=None):
         ball = largest.restrict(r)
         f = GroupFunction(ball, f_values[:ball.n])
         g = f if g_values is None else GroupFunction(ball, g_values[:ball.n])
-        yield r, ball, f, g
+        sigma = ball_involution(ball, sigma_spec)
+        chi = ball_character(ball, chi_zs or [1.0] * ball.coords.shape[1])
+        yield (r, ball, f, g, sigma, chi,
+               residual_wilson(ball, sigma, chi, f, g).sup)
 
 
 def dichotomy_experiment(space, radii, f_values, g_values=None,
-                         preset="SymmetrizedCauchy", sigma_spec="id",
-                         chi_zs=None):
+                         sigma_spec="id", chi_zs=None):
     """Per-radius sup, measured residual, and distance to the multiplicative
     family; the growth label across radii exhibits the bounded-or-exact
     dichotomy. `space` is the ball of the largest radius with value
     vectors on it, or a ball kind with element providers
-    (_growing_pairs)."""
+    (_growing_pairs). By default (sigma = id, chi = 1, g = f) the residual
+    is the symmetrized Cauchy one, |f(xy) + f(yx) - 2 f(x) f(y)|."""
     rows = []
-    for r, ball, f, g in _growing_pairs(space, radii, f_values, g_values):
-        if preset == "SymmetrizedCauchy":
-            delta = residual_symmetrized_cauchy(ball, f).sup
-        else:
-            sigma = ball_involution(ball, sigma_spec)
-            chi = ball_character(ball, chi_zs or [1.0] * ball.coords.shape[1])
-            delta = residual_wilson(ball, sigma, chi, f, g).sup
+    for r, ball, f, g, _, _, delta in _growing_pairs(
+            space, radii, f_values, g_values, sigma_spec, chi_zs):
         dist = multiplicative_distance(ball, f)
         rows.append(DichotomyRow(r, f.sup(), g.sup(), delta, dist, ""))
     label = classify_growth([row.sup_f for row in rows])
@@ -636,20 +639,6 @@ class ScanRecord:
     radii_table: list  # (radius, sup_f, sup_g, delta)
 
 
-def _g_multiplicative_defect(ball, g):
-    """max |g(xy) - g(x) g(y)| over the pairs with xy in the ball, one row
-    block at a time; NaN wins, as in one max over the whole grid."""
-    gv = g.values
-    worst = []
-    for x0, x1 in ball.row_blocks():
-        xy = ball.mul[x0:x1].ravel()
-        flat = np.flatnonzero(xy >= 0)
-        if flat.size:
-            x, y = np.divmod(flat, ball.n)
-            worst.append(np.abs(gv[xy[flat]] - gv[x0 + x] * gv[y]).max())
-    return float(np.max(worst)) if worst else 0.0
-
-
 def _additive_fit(ball, h_values):
     """Least-squares fit of h by an additive form over the abelianized
     coordinates plus a constant."""
@@ -674,10 +663,8 @@ def theorem37_case_scan(kind, radii, f_provider, g_provider, sigma_spec="inv",
     table = []
     # the last pass, on the largest ball itself, leaves the pair that the
     # branch checks below examine
-    for r, ball, f, g in _growing_pairs(kind, radii, f_provider, g_provider):
-        sigma = ball_involution(ball, sigma_spec)
-        chi = ball_character(ball, chi_zs or [1.0] * ball.coords.shape[1])
-        delta = residual_wilson(ball, sigma, chi, f, g).sup
+    for r, ball, f, g, sigma, chi, delta in _growing_pairs(
+            kind, radii, f_provider, g_provider, sigma_spec, chi_zs):
         table.append((r, f.sup(), g.sup(), delta))
     f_growth = classify_growth([t[1] for t in table])
     g_growth = classify_growth([t[2] for t in table])
@@ -693,7 +680,8 @@ def theorem37_case_scan(kind, radii, f_provider, g_provider, sigma_spec="inv",
 
     details = {"f_growth": f_growth, "g_growth": g_growth}
     if g_growth == "bounded":
-        details["g_multiplicative_defect"] = _g_multiplicative_defect(ball, g)
+        details["g_multiplicative_defect"] = multiplicative_defect(
+            ball, g.values)
         sym = np.abs(g.values - chi.values * g.values[sigma.table]).max()
         details["g_sigma_symmetry_defect"] = float(sym)
         h = f.values / g.values

@@ -23,6 +23,8 @@ from feqlab.groups import Domain
 from feqlab.morphisms import (Character, Involution, _classify_label,
                               is_involutive, satisfies_morphism_law)
 
+from group_oracle import element_order
+
 
 def subgroup_closure(G, gens):
     """Smallest subgroup of G containing gens, as a sorted id list."""
@@ -170,7 +172,7 @@ def _extend_from_generators(G, gens, images, kind):
 def enumerate_involutions(G, kind):
     """All involutive morphisms of the kind, canonical instances first."""
     gens = generating_set(G)
-    orders = [G.element_order(a) for a in range(G.order)]
+    orders = [element_order(G, a) for a in range(G.order)]
     by_order = {}
     for a in range(G.order):
         by_order.setdefault(orders[a], []).append(a)

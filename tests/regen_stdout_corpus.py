@@ -49,8 +49,17 @@ CONFIG_ERRORS = [
     PERTURB_Z4 + ["--seed", "-1"],
     PERTURB_Z4 + ["--shape", "single-point", "--point", "99"],
     PERTURB_Z4 + ["--tol", "1e-9"],
+    PERTURB_Z4 + ["--epsilon", "1e200"],
     STABILITY_Z2 + ["--point", "999"],
     STABILITY_Z2 + ["--shape", "single-point", "--point", "-1"],
+    STABILITY_Z2 + ["--epsilon", "1e160"],
+    STABILITY_Z2 + ["--epsilon", "1e100"],
+    STABILITY_Z2 + ["--epsilon", "1e160", "--target", "g"],
+    ["solve", "--group", "Z4", "--tol", "nan"],
+    ["solve", "--group", "Z4", "--tol", "-1"],
+    ["solve", "--group", "Z4", "--tol", "inf"],
+    ["audit", "--group", "S3", "--sigma", "inv", "--tol", "nan"],
+    ["audit", "--group", "S3", "--sigma", "inv", "--tol", "inf"],
     STABILITY_Z2 + ["--a", "-2"],
     STABILITY_Z2 + ["--a", "13"],
     ["stability", "--domain", "lattice:2", "--radii", "0"],
@@ -88,9 +97,9 @@ def argvs():
                                  for k in range(INVOLUTIONS.get(name, 0))]
         out += [[sub, "--group", name, "--sigma", spec]
                 for sub in ("solve", "audit") for spec in specs]
-    # exit code 2: no check passes below a negative tolerance
-    out += [["solve", "--group", "Z4", "--sigma", "inv", "--tol", "-1"],
-            ["audit", "--group", "S3", "--sigma", "inv", "--tol", "-1"]]
+    # exit code 2: rounding leaves some check above a zero tolerance
+    out += [["solve", "--group", "Z4", "--sigma", "inv", "--tol", "0"],
+            ["audit", "--group", "S3", "--sigma", "inv", "--tol", "0"]]
     # each domain at radius 1, where sigma = id and inv satisfy both laws,
     # and past it, where one of the two N/A rows appears off lattices
     for domain, radii in (("lattice:1", ("1", "1,2")),

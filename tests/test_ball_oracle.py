@@ -73,8 +73,9 @@ def test_over_budget_auxiliary_table_is_refused(monkeypatch):
         BallDomain(IntegerLattice(2), 4)
     # the element cap is checked on levels up to the radius first
     monkeypatch.setattr(groups, "BALL_AUX_BYTES", 0)
+    monkeypatch.setattr(groups, "BALL_ELEMENT_CAP", 40)
     with pytest.raises(BallTooLarge, match="element cap 40"):
-        BallDomain(IntegerLattice(2), 4, cap=40)
+        BallDomain(IntegerLattice(2), 4)
 
 
 def lattice_ball_size(d, r):

@@ -360,8 +360,19 @@ STABILITY_Z2 = ("stability", "--domain", "lattice:2", "--radii", "2",
     (PERTURB_Z4 + ("--shape", "single-point", "--point", "99"), "0..3"),
     (STABILITY_Z2 + ("--point", "999"), "0..12"),
     (STABILITY_Z2 + ("--shape", "single-point", "--point", "-1"), "0..12"),
+    # f g past the float range overflows the measured residual; at 1e100 the
+    # residual is finite and the parity audit's bound |m_g(y)| delta
+    # overflows (it printed nan), and with g alone perturbed the residual
+    # stays finite while the centrality bound's |g(y)| delta overflows
+    (STABILITY_Z2 + ("--epsilon", "1e160"), "leaves the float range"),
+    (STABILITY_Z2 + ("--epsilon", "1e100"), "leaves the float range"),
+    (STABILITY_Z2 + ("--epsilon", "1e160", "--target", "g"),
+     "leaves the float range"),
+    (PERTURB_Z4 + ("--epsilon", "1e200"), "leaves the float range"),
 ], ids=["shape", "target", "negative-epsilon", "nan-epsilon", "negative-seed",
-        "point-past-the-group", "point-past-the-ball", "negative-point"])
+        "point-past-the-group", "point-past-the-ball", "negative-point",
+        "overflowing-residual", "overflowing-parity-bound",
+        "overflowing-centrality-bound", "overflowing-group-residual"])
 def test_bad_perturbation_flags_are_config_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BADCONFIG
@@ -551,8 +562,7 @@ def test_over_budget_ball_exits_with_the_estimate(capsys, argv):
 def test_default_radii_past_the_element_cap_are_dropped(capsys, monkeypatch,
                                                         cap, radii):
     # free:3 holds 4,687 elements at radius 5 and 31 at radius 2
-    monkeypatch.setattr(cli, "BallDomain",
-                        functools.partial(groups.BallDomain, cap=cap))
+    monkeypatch.setattr(groups, "BALL_ELEMENT_CAP", cap)
     code, out, _ = run(capsys, "stability", "--domain", "free:3")
     assert code == EXIT_OK
     growth = out.split("\nradius,sup_f,")[1].splitlines()[1:]
@@ -676,20 +686,6 @@ def test_each_call_searches_the_characters_once(capsys, monkeypatch, argv):
     assert searched == [argv[2]]
 
 
-def test_no_search_computes_an_element_order_by_the_power_loop(capsys,
-                                                              monkeypatch):
-    # every search reads the cached element_orders
-    def refused(G, a):
-        raise AssertionError("element_order called")
-
-    monkeypatch.setattr(groups.Domain, "element_order", refused)
-    code, _, _ = run(capsys, "catalog", "--group", "S4", "--morphisms",
-                     "--characters")
-    assert code == EXIT_OK
-    code, _, _ = run(capsys, "audit", "--group", "D4", "--sigma", "inv")
-    assert code == EXIT_OK
-
-
 @pytest.mark.parametrize("argv, message", [
     (("solve", "--group", "Z2", "--out-dir", "{file}"), "File exists"),
     (("audit", "--group", "S3", "--sigma", "inv", "--out", "{missing}/x.txt"),
@@ -708,6 +704,21 @@ def test_unwritable_outputs_are_config_errors(capsys, tmp_path, argv, message):
     code, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == EXIT_BADCONFIG
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--group", "Z4", "--tol", "nan"),
+    ("solve", "--group", "Z4", "--tol", "-1"),
+    ("solve", "--group", "Z4", "--tol", "inf"),
+    ("audit", "--group", "S3", "--sigma", "inv", "--tol", "nan"),
+    ("audit", "--group", "S3", "--sigma", "inv", "--tol", "inf"),
+], ids=["solve-nan", "solve-negative", "solve-inf", "audit-nan", "audit-inf"])
+def test_a_tolerance_that_is_not_finite_and_non_negative_is_refused(capsys,
+                                                                    argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert "--tol must be finite and >= 0" in err and "Traceback" not in err
 
 
 def test_tol_is_a_solve_and_audit_flag_only(capsys):

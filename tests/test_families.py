@@ -9,17 +9,15 @@ from feqlab.families import (
     FamilyConstructionError,
     SolutionPair,
     canned_half_trace,
-    case_iii_balance_condition,
     dalembert_family,
     family_case_i,
     family_case_ii,
     family_case_iii,
     family_case_iv,
     generate_family_pairs,
-    half_trace_candidate,
     twisted_companion,
 )
-from feqlab.feq import GroupFunction, residual_dalembert, residual_wilson
+from feqlab.feq import GroupFunction, residual_wilson
 from feqlab.groups import BallDomain, IntegerLattice, build_catalog_group
 from feqlab.morphisms import (
     AdditiveMap,
@@ -71,20 +69,22 @@ def test_case_iii_frozen_sine_pair_on_z4():
     pair = family_case_iii(m_i, trivial_character(Z4), sigma, 1.0, 0.0)
     assert np.allclose(pair.f.values, [0, 2j, 0, -2j], atol=1e-15)
     assert np.allclose(pair.g.values, [1, 0, -1, 0], atol=1e-15)
-    assert pair.parameters["balance_condition_holds"] is True
+    assert pair.parameters == {"c": 1.0, "f_at_e": 0.0}
 
 
 def test_case_iii_twisted_pair_with_nontrivial_chi():
     # the partner character chi * m o sigma replaces m o sigma in f; with
     # m = chi = i^k the partner is trivial and the pair is still exact
     Z4, sigma, chars, m_i = z4_setup()
-    pair = family_case_iii(m_i, chars[1], sigma, 1.0, 0.0)
+    chi = chars[1]
+    pair = family_case_iii(m_i, chi, sigma, 1.0, 0.0)
     assert np.allclose(pair.f.values, [0, -1 + 1j, -2, -1 - 1j], atol=1e-15)
     assert np.allclose(pair.g.values, [1, 0.5 + 0.5j, 0, 0.5 - 0.5j], atol=1e-15)
     assert pair.residual_sup <= 1e-12
-    holds, witness = case_iii_balance_condition(m_i, chars[1], sigma)
-    assert holds is False and witness == 1
-    assert pair.parameters["balance_condition_holds"] is False
+    # exact even where the balance condition (chi - 1) m = (chi - 1) m o sigma
+    # fails: first at element 1, so the family needs no such condition
+    balance = (chi.values - 1.0) * (m_i.values - m_i.values[sigma.table])
+    assert np.flatnonzero(np.abs(balance) > 1e-12)[0] == 1
 
 
 def test_case_iii_rejects_zero_c():
@@ -192,29 +192,25 @@ def test_half_trace_needs_the_determinant_character():
     # works there; on S3 and D4 only the sign-like character closes the
     # equation, and the trivial chi leaves residual exactly 2
     Q8 = build_catalog_group("Q8")
-    rep = residual_dalembert(Q8, inversion_involution(Q8),
-                             trivial_character(Q8), canned_half_trace(Q8))
+    half = canned_half_trace(Q8)
+    rep = residual_wilson(Q8, inversion_involution(Q8), trivial_character(Q8),
+                          half, half)
     assert rep.sup <= 1e-12
 
     S3 = build_catalog_group("S3")
     half = canned_half_trace(S3)
     chars = enumerate_characters(S3)
     sign = chars[1]
-    assert residual_dalembert(S3, inversion_involution(S3), sign, half).sup <= 1e-12
-    assert residual_dalembert(S3, inversion_involution(S3),
-                              trivial_character(S3), half).sup == 2.0
+    assert residual_wilson(S3, inversion_involution(S3), sign, half,
+                           half).sup <= 1e-12
+    assert residual_wilson(S3, inversion_involution(S3),
+                           trivial_character(S3), half, half).sup == 2.0
 
     D4 = build_catalog_group("D4")
     half = canned_half_trace(D4)
-    sups = [residual_dalembert(D4, inversion_involution(D4), chi, half).sup
+    sups = [residual_wilson(D4, inversion_involution(D4), chi, half, half).sup
             for chi in enumerate_characters(D4)]
     assert sum(s <= 1e-12 for s in sups) == 1  # exactly one character closes it
-
-
-def test_half_trace_candidate_validates_length():
-    S3 = build_catalog_group("S3")
-    with pytest.raises(ValueError):
-        half_trace_candidate(S3, [1, 0, 0])
 
 
 # --- pair construction and sweeps -----------------------------------------

@@ -13,7 +13,6 @@ from feqlab.feq import (
     companion_mg,
     parity_parts,
     read_function,
-    residual_dalembert,
     residual_symmetrized_cauchy,
     residual_wilson,
     section_function,
@@ -66,7 +65,8 @@ def test_bumped_pair_residual_is_positive_and_bounded():
 def test_constant_half_on_z2_misses_by_half():
     Z2 = build_catalog_group("Z2")
     f = GroupFunction(Z2, [0.5, 0.5])
-    rep = residual_dalembert(Z2, identity_involution(Z2), trivial_character(Z2), f)
+    rep = residual_wilson(Z2, identity_involution(Z2), trivial_character(Z2),
+                          f, f)
     assert rep.sup == 0.5  # 0.5 + 0.5 - 2*0.25, exactly representable
 
 
@@ -190,7 +190,8 @@ def test_companion_on_z6_cosine_is_constant_one():
     Z6 = build_catalog_group("Z6")
     g = GroupFunction(Z6, np.cos(np.pi * np.arange(6) / 3))
     assert np.allclose(companion_mg(g).values, 1.0, atol=1e-12)
-    rep = residual_dalembert(Z6, inversion_involution(Z6), trivial_character(Z6), g)
+    rep = residual_wilson(Z6, inversion_involution(Z6), trivial_character(Z6),
+                          g, g)
     assert rep.sup <= 1e-12
 
 

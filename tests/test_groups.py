@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from feqlab import groups
 from feqlab.groups import (
-    BALL_ELEMENT_CAP,
     BallDomain,
     DiscreteHeisenberg,
     Domain,
@@ -141,7 +140,7 @@ def test_index_arithmetic_table_equals_the_pair_oracle(G, want):
 def test_quaternion_has_unique_order_two_element():
     Q8 = build_catalog_group("Q8")
     assert not Q8.is_abelian()
-    order_two = [a for a in range(8) if Q8.element_order(a) == 2]
+    order_two = [a for a in range(8) if Q8.element_orders[a] == 2]
     assert len(order_two) == 1
     # that element is central
     c = order_two[0]
@@ -264,7 +263,7 @@ def test_commutator_subgroup_s3_is_the_three_cycles():
     S3 = build_catalog_group("S3")
     N = commutator_subgroup(S3)
     assert len(N) == 3
-    assert all(S3.element_order(a) in (1, 3) for a in N)
+    assert all(S3.element_orders[a] in (1, 3) for a in N)
 
 
 def test_abelianization_examples():
@@ -381,14 +380,15 @@ def test_element_order_raises_when_a_power_leaves_the_ball():
     # (-1,) has infinite order: its third power already leaves the r=2 ball
     ball = BallDomain(IntegerLattice(1), 2)
     with pytest.raises(ValueError, match="power 3 of element 1 leaves"):
-        ball.element_order(ball.elements.index((-1,)))
-    assert ball.element_order(ball.identity) == 1
+        group_oracle.element_order(ball, ball.elements.index((-1,)))
+    assert group_oracle.element_order(ball, ball.identity) == 1
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_element_orders_match_the_power_loop(name):
     G = build_catalog_group(name)
-    assert G.element_orders == tuple(G.element_order(a) for a in range(G.n))
+    assert G.element_orders == tuple(group_oracle.element_order(G, a)
+                                     for a in range(G.n))
 
 
 def test_a_ball_has_no_element_orders():
@@ -397,9 +397,10 @@ def test_a_ball_has_no_element_orders():
         ball.element_orders
 
 
-def test_ball_cap_enforced():
+def test_ball_cap_enforced(monkeypatch):
+    monkeypatch.setattr(groups, "BALL_ELEMENT_CAP", 50)
     with pytest.raises(ValueError):
-        BallDomain(IntegerLattice(2), 10, cap=50)
+        BallDomain(IntegerLattice(2), 10)
 
 
 def test_ball_negative_radius_rejected():
@@ -421,7 +422,7 @@ def test_each_bfs_level_is_keyed_by_one_sort(monkeypatch, kind):
     first_rows = groups._first_rows
     monkeypatch.setattr(groups, "_first_rows", counting)
     monkeypatch.setattr(groups, "_BALL_BLOCK_ENTRIES", 7)
-    rows, length, _, _ = groups._bfs(kind, 3, 4, BALL_ELEMENT_CAP)
+    rows, length, _, _ = groups._bfs(kind, 3, 4)
     ngens = len(kind.generators())
     sizes = np.bincount(length)
     assert calls == [sizes[max(0, k - 2):k].sum() + sizes[k - 1] * ngens
@@ -471,7 +472,7 @@ def test_bfs_of_a_high_rank_lattice_keeps_its_peak_memory_low():
     # copy of the new products
     tracemalloc.start()
     try:
-        rows, _, _, _ = groups._bfs(IntegerLattice(30), 2, 3, BALL_ELEMENT_CAP)
+        rows, _, _, _ = groups._bfs(IntegerLattice(30), 2, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,8 +1,8 @@
 """The row-blocked n^2 sweeps against their dense forms.
 
-The pair residual, the g-multiplicative defect of the branch scan and the
-morphism law check walk a domain's table in row blocks. Each must give what
-the dense n x n form gives, bit for bit, whatever the block size: blocks
+The pair residual, the multiplicative defect (of the branch scan and of
+the character check) and the morphism law check walk a domain's table in
+row blocks. Each must give what the dense n x n form gives, bit for bit, whatever the block size: blocks
 of 1 and 3 rows are forced by lowering groups._ROW_BLOCK_ENTRIES.
 """
 
@@ -12,14 +12,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from feqlab import groups, stability
+from feqlab import groups
 from feqlab.feq import GroupFunction, ResidualReport, residual_wilson
 from feqlab.groups import (CATALOG_NAMES, BallDomain, DiscreteHeisenberg,
                            Domain, FreeGroup, IntegerLattice,
                            build_catalog_group)
 from feqlab.morphisms import (Character, Involution, ball_involution,
                               enumerate_involutions, inversion_involution,
-                              satisfies_morphism_law)
+                              multiplicative_defect, satisfies_morphism_law)
 
 from residual_oracle import dense_report
 
@@ -166,7 +166,7 @@ def test_g_multiplicative_defect_matches_the_dense_form(monkeypatch, name):
             want = dense_g_multiplicative_defect(ball, func)
             for rows in BLOCK_ROWS:
                 force_rows(monkeypatch, ball, rows)
-                assert stability._g_multiplicative_defect(ball, func) == want
+                assert multiplicative_defect(ball, func.values) == want
     # g(x) g(y) overflows
     assert not np.isfinite(want)
 
@@ -236,8 +236,8 @@ def test_the_sweeps_build_no_n_by_n_array(z2_r36):
     sigma = ball_involution(ball, "inv")
     chi, f, g = random_pair(ball, np.random.default_rng(0))
     assert traced_peak_mib(lambda: residual_wilson(ball, sigma, chi, f, g)) < 16
-    assert traced_peak_mib(
-        lambda: stability._g_multiplicative_defect(ball, g)) < 16
+    assert traced_peak_mib(lambda: multiplicative_defect(ball, g.values)) < 16
+    assert traced_peak_mib(lambda: chi.check_multiplicative()) < 16
     assert traced_peak_mib(
         lambda: satisfies_morphism_law(ball, sigma.table, "automorphism")) < 16
 

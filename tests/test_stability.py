@@ -18,6 +18,7 @@ from feqlab.morphisms import (
     ball_involution,
     enumerate_characters,
     inversion_involution,
+    multiplicative_defect,
     trivial_character,
 )
 from feqlab.solver import solve_f_given_g
@@ -400,7 +401,9 @@ def _dichotomy_per_radius(kind, radii, f_provider, g_provider=None,
                           preset="SymmetrizedCauchy", sigma_spec="id",
                           chi_zs=None):
     """dichotomy_experiment as it was before restriction: a fresh ball for
-    every radius and the providers evaluated on each one."""
+    every radius and the providers evaluated on each one. Its
+    SymmetrizedCauchy preset keeps the second residual path that the
+    default sigma = id, chi = 1, g = f replaced."""
     rows, sups_f = [], []
     for r in sorted(radii):
         ball = BallDomain(kind, r)
@@ -455,7 +458,7 @@ def _scan_per_radius(kind, radii, f_provider, g_provider, sigma_spec="inv",
     details = {"f_growth": f_growth, "g_growth": g_growth}
     if g_growth == "bounded":
         details["g_multiplicative_defect"] = \
-            stability._g_multiplicative_defect(ball, g)
+            multiplicative_defect(ball, g.values)
         sym = np.abs(g.values - chi.values * g.values[sigma.table]).max()
         details["g_sigma_symmetry_defect"] = float(sym)
         coef, intercept, resid = stability._additive_fit(ball, f.values / g.values)
@@ -493,20 +496,39 @@ def test_dichotomy_on_the_restricted_ball_matches_fresh_balls(kind):
     radii = [1, 2, 3]
     f = bounded_noise_candidate(kind, 3, seed=11, epsilon=0.02)
     g = bounded_noise_candidate(kind, 3, seed=12, epsilon=0.02)
-    for args, kwargs in [((f,), {}),
-                         ((f, g), {"preset": "WilsonVariant", "sigma_spec": "inv"}),
-                         ((f,), {"preset": "WilsonVariant"})]:
+    for args, kwargs in [((f, g), {"sigma_spec": "inv"}), ((f,), {})]:
         new = dichotomy_experiment(kind, radii, *args, **kwargs)
-        assert new == _dichotomy_per_radius(kind, radii, *args, **kwargs)
+        assert new == _dichotomy_per_radius(kind, radii, *args,
+                                            preset="WilsonVariant", **kwargs)
         assert [row.radius for row in new.growth_rows] == radii
+
+
+def _bits(report):
+    """Every number of a dichotomy report as its float64 bytes."""
+    floats = [report.measured_delta]
+    for row in report.growth_rows:
+        floats += [row.sup_f, row.sup_g, row.delta, row.dist_to_family]
+    labels = [(row.radius, row.branch_label) for row in report.growth_rows]
+    return np.array(floats, dtype=np.float64).tobytes(), labels
+
+
+@pytest.mark.parametrize("kind", GROWTH_KINDS, ids=lambda kind: kind.name)
+def test_default_dichotomy_is_the_symmetrized_cauchy_path_bit_for_bit(kind):
+    # sigma = id, chi = 1 and g = f make the pair residual the symmetrized
+    # Cauchy residual that the oracle's SymmetrizedCauchy preset evaluates
+    radii = [1, 2, 3]
+    f = bounded_noise_candidate(kind, 3, seed=11, epsilon=0.02)
+    want = _dichotomy_per_radius(kind, radii, f)
+    assert all(row.delta > 0 for row in want.growth_rows)
+    assert _bits(dichotomy_experiment(kind, radii, f)) == _bits(want)
 
 
 def test_dichotomy_on_an_exponential_matches_fresh_balls():
     radii = [2, 5, 9]
     kind = IntegerLattice(1)
     exp = lambda el: 1.7 ** el[0]
-    new = dichotomy_experiment(kind, radii, exp, preset="WilsonVariant",
-                               sigma_spec="inv", chi_zs=[1j])
+    new = dichotomy_experiment(kind, radii, exp, sigma_spec="inv",
+                               chi_zs=[1j])
     assert new == _dichotomy_per_radius(kind, radii, exp, preset="WilsonVariant",
                                         sigma_spec="inv", chi_zs=[1j])
     assert new.growth_rows[0].branch_label == "growing"
@@ -555,8 +577,7 @@ def test_growth_experiments_build_only_the_largest_ball(monkeypatch):
 @pytest.mark.parametrize("kind", GROWTH_KINDS, ids=lambda kind: kind.name)
 @pytest.mark.parametrize("with_g, kwargs", [
     (False, {}), (True, {}),
-    (True, {"preset": "WilsonVariant", "sigma_spec": "inv"}),
-    (True, {"preset": "WilsonVariant", "sigma_spec": "id"})],
+    (True, {"sigma_spec": "inv"}), (True, {"sigma_spec": "id"})],
     ids=["cauchy", "cauchy-g", "wilson-inv", "wilson-id"])
 def test_dichotomy_on_a_built_ball_matches_the_kind_form(monkeypatch, kind,
                                                          with_g, kwargs):
