@@ -124,6 +124,12 @@ def argvs():
     out += [["perturb", "--domain", domain, "--radius", r, "--epsilon", "0.01"]
             for domain, r in (("lattice:9", "2"), ("free:2", "6"),
                               ("lattice:1", "200"))]
+    # most right-multiplication entries of these balls' tables come from
+    # the top level of their auxiliary ball; lattice:1447 r=1 has the
+    # widest auxiliary table under the element cap
+    out += [["perturb", "--domain", domain, "--radius", r, "--epsilon", "0.01"]
+            for domain, r in (("lattice:37", "2"), ("free:26", "2"),
+                              ("lattice:1447", "1"))]
     return out + CONFIG_ERRORS
 
 
