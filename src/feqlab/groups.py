@@ -350,9 +350,9 @@ class DiscreteHeisenberg:
         return list(map(tuple, rows.tolist()))
 
     def row_coords(self, rows):
-        """(a, b) of each (a, b, c) row: the center (c coordinate) is the
-        commutator subgroup."""
-        return rows[:, :2]
+        """(a, b) of each (a, b, c) row, in a new array: the center (c
+        coordinate) is the commutator subgroup."""
+        return rows[:, :2].copy()
 
 
 class FreeGroup:
@@ -418,88 +418,89 @@ def _inverses(mul):
     return hits.argmax(axis=1)
 
 
-class _RowKeys:
-    """Keys of int64 rows that sort as the rows do, lexicographically, and
-    lookup of other rows among them when the keyed rows are distinct.
+def _row_keys(rows):
+    """Keys of int64 rows that sort as the rows do, lexicographically.
 
-    A key is the bytes of a row's digits. Each entry becomes the digit
-    entry - lo, lo one below its column's minimum, capped at top, one above
-    its column's maximum less lo: so an entry out of the keyed range (below
-    lo it wraps to a large unsigned digit) takes the digit 0 or top, which
-    no keyed row holds there. The digits are big-endian in the narrowest
-    unsigned width that holds top, zero-padded to whole 8-byte words, and
-    read as one uint64 when they fill one word, else as one void, which
-    compares bytewise."""
-
-    def __init__(self, rows):
-        self.lo = rows.min(axis=0) - 1
-        self.top = (rows.max(axis=0) + 1 - self.lo).view(np.uint64)
-        self.digit = np.min_scalar_type(self.top.max()).newbyteorder(">")
-        self.words = -(-rows.shape[1] * self.digit.itemsize // 8)
-        # packed in blocks, so the shifted digits stay small
-        block = max(1, _BALL_BLOCK_ENTRIES // rows.shape[1])
-        self.keys = np.concatenate([self._keys(rows[lo:lo + block])
-                                    for lo in range(0, len(rows), block)])
-
-    def _keys(self, rows):
-        out = np.zeros((len(rows), 8 * self.words // self.digit.itemsize),
-                       dtype=self.digit)
-        np.minimum((rows - self.lo).view(np.uint64), self.top,
-                   out=out[:, :rows.shape[1]], casting="unsafe")
-        if self.words == 1:
-            return out.view(">u8")[:, 0].astype(np.uint64)
-        return out.view(f"V{8 * self.words}")[:, 0]
-
-    @functools.cached_property
-    def _sorted(self):
-        # a ball's rows come in sorted runs, one per BFS level, and the
-        # stable sort merges runs
-        order = np.argsort(self.keys, kind="stable")
-        return order, self.keys[order]
-
-    def find(self, rows):
-        """The index of each row among the keyed rows, -1 where absent."""
-        keys = self._keys(rows)
-        order, keyed = self._sorted
-        at = np.minimum(np.searchsorted(keyed, keys), len(keyed) - 1)
-        return np.where(keyed[at] == keys, order[at], -1)
+    A key is the bytes of a row's digits entry - lo, lo its column's
+    minimum: big-endian in the narrowest unsigned width that holds every
+    digit, zero-padded to whole 8-byte words, and read as one uint64 when
+    they fill one word, else as one void, which compares bytewise."""
+    lo = rows.min(axis=0)
+    digit = np.min_scalar_type((rows.max(axis=0) - lo).view(np.uint64).max())
+    digit = digit.newbyteorder(">")
+    words = -(-rows.shape[1] * digit.itemsize // 8)
+    out = np.zeros((len(rows), 8 * words // digit.itemsize), dtype=digit)
+    # a buffered cast, so no int64 copy of the rows is made
+    np.subtract(rows, lo, out=out[:, :rows.shape[1]], casting="unsafe")
+    if words == 1:
+        return out.view(">u8")[:, 0].astype(np.uint64)
+    return out.view(f"V{8 * words}")[:, 0]
 
 
 def _first_rows(rows):
     """Index of the first of each set of equal rows, in the order of the
-    rows (lexicographic): np.unique sorts stably."""
-    return np.unique(_RowKeys(rows).keys, return_index=True)[1]
+    rows (lexicographic): np.unique sorts stably; and each row's set."""
+    return np.unique(_row_keys(rows), return_index=True,
+                     return_inverse=True)[1:]
 
 
 def _next_level(kind, known, count, ngens):
     """The BFS level after the `known` levels, which end at id count - 1:
-    its rows in tuple order and, for each, the least edge id
-    parent id * ngens + generator index that reaches it. The generators
-    are closed under inverses, so a product of the last known level lies
-    in a known level or in the next one.
+    its rows in tuple order, for each the least edge id
+    parent id * ngens + generator index that reaches it, and the id of
+    each product of the last known level, ids[s, i] = last[i] * gens[s].
+    The generators are closed under inverses, so a product of the last
+    known level lies in a known level or in the next one.
 
     The known rows, then the products of the last level with every
     generator in edge id order, are keyed together in one array: a set of
-    equal rows whose first is a product is new, and that first has the
-    least edge id."""
+    equal rows whose first is a product is new, that first has the least
+    edge id, and the new sets take ids from count on in key order."""
     last, at = known[-1], sum(len(rows) for rows in known)
     rows = np.empty((at + len(last) * ngens, last.shape[1]), dtype=np.int64)
     np.concatenate(known, out=rows[:at])
     for s in range(ngens):
         rows[at + s::ngens] = kind.mult_rows(last, s)
-    first = _first_rows(rows)
-    first = first[first >= at]
-    return rows[first], first - at + (count - len(last)) * ngens
+    first, inverse = _first_rows(rows)
+    new = first >= at
+    ids = first + (count - at)
+    ids[new] = np.arange(count, count + np.count_nonzero(new))
+    first = first[new]
+    return (rows[first], first - at + (count - len(last)) * ngens,
+            ids[inverse[at:]].reshape(len(last), ngens).T)
+
+
+def _inverse_generators(kind, first_level, gen_ids):
+    """flip[s] = the index of gens[s]^-1, given BFS level 1 (gens[s] is row
+    gen_ids[s] - 1). Raises ValueError unless the generators' coordinates
+    are distinct (so are the generators, none the identity, as level 1
+    has a row for each) and sum to +-1: then, row_coords being a
+    homomorphism to Z^k, every word length has the parity of the
+    coordinate sum, so the Cayley graph is bipartite; and negation, which
+    maps the generators' coordinates onto themselves, reverses their
+    lexicographic order."""
+    coords = kind.row_coords(first_level)
+    keys = _row_keys(coords)[gen_ids - 1]
+    # stable, as in np.unique: the default sort pages in 0.4 MB of kernels
+    order = np.argsort(keys, kind="stable")
+    if (keys[order[1:]] == keys[order[:-1]]).any() \
+            or (np.abs(coords.sum(axis=1)) != 1).any():
+        raise ValueError(f"{kind.name}: the generators' coordinates must be "
+                         f"distinct and sum to +-1 (a bipartite Cayley graph)")
+    # the generator at place i of the order is inverse to the one at -1 - i
+    return order[::-1][np.argsort(order, kind="stable")]
 
 
 def _bfs(kind, radius, depth):
     """Breadth-first search of the ball of radius `depth` >= `radius`.
 
-    Returns its elements as the int64 rows of `kind.mult_rows` (the
-    identity is the zero row) in BFS order (level-sorted, so each ball is a
-    prefix of every larger one), their word lengths, and for each element
-    but the identity the BFS parent id and generator index s of the first
-    edge that reaches it: rows[j] = rows[parent[j]] * gens[s].
+    Returns the elements of the radius-`radius` ball as the int64 rows of
+    `kind.mult_rows` (the identity is the zero row) in BFS order
+    (level-sorted, so each ball is a prefix of every larger one), their
+    word lengths, for each element but the identity the BFS parent id and
+    generator index s of the first edge that reaches it (rows[j] =
+    rows[parent[j]] * gens[s]), and right[s, x] = x * gens[s] on the
+    `depth` ball, -1 outside it, with one more column mapping -1 to -1.
     Levels up to `radius` are held under BALL_ELEMENT_CAP elements; from
     level `radius` on, the right-multiplication table over the elements
     found so far must fit in BALL_AUX_BYTES. Both are checked before the
@@ -507,19 +508,23 @@ def _bfs(kind, radius, depth):
 
     Level k comes from the products of level k - 1 with every generator
     (_next_level): those not in level k - 2 or k - 1 are new, and of equal
-    new products the one with the least (parent id, generator) is kept."""
+    new products the one with the least (parent id, generator) is kept;
+    their ids fill right below the top level. The Cayley graph is bipartite
+    (_inverse_generators), so x * s for x on the top level is outside the
+    ball or is the y of the level below with y * s^-1 = x."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     ngens, cap = len(kind.generators()), BALL_ELEMENT_CAP
     levels = [np.zeros((1, kind.row_width(depth)), dtype=np.int64)]
-    parent, step = [np.array([-1])], [np.array([-1])]
+    parent, step, ids = [np.array([-1])], [np.array([-1])], []
     count = 1
     for k in range(depth + 1):
         if k:
-            rows, edge = _next_level(kind, levels[-2:], count, ngens)
+            rows, edge, products = _next_level(kind, levels[-2:], count, ngens)
             levels.append(rows)
             parent.append(edge // ngens)
             step.append(edge % ngens)
+            ids.append(products)
             count += len(rows)
         if k <= radius and count > cap:
             raise BallTooLarge(
@@ -536,15 +541,23 @@ def _bfs(kind, radius, depth):
                 f"radius-{k} ball ({count} elements) needs at least "
                 f"{aux / 2**20:.1f} MiB "
                 f"(budget {BALL_AUX_BYTES / 2**20:.1f} MiB)")
-    length = np.repeat(np.arange(len(levels)), [len(v) for v in levels])
+    right = np.full((ngens, count + 1), -1, dtype=np.int64)
+    if depth:
+        top = count - len(levels[-1])
+        np.concatenate(ids, axis=1, out=right[:, :top])
+        flip = _inverse_generators(kind, levels[1], right[:, 0])
+        below = top - len(levels[-2])
+        right[flip[:, None], right[:, below:top]] = np.arange(below, top)
+    del levels[radius + 1:], parent[radius + 1:], step[radius + 1:]
+    length = np.repeat(np.arange(radius + 1), [len(v) for v in levels])
     return (np.concatenate(levels), length, np.concatenate(parent),
-            np.concatenate(step))
+            np.concatenate(step), right)
 
 
 def ball_elements(kind, radius):
     """The elements of the radius ball in BFS order (level-sorted, so each
     ball is a prefix of every larger one) and their word lengths."""
-    rows, length, _, _ = _bfs(kind, radius, radius)
+    rows, length, _, _, _ = _bfs(kind, radius, radius)
     return kind.row_elements(rows), length
 
 
@@ -557,26 +570,12 @@ def BallDomain(kind, radius):
     multiplication by s applied to column p. An entry x * p of a column at
     depth d = |p| leads back into the ball through p's BFS descendants only
     if |x * p| <= 2r - d, and |x * p| <= r + d; so every entry that matters
-    lies in the auxiliary ball of radius floor(3r/2), on which right
-    multiplication is tabulated once, one generator and one block of BFS
-    rows at a time, from kind.mult_rows and their exact keys. A product that leaves the auxiliary ball becomes
-    -1 and stays -1."""
+    lies in the auxiliary ball of radius floor(3r/2), whose right
+    multiplication table the BFS of that ball fills (_bfs). A product that
+    leaves the auxiliary ball becomes -1 and stays -1."""
     depth = 3 * radius // 2
-    rows, length, parent, step = _bfs(kind, radius, depth)
-    n = int(np.searchsorted(length, radius, side="right"))
-    ngens = len(kind.generators())
-    # right[s, x] = x * gens[s]; the last column maps -1 to -1
-    right = np.full((ngens, len(rows) + 1), -1, dtype=np.int64)
-    keys = _RowKeys(rows)
-    block = max(1, _BALL_BLOCK_ENTRIES // rows.shape[1])
-    for lo in range(0, len(rows), block):
-        hi = min(lo + block, len(rows))
-        for s in range(ngens):
-            right[s, lo:hi] = keys.find(kind.mult_rows(rows[lo:hi], s))
-    elements = kind.row_elements(rows[:n])
-    # a copy, so that the auxiliary rows can be freed
-    coords = kind.row_coords(rows[:n]).copy()
-    del rows, keys
+    rows, length, parent, step, right = _bfs(kind, radius, depth)
+    n = len(rows)
     starts = np.searchsorted(length, np.arange(radius + 2))
     mul = np.empty((n, n), dtype=np.int64)
     mul[:, 0] = np.arange(n)
@@ -589,5 +588,5 @@ def BallDomain(kind, radius):
     # the columns hold auxiliary ids; those past the ball leave it
     mul[mul >= n] = -1
     return Domain(mul, name=f"{kind.name}_ball{radius}", kind=kind,
-                  elements=elements, length=length[:n].copy(), radius=radius,
-                  coords=coords)
+                  elements=kind.row_elements(rows), length=length,
+                  radius=radius, coords=kind.row_coords(rows))

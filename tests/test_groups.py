@@ -411,8 +411,8 @@ def test_ball_negative_radius_rejected():
 @pytest.mark.parametrize("kind", [IntegerLattice(3), DiscreteHeisenberg(),
                                   FreeGroup(3)], ids=lambda kind: kind.name)
 def test_each_bfs_level_is_keyed_by_one_sort(monkeypatch, kind):
-    # even with blocks of 7 entries, the products of a level are keyed in
-    # one _first_rows call together with the known levels
+    # the products of a level are keyed in one _first_rows call together
+    # with the known levels
     calls = []
 
     def counting(rows):
@@ -421,12 +421,71 @@ def test_each_bfs_level_is_keyed_by_one_sort(monkeypatch, kind):
 
     first_rows = groups._first_rows
     monkeypatch.setattr(groups, "_first_rows", counting)
-    monkeypatch.setattr(groups, "_BALL_BLOCK_ENTRIES", 7)
-    rows, length, _, _ = groups._bfs(kind, 3, 4)
+    rows, length, _, _, _ = groups._bfs(kind, 3, 4)
     ngens = len(kind.generators())
     sizes = np.bincount(length)
     assert calls == [sizes[max(0, k - 2):k].sum() + sizes[k - 1] * ngens
                      for k in range(1, 5)]
+
+
+BFS_KINDS = [IntegerLattice(1), IntegerLattice(2), IntegerLattice(3),
+             DiscreteHeisenberg(), FreeGroup(2), FreeGroup(3)]
+
+
+@pytest.mark.parametrize("radius", range(5))
+@pytest.mark.parametrize("kind", BFS_KINDS, ids=lambda kind: kind.name)
+def test_bfs_right_table_equals_the_tuple_products(kind, radius):
+    # every entry, the top level's too: right[s, x] = x * gens[s] in the
+    # auxiliary ball of radius floor(3r/2), else -1; the rows are those of
+    # the radius-r ball, a prefix of the auxiliary one
+    depth = 3 * radius // 2
+    rows, length, _, _, right = groups._bfs(kind, radius, depth)
+    elements, lengths = ball_oracle.ball_elements(kind, depth)
+    assert kind.row_elements(rows) == elements[:len(rows)]
+    assert length.tolist() == lengths[lengths <= radius].tolist()
+    index = {el: i for i, el in enumerate(elements)}
+    assert right.tolist() == [
+        [index.get(ball_oracle.mult(kind, x, g), -1) for x in elements] + [-1]
+        for g in kind.generators()]
+
+
+class SteppedIntegers(IntegerLattice):
+    """Z with generators +-1 and +-2: its Cayley graph has triangles."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.name = "Z(1,2)"
+
+    def generators(self):
+        return [(1,), (-1,), (2,), (-2,)]
+
+    def mult_rows(self, rows, s):
+        return rows + (1, -1, 2, -2)[s]
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_a_kind_without_a_bipartite_cayley_graph_is_refused(radius):
+    with pytest.raises(ValueError, match="bipartite"):
+        BallDomain(SteppedIntegers(), radius)
+
+
+@pytest.mark.parametrize("kind", [IntegerLattice(3), DiscreteHeisenberg(),
+                                  FreeGroup(3)], ids=lambda kind: kind.name)
+def test_a_ball_build_multiplies_rows_only_below_the_top_bfs_level(
+        monkeypatch, kind):
+    # r=4 searches levels 0..6 of its auxiliary ball: each of levels 0..5
+    # is multiplied by every generator once, and nothing is multiplied
+    # after the search
+    calls = []
+
+    def counting(rows, s):
+        calls.append(s)
+        return mult_rows(rows, s)
+
+    mult_rows = kind.mult_rows
+    monkeypatch.setattr(kind, "mult_rows", counting)
+    BallDomain(kind, 4)
+    assert calls == list(range(len(kind.generators()))) * 6
 
 
 # entry spans whose digits take 1, 2, 4 and 8 bytes; widths whose keys are
@@ -438,7 +497,7 @@ def test_row_keys_sort_and_find_rows_as_a_dict_does(span, size, width):
     rng = np.random.default_rng(width * 131 + size)
     rows = rng.integers(-span // 2, span - span // 2, size=(200, width))
     rows = np.concatenate([rows, rows[rng.integers(0, 200, 60)]])
-    keys = groups._RowKeys(rows).keys
+    keys = groups._row_keys(rows)
     words = -(-width * size // 8)
     assert keys.dtype == (np.uint64 if words == 1 else f"V{8 * words}")
     order = np.argsort(keys, kind="stable")
@@ -447,23 +506,14 @@ def test_row_keys_sort_and_find_rows_as_a_dict_does(span, size, width):
     same_row = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
     assert same_key.tolist() == same_row.tolist()
     first = order[np.concatenate(([True], ~same_row))]
-    assert groups._first_rows(rows).tolist() == first.tolist()
-
-    keyed = np.unique(rows, axis=0)
-    index = {row: i for i, row in enumerate(map(tuple, keyed.tolist()))}
-    lo, hi = keyed.min(axis=0), keyed.max(axis=0)
-    queries = [keyed, rng.integers(-span, span, size=(200, width))]
-    # one entry of a keyed row moved just out of range, far below it (so
-    # that entry - (min - 1) wraps to a large unsigned digit) or above it
-    for moved in (lo - 1, lo - 2, np.full(width, -2**62), hi + 1, hi + 5):
-        q = keyed[rng.integers(0, len(keyed), 20)].copy()
-        col = rng.integers(0, width, len(q))
-        q[np.arange(len(q)), col] = moved[col]
-        queries.append(q)
-    queries = np.concatenate(queries)
-    want = [index.get(row, -1) for row in map(tuple, queries.tolist())]
-    assert groups._RowKeys(keyed).find(queries).tolist() == want
-    assert want.count(-1) >= 100
+    got, inverse = groups._first_rows(rows)
+    assert got.tolist() == first.tolist()
+    # each row finds the first of its equal rows, as a dict of first rows
+    index = {}
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        index.setdefault(row, i)
+    assert got[inverse].tolist() == [index[row]
+                                     for row in map(tuple, rows.tolist())]
 
 
 def test_bfs_of_a_high_rank_lattice_keeps_its_peak_memory_low():
@@ -472,11 +522,13 @@ def test_bfs_of_a_high_rank_lattice_keeps_its_peak_memory_low():
     # copy of the new products
     tracemalloc.start()
     try:
-        rows, _, _, _ = groups._bfs(IntegerLattice(30), 2, 3)
+        rows, _, _, _, right = groups._bfs(IntegerLattice(30), 2, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(rows) == 1 + 60 + 1800 + 36020
+    # the rows of the radius-2 ball; the right table of the radius-3 one
+    assert len(rows) == 1 + 60 + 1800
+    assert right.shape == (60, 1 + 60 + 1800 + 36020 + 1)
     assert peak < 45 * 2**20
 
 
