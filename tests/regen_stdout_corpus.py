@@ -101,10 +101,12 @@ def argvs():
     out += [["solve", "--group", "Z4", "--sigma", "inv", "--tol", "0"],
             ["audit", "--group", "S3", "--sigma", "inv", "--tol", "0"]]
     # each domain at radius 1, where sigma = id and inv satisfy both laws,
-    # and past it, where one of the two N/A rows appears off lattices
+    # and past it, where one of the two N/A rows appears off lattices;
+    # lattice:2 r=12 and heisenberg r=4 have audit chunks in which most
+    # candidate windows leave the ball
     for domain, radii in (("lattice:1", ("1", "1,2")),
-                          ("lattice:2", ("1", "1,2", "2,4,6,8")),
-                          ("heisenberg", ("1", "1,2", "1,2,3")),
+                          ("lattice:2", ("1", "1,2", "2,4,6,8", "12")),
+                          ("heisenberg", ("1", "1,2", "1,2,3", "1,2,3,4")),
                           ("free:2", ("1", "1,2", "1,2,3"))):
         out += [["stability", "--domain", domain, "--radii", r, "--sigma", s]
                 for r in radii for s in ("id", "inv")]
