@@ -12,12 +12,15 @@ ball. Skipped windows are counted and reported.
 
 The evaluator gathers only candidate windows. The certificate's points in
 two of the letters x, y, z (xy, s(z)x, zy, ...) give n x n pair masks, and
-a window is a candidate when every pair mask allows it; on a triple grid
-that is, for each x, the (y, z) in Y_x x Z_x that the (y, z) mask allows.
-Candidates are gathered in chunks of AUDIT_CHUNK_ENTRIES, so peak memory is
-O(n^2) (the padded tables and the pair masks) plus a few MiB. An audit whose
-pair masks allow more than AUDIT_WINDOW_BUDGET windows raises AuditTooLarge
-before gathering any; the CLI exits 4 with the estimate.
+a window is a candidate when every pair mask allows it. Candidates are
+gathered in chunks of AUDIT_CHUNK_ENTRIES, so peak memory is O(n^2) (the
+padded tables and the pair masks) plus a few MiB. Within a chunk, the
+windows a gathered node puts outside the ball are dropped once they are half
+of it, so the later gathers run on live windows only. Under a certificate's
+law, a node that the law makes the same element as another node is not
+gathered. An audit whose pair masks allow more than AUDIT_WINDOW_BUDGET
+windows raises AuditTooLarge before gathering any; the CLI exits 4 with the
+estimate.
 """
 
 import itertools
@@ -39,7 +42,7 @@ AUDIT_TOL = 1e-9
 # windows per gathered chunk of an audit (64 KiB per int32 node array)
 AUDIT_CHUNK_ENTRIES = 1 << 14
 # most candidate windows one audit may gather, as its pair masks estimate
-# them (~100 ns each: lattice:2 r=24 under sigma = inv needs 1.9e8)
+# them (~55 ns each on 2 vCPU: lattice:2 r=24 under sigma = inv needs 1.9e8)
 AUDIT_WINDOW_BUDGET = 300_000_000
 
 PERTURBATION_SHAPES = ("uniform-disk", "single-point", "character-phase")
@@ -204,22 +207,23 @@ def _row_from_chunks(name, bound, total, chunks, tol=AUDIT_TOL):
 def _candidate_blocks(masks, n):
     """Blocks of windows, in C order, that every pair mask allows: the
     (x, y) of masks = [xy], or, from masks = [xy, xz, yz], the (x, y, z)
-    with y in Y_x, z in Z_x and (y, z) allowed. A block is one index array
-    per axis, of at most AUDIT_CHUNK_ENTRIES windows."""
-    if len(masks) == 1:
-        rows = max(1, AUDIT_CHUNK_ENTRIES // n)
-        for x0 in range(0, n, rows):
-            xs, ys = np.nonzero(masks[0][x0:x0 + rows])
-            yield [(xs + x0).astype(np.int32), ys.astype(np.int32)]
-        return
-    xy, xz, yz = masks
-    for x in range(n):
-        ys = np.flatnonzero(xy[x]).astype(np.int32)
-        zs = np.flatnonzero(xz[x]).astype(np.int32)
-        step = max(1, AUDIT_CHUNK_ENTRIES // max(1, len(zs)))
-        for y0 in range(0, len(ys), step):
-            yi, zi = np.nonzero(yz[np.ix_(ys[y0:y0 + step], zs)])
-            yield [np.full(len(yi), x, dtype=np.int32), ys[y0 + yi], zs[zi]]
+    with (x, y), (x, z) and (y, z) allowed. Row blocks of xy give the (x, y)
+    pairs; each run of AUDIT_CHUNK_ENTRIES // n pairs ANDs its rows of xz
+    and yz to give their z. A block is one index array per axis, of at most
+    max(n, AUDIT_CHUNK_ENTRIES) windows."""
+    rows = max(1, AUDIT_CHUNK_ENTRIES // n)
+    for x0 in range(0, n, rows):
+        # flatnonzero and divmod: 2-d nonzero is a few times slower
+        xs, ys = np.divmod(np.flatnonzero(masks[0][x0:x0 + rows]), n)
+        xs, ys = (xs + x0).astype(np.int32), ys.astype(np.int32)
+        if len(masks) == 1:
+            yield [xs, ys]
+            continue
+        for p0 in range(0, len(xs), rows):
+            px, py = xs[p0:p0 + rows], ys[p0:p0 + rows]
+            both = masks[1][px] & masks[2][py]
+            pair, zs = np.divmod(np.flatnonzero(both), n)
+            yield [px[pair], py[pair], zs.astype(np.int32)]
 
 
 def _chunks(blocks, size):
@@ -273,11 +277,20 @@ SYMMETRIZED_SINE = Certificate(
                             ("a", "x")))
 
 
-def _program(windows):
+def _program(windows, law=None):
     """Every node of the windows' residuals F(u, v), in evaluation order:
     the prefixes of u and v, u v, sigma(v) and sigma(v) u. A node is keyed by
     its word written flat, so (xz)y and x(zy) are one node, and maps to the
-    keys it is built from: one for sigma, two for a product."""
+    keys it is built from: one for sigma, two for a product.
+
+    Under a law, sigma(v) u for a product v = v_1 ... v_k is the element
+    s(v_k)...s(v_1)u (anti-automorphism) or s(v_1)...s(v_k)u
+    (automorphism). Where the windows already have that node, sigma(v) u is
+    not built: v is a node too, and on a window where both lie in the ball
+    so does sigma(v) u, as the same element, for a sigma that is a morphism
+    of that law mapping the ball onto itself (inversion and the identity on
+    a ball, any sigma on a finite group). Validity is unchanged. A sigma
+    node that no other node is built from goes too."""
     steps = {}
 
     def node(word):
@@ -294,6 +307,14 @@ def _program(windows):
         node(f"s({v})")
         steps.setdefault(u + v, (u, v))
         steps.setdefault(f"s({v}){u}", (f"s({v})", u))
+    if law:
+        for u, v in windows:
+            letters = v[::-1] if law == "anti-automorphism" else v
+            if len(v) > 1 and "".join(f"s({c})" for c in letters) + u in steps:
+                del steps[f"s({v}){u}"]
+        factors = {k for ops in steps.values() for k in ops}
+        steps = {k: ops for k, ops in steps.items()
+                 if len(ops) == 2 or k in factors}
     return steps
 
 
@@ -306,12 +327,15 @@ def _certified_row(cert, domain, sigma, excess, a=0):
     a node too. The nodes whose words use at most two of the letters x, y,
     z give one n x n pair mask per pair of letters, built in row blocks of
     about AUDIT_CHUNK_ENTRIES entries. Only the windows that every pair
-    mask allows are gathered: on a triple grid, for each x, the (y, z) in
-    Y_x x Z_x that the (y, z) mask allows. They go out as flat C-order index
-    arrays in chunks of AUDIT_CHUNK_ENTRIES windows; every node is built on
-    a chunk and the validity rule runs there. excess(node) gives LHS - RHS
-    on one chunk, where node(word) is the index array of a node on it; only
-    nodes that are factors of another node are kept.
+    mask allows are gathered (_candidate_blocks). They go out as flat
+    C-order index arrays in chunks of AUDIT_CHUNK_ENTRIES windows; the
+    nodes of _program(cert.windows, cert.law) are built on a chunk and the
+    validity rule runs there. Once half a chunk's windows or more have left
+    the ball, they are dropped from the windows and every node array, in
+    one index that keeps C order, so later gathers and excess run on the
+    live windows only; a chunk with none left is skipped. excess(node)
+    gives LHS - RHS on one chunk, where node(word) is the index array of a
+    node on it; only nodes that are factors of another node are kept.
 
     Raises AuditInapplicable first when sigma fails the certificate's law
     on the domain: there the windows do not sum to the left-hand side, so
@@ -330,7 +354,7 @@ def _certified_row(cert, domain, sigma, excess, a=0):
     mp = _padded(domain.mul).astype(np.int32).ravel()
     sp = _padded(sigma.table).astype(np.int32)
     inv = domain.inv.astype(np.int32)
-    steps = _program(cert.windows)
+    steps = _program(cert.windows, cert.law)
     factors = {k for ops in steps.values() for k in ops}
     axes = [c for c in "xyz"
             if any(c in (u + v).lower() for u, v in cert.windows)]
@@ -381,17 +405,29 @@ def _certified_row(cert, domain, sigma, excess, a=0):
             f"budget: its certificate's pair masks leave {work} candidate "
             f"windows to gather (budget {AUDIT_WINDOW_BUDGET})")
 
+    def evaluate(window):
+        env = leaves(dict(zip(axes, window)))
+        valid = np.ones(len(window[0]), dtype=bool)
+        for key in steps:
+            run([key], env, valid)
+            if 2 * np.count_nonzero(valid) <= len(valid):
+                live = np.flatnonzero(valid)
+                if not len(live):
+                    return
+                env = {k: e[live] if isinstance(e, np.ndarray) else e
+                       for k, e in env.items()}
+                window = [w[live] for w in window]
+                valid = valid[live]
+
+        def node(key):
+            return env[key] if key in env else gather(env, key)
+
+        yield excess(node), valid, window
+
     def chunks():
         blocks = _candidate_blocks(masks, n)
         for window in _chunks(blocks, AUDIT_CHUNK_ENTRIES):
-            env = leaves(dict(zip(axes, window)))
-            valid = np.ones(len(window[0]), dtype=bool)
-            run(steps, env, valid)
-
-            def node(key):
-                return env[key] if key in env else gather(env, key)
-
-            yield excess(node), valid, window
+            yield from evaluate(window)
 
     return _row_from_chunks(cert.name, cert.bound, n ** len(axes), chunks())
 

@@ -11,6 +11,9 @@ with these, witness and counts included.
   the audits did before their masks were derived from the certificates.
   old_centrality_bound is evaluated in x-slices; the pair audits are one
   n x n grid each.
+* candidate_blocks lists the windows an evaluator's pair masks allow, one
+  x at a time, as the evaluator did before it listed (x, y) pairs in
+  blocks.
 """
 
 import numpy as np
@@ -53,6 +56,27 @@ def row_from_slices(name, bound, shape, slices, tol=AUDIT_TOL):
     worst = float(worst)
     return StabilityAuditRow(name, bound, worst, witness, evaluated,
                              total - evaluated, worst <= tol)
+
+
+def candidate_blocks(masks, n, entries):
+    """Blocks of windows, in C order, that every pair mask allows: the
+    (x, y) of masks = [xy] in row blocks of about `entries` entries, or,
+    from masks = [xy, xz, yz], for each x the (y, z) in Y_x x Z_x that the
+    (y, z) mask allows, in runs of y of about `entries` windows."""
+    if len(masks) == 1:
+        rows = max(1, entries // n)
+        for x0 in range(0, n, rows):
+            xs, ys = np.nonzero(masks[0][x0:x0 + rows])
+            yield [(xs + x0).astype(np.int32), ys.astype(np.int32)]
+        return
+    xy, xz, yz = masks
+    for x in range(n):
+        ys = np.flatnonzero(xy[x]).astype(np.int32)
+        zs = np.flatnonzero(xz[x]).astype(np.int32)
+        step = max(1, entries // max(1, len(zs)))
+        for y0 in range(0, len(ys), step):
+            yi, zi = np.nonzero(yz[np.ix_(ys[y0:y0 + step], zs)])
+            yield [np.full(len(yi), x, dtype=np.int32), ys[y0 + yi], zs[zi]]
 
 
 def oracle_row(name, bound, excess, valid, tol=AUDIT_TOL):

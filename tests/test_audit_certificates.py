@@ -15,11 +15,13 @@ counts included.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from audit_oracle import OLD_AUDITS, SECTION_AUDITS
+from audit_oracle import (OLD_AUDITS, SECTION_AUDITS, centrality_valid,
+                          old_sine_addition_bound, oracle_centrality)
 from feqlab import stability
 from feqlab.feq import GroupFunction
 from feqlab.groups import (BallDomain, DiscreteHeisenberg, FreeGroup,
@@ -91,14 +93,101 @@ def test_certified_audits_give_the_rows_of_the_hand_written_lists(name):
 
 @pytest.mark.parametrize("kind", [DiscreteHeisenberg(), FreeGroup(2)],
                          ids=["H3", "F2"])
-def test_centrality_outside_its_law_raises(kind):
-    # sigma = id is no anti-automorphism of a nonabelian ball of radius 3
-    domain, sigma, chi = ball_setups(kind, 3)[0]
-    assert sigma.is_identity
+def test_centrality_outside_its_law_raises(monkeypatch, kind):
+    # sigma = id is no anti-automorphism of a nonabelian ball of radius 3,
+    # and inversion no automorphism; either audit raises before it builds
+    # the padded tables that every gather reads
+    def padded(table):
+        raise AssertionError("padded tables built outside the law")
+
+    monkeypatch.setattr(stability, "_padded", padded)
+    (domain, ident, chi), (_, inv, _) = ball_setups(kind, 3)
+    assert ident.is_identity
     f, g = random_pair(domain, seed=3)
     with pytest.raises(AuditInapplicable,
                        match="sigma is not an anti-homomorphism"):
-        stability.audit_centrality_bound(domain, sigma, chi, f, g, 0.1)
+        stability.audit_centrality_bound(domain, ident, chi, f, g, 0.1)
+    with pytest.raises(AuditInapplicable,
+                       match="sigma is not a homomorphism"):
+        stability.audit_sine_addition_bound(domain, inv, chi, f, g, 0.1)
+
+
+def test_a_law_drops_the_nodes_it_makes_one_element():
+    # (nodes without the law, nodes with it) of each certificate's program
+    certs = (stability.CENTRALITY, stability.COMPANION_SHIFT,
+             stability.PARITY, stability.SECTION_SINE,
+             stability.SYMMETRIZED_SINE)
+    programs = {c.name: (stability._program(c.windows),
+                         stability._program(c.windows, c.law)) for c in certs}
+    assert {name: tuple(map(len, p)) for name, p in programs.items()} == {
+        "centrality_defect": (18, 14), "companion_shift_defect": (9, 9),
+        "parity_defect": (18, 18), "section_sine_addition_defect": (11, 9),
+        "symmetrized_sine_addition_defect": (18, 18)}
+    # s(zy)x is s(y)s(z)x under an anti-automorphism and s(xy)a is
+    # s(x)s(y)a under an automorphism; every node kept is built as before
+    dropped = {"centrality_defect": {"s(zy)", "s(zy)x", "s(yz)", "s(yz)x"},
+               "section_sine_addition_defect": {"s(xy)", "s(xy)a"}}
+    for name, (plain, aliased) in programs.items():
+        assert set(plain) - set(aliased) == dropped.get(name, set())
+        assert all(plain[k] == ops for k, ops in aliased.items())
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_law_aliased_rows_equal_the_whole_grid_oracles(monkeypatch, name):
+    # chunks of 3n + 1 windows, so dead windows are dropped inside chunks;
+    # the oracles build every node of the certificates, none aliased
+    checked = 0
+    for domain, sigma, chi in CORPUS[name]():
+        monkeypatch.setattr(stability, "AUDIT_CHUNK_ENTRIES", 3 * domain.n + 1)
+        f, g = random_pair(domain, seed=domain.n)
+        args = (domain, sigma, chi, f, g, 0.1)
+        if satisfies_morphism_law(domain, sigma.table, "anti-automorphism"):
+            assert (stability.audit_centrality_bound(*args)
+                    == oracle_centrality(*args))
+            checked += 1
+        if satisfies_morphism_law(domain, sigma.table, "automorphism"):
+            for a in sorted({0, domain.n - 1}):
+                assert (stability.audit_sine_addition_bound(*args, a=a)
+                        == old_sine_addition_bound(*args, a=a))
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("name", ["Z2_r2", "Z1_r5", "H3_r2", "F2_r2", "Q8"])
+def test_dead_chunks_and_nan_excess_give_the_oracle_rows(monkeypatch, name):
+    # one window per chunk: each candidate window that leaves the ball is a
+    # chunk whose windows all die
+    monkeypatch.setattr(stability, "AUDIT_CHUNK_ENTRIES", 1)
+    chunks, split = [], stability._chunks
+
+    def spy(blocks, size):
+        for chunk in split(blocks, size):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(stability, "_chunks", spy)
+    for domain, sigma, chi in CORPUS[name]()[:2]:
+        f, g = random_pair(domain, seed=domain.n)
+        valid = centrality_valid(domain, sigma)
+        xs = np.flatnonzero(valid.any(axis=(1, 2)))
+        values = f.values.copy()
+        values[[xs[len(xs) // 2], xs[-1]]] = np.nan
+        # a GroupFunction refuses NaN, and so do the sine audits' sections
+        for fn in (f, SimpleNamespace(domain=domain, values=values)):
+            args = (domain, sigma, chi, fn, g, 0.1)
+            if satisfies_morphism_law(domain, sigma.table,
+                                      "anti-automorphism"):
+                chunks.clear()
+                got = stability.audit_centrality_bound(*args)
+                assert repr(got) == repr(oracle_centrality(*args,
+                                                           valid=valid))
+                assert np.isnan(got.max_excess) == (fn is not f)
+                if name != "Q8":  # every window of a finite group lives
+                    assert any(not valid[tuple(c)].any() for c in chunks)
+            if fn is f and satisfies_morphism_law(domain, sigma.table,
+                                                  "automorphism"):
+                assert (repr(stability.audit_sine_addition_bound(*args))
+                        == repr(old_sine_addition_bound(*args)))
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

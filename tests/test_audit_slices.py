@@ -17,8 +17,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from audit_oracle import (OLD_AUDITS, SECTION_AUDITS, centrality_valid,
-                          oracle_centrality, oracle_row, row_from_slices)
+from audit_oracle import (OLD_AUDITS, SECTION_AUDITS, candidate_blocks,
+                          centrality_valid, oracle_centrality, oracle_row,
+                          row_from_slices)
 from feqlab import stability
 from feqlab.feq import GroupFunction
 from feqlab.groups import (BallDomain, DiscreteHeisenberg, FreeGroup,
@@ -116,6 +117,39 @@ def test_sliced_centrality_matches_the_monolithic_oracle(monkeypatch, name,
     assert got == oracle_centrality(domain, sigma, chi, f, g, delta)
     assert got.evaluated > 0
     assert cuts_inside_an_x(calls[-1])
+
+
+@pytest.mark.parametrize("name", sorted(SETUPS))
+@pytest.mark.parametrize("entries", ["default", "3n+1", "7"])
+def test_candidate_listing_matches_the_per_x_loop(monkeypatch, name, entries):
+    # the pair masks of every audit the battery runs, listed by the
+    # evaluator and by the per-x loop it replaced; 7 entries is less than
+    # one row of the masks, so every block then holds one x or one (x, y)
+    domain, sigma, chi = SETUPS[name]()
+    n = domain.n
+    size = {"default": stability.AUDIT_CHUNK_ENTRIES, "3n+1": 3 * n + 1,
+            "7": 7}[entries]
+    monkeypatch.setattr(stability, "AUDIT_CHUNK_ENTRIES", size)
+    seen, listing = [], stability._candidate_blocks
+
+    def spy(masks, n):
+        seen.append(masks)
+        return iter(())
+
+    monkeypatch.setattr(stability, "_candidate_blocks", spy)
+    f, g = random_pair(domain, seed=1)
+    report = stability.run_stability_battery(domain, sigma, chi, f, g, 0.1)
+    assert len(seen) == len(report.rows) >= 4
+    assert [len(masks) for masks in seen].count(3) == 1  # centrality
+    for masks in seen:
+        got = list(listing(masks, n))
+        want = list(candidate_blocks(masks, n, size))
+        assert all(len(block[0]) <= max(n, size) for block in got)
+        for axis in range(len(got[0])):
+            a, b = (np.concatenate([block[axis] for block in blocks])
+                    for blocks in (got, want))
+            assert a.dtype == b.dtype == np.int32
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name", sorted(MORPHISM_SETUPS))

@@ -45,8 +45,9 @@ SMALL_BLOCK_CASES = [(IntegerLattice(3), 3), (DiscreteHeisenberg(), 3),
                          ids=[f"{k.name}_r{r}" for k, r in SMALL_BLOCK_CASES])
 def test_ball_built_in_small_blocks_equals_the_reference_build(
         monkeypatch, kind, radius):
-    # blocks of at most 7 entries split every BFS level, the right table
-    # and the column recursion into many pieces
+    # blocks of at most 7 entries split each BFS level's columns of the
+    # column recursion, the one step that reads _BALL_BLOCK_ENTRIES, into
+    # many pieces
     want = oracle.ball_domain(kind, radius)
     monkeypatch.setattr(groups, "_BALL_BLOCK_ENTRIES", 7)
     got = BallDomain(kind, radius)
