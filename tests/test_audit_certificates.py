@@ -153,7 +153,7 @@ def test_law_aliased_rows_equal_the_whole_grid_oracles(monkeypatch, name):
     assert checked
 
 
-@pytest.mark.parametrize("name", ["Z2_r2", "Z1_r5", "H3_r2", "F2_r2", "Q8"])
+@pytest.mark.parametrize("name", ["Z2_r2", "Z1_r5", "H3_r2", "F2_r2"])
 def test_dead_chunks_and_nan_excess_give_the_oracle_rows(monkeypatch, name):
     # one window per chunk: each candidate window that leaves the ball is a
     # chunk whose windows all die
@@ -166,7 +166,8 @@ def test_dead_chunks_and_nan_excess_give_the_oracle_rows(monkeypatch, name):
             yield chunk
 
     monkeypatch.setattr(stability, "_chunks", spy)
-    for domain, sigma, chi in CORPUS[name]()[:2]:
+    audited = 0
+    for domain, sigma, chi in CORPUS[name]():
         f, g = random_pair(domain, seed=domain.n)
         valid = centrality_valid(domain, sigma)
         xs = np.flatnonzero(valid.any(axis=(1, 2)))
@@ -182,12 +183,13 @@ def test_dead_chunks_and_nan_excess_give_the_oracle_rows(monkeypatch, name):
                 assert repr(got) == repr(oracle_centrality(*args,
                                                            valid=valid))
                 assert np.isnan(got.max_excess) == (fn is not f)
-                if name != "Q8":  # every window of a finite group lives
-                    assert any(not valid[tuple(c)].any() for c in chunks)
+                assert any(not valid[tuple(c)].any() for c in chunks)
+                audited += 1
             if fn is f and satisfies_morphism_law(domain, sigma.table,
                                                   "automorphism"):
                 assert (repr(stability.audit_sine_addition_bound(*args))
                         == repr(old_sine_addition_bound(*args)))
+    assert audited
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
