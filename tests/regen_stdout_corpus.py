@@ -110,6 +110,15 @@ def argvs():
                           ("free:2", ("1", "1,2", "1,2,3"))):
         out += [["stability", "--domain", domain, "--radii", r, "--sigma", s]
                 for r in radii for s in ("id", "inv")]
+    # nodes that are one element under inversion, the identity or
+    # commuting letters; a nonzero --a puts the section letter in nodes
+    for domain, extra in (("lattice:3", ["--radii", "1,2"]),
+                          ("lattice:1", ["--radii", "4,8,16"]),
+                          ("lattice:2", ["--radii", "4,8", "--a", "7"]),
+                          ("heisenberg", ["--radii", "1,2,3", "--a", "5"]),
+                          ("free:2", ["--radii", "1,2,3", "--a", "3"])):
+        out += [["stability", "--domain", domain, *extra, "--sigma", s]
+                for s in ("id", "inv")]
     out += [["stability", "--domain", "lattice:1"],
             ["stability", "--domain", "lattice:2", "--radii", "2,4",
              "--shape", "character-phase", "--target", "f"],
