@@ -286,6 +286,8 @@ class IntegerLattice:
     """Z^d with generators +-e_i; word length is the l1 norm. As an int64
     row (mult_rows), an element is its coordinates."""
 
+    commutative = True  # the one kind whose letters commute (stability)
+
     def __init__(self, d):
         if d < 1:
             raise ValueError("dimension must be >= 1")

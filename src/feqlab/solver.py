@@ -54,9 +54,11 @@ def wilson_system_matrix(domain, sigma, chi, g):
     A = np.zeros((n * n, n), dtype=np.complex128)
     rows = np.arange(n * n)
     xs, ys = rows // n, rows % n
-    np.add.at(A, (rows, mul[xs, ys]), 1.0)
-    np.add.at(A, (rows, mul[sigma.table[ys], xs]), chi.values[ys])
-    np.add.at(A, (rows, xs), -2.0 * g.values[ys])
+    # each term puts one entry in every row, so no index repeats within a
+    # term; where two terms share a column, they add in this order
+    A[rows, mul[xs, ys]] += 1.0
+    A[rows, mul[sigma.table[ys], xs]] += chi.values[ys]
+    A[rows, xs] += -2.0 * g.values[ys]
     return A
 
 

@@ -16,13 +16,18 @@ a window is a candidate when every pair mask allows it. Candidates are
 gathered in chunks of AUDIT_CHUNK_ENTRIES, so peak memory is O(n^2) (the
 padded tables and the pair masks) plus a few MiB. Within a chunk, the
 windows a gathered node puts outside the ball are dropped once they are half
-of it, so the later gathers run on live windows only. Under a certificate's
-law, a node that the law makes the same element as another node is not
-gathered. An audit whose pair masks allow more than AUDIT_WINDOW_BUDGET
-windows raises AuditTooLarge before gathering any; the CLI exits 4 with the
-estimate.
+of it, so the later gathers run on live windows only. Each certificate is
+compiled once per sigma class (inversion, the identity, any other) and per
+kind whose letters commute or not, and a node that is the same element as
+an earlier node or a leaf is not gathered: centrality's 18 points per
+window become 9 under inversion and 4 under the identity on Z^d, 12 under
+either on Heisenberg and free balls, and 14 under any other
+anti-automorphism. An audit whose pair masks allow more than
+AUDIT_WINDOW_BUDGET windows raises AuditTooLarge before gathering any; the
+CLI exits 4 with the estimate.
 """
 
+import functools
 import itertools
 import math
 import re
@@ -166,15 +171,20 @@ class AuditTooLarge(ValueError):
 
 
 def _padded(table):
-    """The index table with a -1 appended along each axis. Indexing it with
-    -1 (outside the ball) lands on the pad, so -1 propagates through
+    """The index table as int32 with a -1 appended along each axis. Indexing
+    it with -1 (outside the ball) lands on the pad, so -1 propagates through
     products and sigma without masking; indices must lie in [-1, n)."""
-    return np.pad(table, [(0, 1)] * table.ndim, constant_values=-1)
+    out = np.full([s + 1 for s in table.shape], -1, dtype=np.int32)
+    out[tuple(slice(s) for s in table.shape)] = table
+    return out
 
 
-def _val(values, idx):
-    """values at the ids idx, and 0 where an id is -1 (outside the ball)."""
-    return np.append(values, 0.0).take(idx)
+def _tables(domain, sigma):
+    """The flat padded product table, where u * (n + 1) + v lands on the pad
+    whenever u or v is -1, the padded sigma table and the inverses, as int32
+    (the element cap keeps (n + 1)^2 far below 2^31)."""
+    return (_padded(domain.mul).ravel(), _padded(sigma.table),
+            domain.inv.astype(np.int32))
 
 
 def _row_from_chunks(name, bound, total, chunks, tol=AUDIT_TOL):
@@ -213,17 +223,24 @@ def _candidate_blocks(masks, n):
     max(n, AUDIT_CHUNK_ENTRIES) windows."""
     rows = max(1, AUDIT_CHUNK_ENTRIES // n)
     for x0 in range(0, n, rows):
-        # flatnonzero and divmod: 2-d nonzero is a few times slower
-        xs, ys = np.divmod(np.flatnonzero(masks[0][x0:x0 + rows]), n)
-        xs, ys = (xs + x0).astype(np.int32), ys.astype(np.int32)
+        # flatnonzero and one division: 2-d nonzero and np.divmod are slower
+        xs, ys = _divmod(np.flatnonzero(masks[0][x0:x0 + rows]), n)
+        xs += x0
         if len(masks) == 1:
             yield [xs, ys]
             continue
         for p0 in range(0, len(xs), rows):
             px, py = xs[p0:p0 + rows], ys[p0:p0 + rows]
-            both = masks[1][px] & masks[2][py]
-            pair, zs = np.divmod(np.flatnonzero(both), n)
-            yield [px[pair], py[pair], zs.astype(np.int32)]
+            both = masks[1].take(px, axis=0) & masks[2].take(py, axis=0)
+            pair, zs = _divmod(np.flatnonzero(both), n)
+            yield [px.take(pair), py.take(pair), zs]
+
+
+def _divmod(flat, n):
+    """(flat // n, flat % n) as int32, for 0 <= flat < 2^31."""
+    flat = flat.astype(np.int32)
+    q = flat // n
+    return q, flat - q * n
 
 
 def _chunks(blocks, size):
@@ -277,20 +294,11 @@ SYMMETRIZED_SINE = Certificate(
                             ("a", "x")))
 
 
-def _program(windows, law=None):
+def _program(windows):
     """Every node of the windows' residuals F(u, v), in evaluation order:
     the prefixes of u and v, u v, sigma(v) and sigma(v) u. A node is keyed by
     its word written flat, so (xz)y and x(zy) are one node, and maps to the
-    keys it is built from: one for sigma, two for a product.
-
-    Under a law, sigma(v) u for a product v = v_1 ... v_k is the element
-    s(v_k)...s(v_1)u (anti-automorphism) or s(v_1)...s(v_k)u
-    (automorphism). Where the windows already have that node, sigma(v) u is
-    not built: v is a node too, and on a window where both lie in the ball
-    so does sigma(v) u, as the same element, for a sigma that is a morphism
-    of that law mapping the ball onto itself (inversion and the identity on
-    a ball, any sigma on a finite group). Validity is unchanged. A sigma
-    node that no other node is built from goes too."""
+    keys it is built from: one for sigma, two for a product."""
     steps = {}
 
     def node(word):
@@ -307,35 +315,97 @@ def _program(windows, law=None):
         node(f"s({v})")
         steps.setdefault(u + v, (u, v))
         steps.setdefault(f"s({v}){u}", (f"s({v})", u))
-    if law:
-        for u, v in windows:
-            letters = v[::-1] if law == "anti-automorphism" else v
-            if len(v) > 1 and "".join(f"s({c})" for c in letters) + u in steps:
-                del steps[f"s({v}){u}"]
-        factors = {k for ops in steps.values() for k in ops}
-        steps = {k: ops for k, ops in steps.items()
-                 if len(ops) == 2 or k in factors}
     return steps
 
 
-def _certified_row(cert, domain, sigma, excess, a=0):
+def _normal_form(word, sigma_class, law, commutes):
+    """A node word written so that two nodes with one form are one element.
+    Under inversion or the identity, each s(w) is w^-1 or w, adjacent
+    inverse letters cancel and, where the kind's letters commute, letters
+    are sorted. Any other sigma keeps its s(...), written letter by letter
+    under a law: s(v_1...v_k) is s(v_k)...s(v_1) under an
+    anti-automorphism, s(v_1)...s(v_k) under an automorphism."""
+    def image(s):
+        if sigma_class == "inv":
+            return s[1][::-1].swapcase()
+        if sigma_class == "id":
+            return s[1]
+        if not law:
+            return s[0]
+        w = s[1][::-1] if law == "anti-automorphism" else s[1]
+        return "".join(f"s({c})" for c in w)
+
+    flat = re.sub(r"s\((\w+)\)", image, word)
+    if not sigma_class:
+        return flat
+    out = []
+    for c in sorted(flat, key=str.lower) if commutes else flat:
+        if out and out[-1] == c.swapcase():
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _compile(cert, sigma_class, commutes):
+    """cert's program for a sigma that is inversion ("inv"), the identity
+    ("id") or any other (None), on a kind whose letters commute or not;
+    built once for each. A node of _program(cert.windows) whose _normal_form
+    is an earlier node's or a leaf's is bound to it (alias) and neither
+    gathered nor checked: where that one lies in the ball, so does the same
+    element, for a sigma that is a morphism of the law mapping the ball onto
+    itself (inversion and the identity on a ball, any sigma on a finite
+    group). Every product node of another form stays required, so validity
+    is unchanged. A sigma node that no node is built from goes.
+
+    Returns (axes, build, steps, alias, inverses, masks): build maps each
+    node to its ops (op, op or None for sigma), steps are (node, op, op,
+    kept for a later node) in evaluation order, inverses the capital
+    leaves read, and masks, for each pair of axes, the steps whose words
+    use no other axis."""
+    axes = [c for c in "xyz"
+            if any(c in (u + v).lower() for u, v in cert.windows)]
+    seen = {c: c for c in "a" + "".join(axes) + "".join(axes).upper()}
+    build, alias = {}, {}
+    for key, ops in _program(cert.windows).items():
+        form = _normal_form(key, sigma_class, cert.law, commutes)
+        if form in seen:
+            alias[key] = seen[form]
+        else:
+            seen[form] = key
+            build[key] = tuple(alias.get(k, k) for k in ops)
+    used = {k for ops in build.values() for k in ops}
+    build = {k: (ops + (None,))[:2] for k, ops in build.items()
+             if len(ops) == 2 or k in used}
+    factors = {k for ops in build.values() for k in ops}
+    steps = tuple((k, p, q, k in factors) for k, (p, q) in build.items())
+    inverses = {c.upper() for c in axes} & (factors | set(alias.values()))
+    # no factor of a node uses a letter its word does not use
+    masks = tuple(tuple(s for s in steps
+                        if not (set(axes) - {p, q}) & set(s[0].lower()))
+                  for p, q in itertools.combinations(axes, 2))
+    return axes, build, steps, alias, inverses, masks
+
+
+def _certified_row(cert, domain, sigma, excess, a=0, tables=None):
     """Audit row over the (x, y[, z]) grid of a certificate's windows.
 
     A window is evaluated exactly when every product node of its residuals
     lies in the ball (is >= 0 in the padded table); for any grouping of a
     word that is when the element itself lies in it, since every factor is
-    a node too. The nodes whose words use at most two of the letters x, y,
-    z give one n x n pair mask per pair of letters, built in row blocks of
-    about AUDIT_CHUNK_ENTRIES entries. Only the windows that every pair
-    mask allows are gathered (_candidate_blocks). They go out as flat
-    C-order index arrays in chunks of AUDIT_CHUNK_ENTRIES windows; the
-    nodes of _program(cert.windows, cert.law) are built on a chunk and the
-    validity rule runs there. Once half a chunk's windows or more have left
-    the ball, they are dropped from the windows and every node array, in
-    one index that keeps C order, so later gathers and excess run on the
-    live windows only; a chunk with none left is skipped. excess(node)
-    gives LHS - RHS on one chunk, where node(word) is the index array of a
-    node on it; only nodes that are factors of another node are kept.
+    a node too. The program is _compile's for sigma's class (its table
+    against the inverses and the identity) and the kind's commutativity.
+    Its steps whose words use two of the letters x, y, z give one n x n
+    pair mask, built in row blocks of about AUDIT_CHUNK_ENTRIES entries.
+    The windows every pair mask allows (_candidate_blocks) go out as flat
+    C-order index arrays in chunks of AUDIT_CHUNK_ENTRIES windows, where
+    every step runs with the validity rule. Once half a chunk's windows or
+    more have left the ball, they are dropped from the windows and every
+    node array, in one index that keeps C order; a chunk with none left is
+    skipped. excess(node) gives LHS - RHS on one chunk, where node(word) is
+    the index array of a node, or of the node it is bound to. tables are
+    _tables(domain, sigma), built here when not given.
 
     Raises AuditInapplicable first when sigma fails the certificate's law
     on the domain: there the windows do not sum to the left-hand side, so
@@ -349,52 +419,40 @@ def _certified_row(cert, domain, sigma, excess, a=0):
                 else "a homomorphism")
         raise AuditInapplicable(f"sigma is not {what} on this domain")
     n, m = domain.n, domain.n + 1
-    # flat padded tables: u * m + v lands on the pad whenever u or v is -1;
-    # int32 holds it, since the element cap keeps m^2 far below 2^31
-    mp = _padded(domain.mul).astype(np.int32).ravel()
-    sp = _padded(sigma.table).astype(np.int32)
-    inv = domain.inv.astype(np.int32)
-    steps = _program(cert.windows, cert.law)
-    factors = {k for ops in steps.values() for k in ops}
-    axes = [c for c in "xyz"
-            if any(c in (u + v).lower() for u, v in cert.windows)]
+    sigma_class = ("inv" if np.array_equal(sigma.table, domain.inv) else
+                   "id" if np.array_equal(sigma.table, np.arange(n)) else None)
+    axes, build, steps, alias, inverses, masks = _compile(
+        cert, sigma_class, getattr(domain.kind, "commutative", False))
+    mp, sp, inv = tables or _tables(domain, sigma)
 
     def leaves(grids):
         env = {"a": a}
         for c, grid in grids.items():
             env[c] = grid
-            if c.upper() in factors:
-                env[c.upper()] = inv[grid]
+            if c.upper() in inverses:
+                env[c.upper()] = inv.take(grid)
         return env
 
-    def gather(env, key):
-        ops = [env[k] for k in steps[key]]
-        if len(ops) == 1:
-            return sp.take(ops[0])
-        return mp.take(ops[0] * m + ops[1])
+    def gather(env, p, q):
+        return sp.take(env[p]) if q is None else mp.take(env[p] * m + env[q])
 
-    def run(keys, env, valid):
-        for key in keys:
-            grid = gather(env, key)
-            if len(steps[key]) == 2:
-                valid &= grid >= 0
-            if key in factors:
-                env[key] = grid
-            del grid  # free before the next gather allocates
-
-    def pair_mask(p, q):
-        # no factor of a node uses a letter its word does not use
-        others = set(axes) - {p, q}
-        keys = [k for k in steps if not others & set(k.lower())]
+    def pair_mask(p, q, keys):
         mask = np.ones((n, n), dtype=bool)
         rows = max(1, AUDIT_CHUNK_ENTRIES // n)
         for p0 in range(0, n, rows):
             rows_p = np.arange(p0, min(p0 + rows, n), dtype=np.int32)
-            grids = {p: rows_p[:, None], q: np.arange(n, dtype=np.int32)[None]}
-            run(keys, leaves(grids), mask[p0:p0 + rows])
+            env = leaves({p: rows_p[:, None],
+                          q: np.arange(n, dtype=np.int32)[None]})
+            for key, s, t, keep in keys:
+                grid = gather(env, s, t)
+                if t is not None:
+                    mask[p0:p0 + rows] &= grid >= 0
+                if keep:
+                    env[key] = grid
         return mask
 
-    masks = [pair_mask(p, q) for p, q in itertools.combinations(axes, 2)]
+    masks = [pair_mask(p, q, keys) for (p, q), keys
+             in zip(itertools.combinations(axes, 2), masks)]
     work = masks[0].sum(axis=1)
     if len(masks) == 3:
         work = work * masks[1].sum(axis=1)
@@ -408,19 +466,26 @@ def _certified_row(cert, domain, sigma, excess, a=0):
     def evaluate(window):
         env = leaves(dict(zip(axes, window)))
         valid = np.ones(len(window[0]), dtype=bool)
-        for key in steps:
-            run([key], env, valid)
+        for key, p, q, keep in steps:
+            grid = gather(env, p, q)
+            if keep:
+                env[key] = grid
+            if q is None:
+                continue
+            valid &= grid >= 0
+            del grid  # free before the next gather allocates
             if 2 * np.count_nonzero(valid) <= len(valid):
                 live = np.flatnonzero(valid)
                 if not len(live):
                     return
-                env = {k: e[live] if isinstance(e, np.ndarray) else e
+                env = {k: e.take(live) if isinstance(e, np.ndarray) else e
                        for k, e in env.items()}
-                window = [w[live] for w in window]
-                valid = valid[live]
+                window = [w.take(live) for w in window]
+                valid = valid.take(live)
 
-        def node(key):
-            return env[key] if key in env else gather(env, key)
+        def node(word):
+            key = alias.get(word, word)
+            return env[key] if key in env else gather(env, *build[key])
 
         yield excess(node), valid, window
 
@@ -432,7 +497,7 @@ def _certified_row(cert, domain, sigma, excess, a=0):
     return _row_from_chunks(cert.name, cert.bound, n ** len(axes), chunks())
 
 
-def audit_centrality_bound(domain, sigma, chi, f, g, delta):
+def audit_centrality_bound(domain, sigma, chi, f, g, delta, *, tables=None):
     """|g(zy) - g(yz)| |f(x)| <= 2|g(z)| delta + 2|g(y)| delta + 6 delta.
 
     Certificate: when sigma is an anti-automorphism, f(x) (g(zy) - g(yz))
@@ -441,31 +506,35 @@ def audit_centrality_bound(domain, sigma, chi, f, g, delta):
     Only the windows its pair masks allow are gathered, in chunks, so peak
     memory is O(n^2) plus a few MiB for any ball size.
     """
-    gv, ag, fv = g.values, np.abs(g.values), np.abs(f.values)
+    ag, fv = np.abs(g.values), np.abs(f.values)
+    gp = np.append(g.values, 0.0)  # 0 at id -1, outside the ball
 
     def excess(node):
         Y, Z = node("y"), node("z")
-        gap = np.abs(_val(gv, node("zy")) - _val(gv, node("yz")))
-        return gap * fv[node("x")] - (2.0 * ag[Z] + 2.0 * ag[Y] + 6.0) * delta
+        gap = np.abs(gp.take(node("zy")) - gp.take(node("yz")))
+        return (gap * fv.take(node("x"))
+                - (2.0 * ag.take(Z) + 2.0 * ag.take(Y) + 6.0) * delta)
 
-    return _certified_row(CENTRALITY, domain, sigma, excess)
+    return _certified_row(CENTRALITY, domain, sigma, excess, tables=tables)
 
 
-def audit_mg_shift_bound(domain, sigma, chi, f, g, delta):
+def audit_mg_shift_bound(domain, sigma, chi, f, g, delta, *, tables=None):
     """|m_g(y) f(x) - chi(y) f(sigma(y) x y)| <= |g(y)| delta + 1.5 delta."""
     mg = companion_mg(g).values
     rhs = (np.abs(g.values) + 1.5) * delta
+    fp = np.append(f.values, 0.0)
 
     def excess(node):
         Y = node("y")
-        lhs = np.abs(mg[Y] * f.values[node("x")]
-                     - chi.values[Y] * _val(f.values, node("s(y)xy")))
-        return lhs - rhs[Y]
+        lhs = np.abs(mg.take(Y) * fp.take(node("x"))
+                     - chi.values.take(Y) * fp.take(node("s(y)xy")))
+        return lhs - rhs.take(Y)
 
-    return _certified_row(COMPANION_SHIFT, domain, sigma, excess)
+    return _certified_row(COMPANION_SHIFT, domain, sigma, excess,
+                          tables=tables)
 
 
-def audit_parity_bound(domain, sigma, chi, f, g, delta):
+def audit_parity_bound(domain, sigma, chi, f, g, delta, *, tables=None):
     """|2 f(x) (g(y) - m_g(y) g(y^{-1}))| <= |m_g(y)| d + 2|g(y)| d + 4d."""
     mg = companion_mg(g).values
     gv = g.values
@@ -474,12 +543,14 @@ def audit_parity_bound(domain, sigma, chi, f, g, delta):
 
     def excess(node):
         Y = node("y")
-        return np.abs(2.0 * f.values[node("x")] * gap[Y]) - rhs[Y]
+        return (np.abs(2.0 * f.values.take(node("x")) * gap.take(Y))
+                - rhs.take(Y))
 
-    return _certified_row(PARITY, domain, sigma, excess)
+    return _certified_row(PARITY, domain, sigma, excess, tables=tables)
 
 
-def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
+def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0, *,
+                              tables=None):
     """|f_a(xy) - f_a(x) g(y) - f_a(y) g(x)| <= |g(x)| delta + 1.5 delta.
 
     Valid when sigma is a homomorphism (its certificate cancels a
@@ -488,17 +559,19 @@ def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     """
     fv, gv = f.values, g.values
     fa = section_function(f, g, a).values
+    fp, gp = np.append(fv, 0.0), np.append(gv, 0.0)
 
     def excess(node):
         X, Y = node("x"), node("y")
-        lhs = np.abs(_val(fv, node("axy")) - fv[a] * _val(gv, node("xy"))
+        lhs = np.abs(fp[node("axy")] - fv[a] * gp[node("xy")]
                      - fa[X] * gv[Y] - fa[Y] * gv[X])
         return lhs - (np.abs(gv)[X] + 1.5) * delta
 
-    return _certified_row(SECTION_SINE, domain, sigma, excess, a)
+    return _certified_row(SECTION_SINE, domain, sigma, excess, a, tables)
 
 
-def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
+def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0,
+                                          *, tables=None):
     """|f_a(xy) + f_a(yx) - 2 f_a(x) g(y) - 2 f_a(y) g(x)|
         <= |g(x)| d + |g(y)| d + 3d.
 
@@ -507,33 +580,37 @@ def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     """
     fv, gv = f.values, g.values
     fa = section_function(f, g, a).values
+    fp, gp = np.append(fv, 0.0), np.append(gv, 0.0)
 
     def excess(node):
         X, Y = node("x"), node("y")
-        fa_xy = _val(fv, node("axy")) - fv[a] * _val(gv, node("xy"))
-        fa_yx = _val(fv, node("ayx")) - fv[a] * _val(gv, node("yx"))
+        fa_xy = fp[node("axy")] - fv[a] * gp[node("xy")]
+        fa_yx = fp[node("ayx")] - fv[a] * gp[node("yx")]
         lhs = np.abs(fa_xy + fa_yx - 2.0 * fa[X] * gv[Y]
                      - 2.0 * fa[Y] * gv[X])
         return lhs - (np.abs(gv)[X] + np.abs(gv)[Y] + 3.0) * delta
 
-    return _certified_row(SYMMETRIZED_SINE, domain, sigma, excess, a)
+    return _certified_row(SYMMETRIZED_SINE, domain, sigma, excess, a, tables)
 
 
 def run_stability_battery(domain, sigma, chi, f, g, delta, a=0):
     """The four proof-constant audits plus the symmetrized variant, in this
-    order. An audit whose certificate's law sigma fails raises
-    AuditInapplicable before it gathers anything, and is reported N/A."""
+    order, on one set of padded tables. An audit whose certificate's law
+    sigma fails raises AuditInapplicable before it gathers anything, and is
+    reported N/A."""
     report = StabilityReport(measured_delta=delta)
     args = (domain, sigma, chi, f, g, delta)
+    kw = {"tables": _tables(domain, sigma)}
     # the audits are looked up when called, so a wrapper set on the module
     # runs in the battery too
     for cert, audit in (
-            (CENTRALITY, lambda: audit_centrality_bound(*args)),
-            (COMPANION_SHIFT, lambda: audit_mg_shift_bound(*args)),
-            (PARITY, lambda: audit_parity_bound(*args)),
-            (SECTION_SINE, lambda: audit_sine_addition_bound(*args, a=a)),
+            (CENTRALITY, lambda: audit_centrality_bound(*args, **kw)),
+            (COMPANION_SHIFT, lambda: audit_mg_shift_bound(*args, **kw)),
+            (PARITY, lambda: audit_parity_bound(*args, **kw)),
+            (SECTION_SINE,
+             lambda: audit_sine_addition_bound(*args, a=a, **kw)),
             (SYMMETRIZED_SINE,
-             lambda: audit_symmetrized_sine_addition_bound(*args, a=a))):
+             lambda: audit_symmetrized_sine_addition_bound(*args, a=a, **kw))):
         try:
             report.rows.append(audit())
         except AuditInapplicable as why:

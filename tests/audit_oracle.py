@@ -14,14 +14,32 @@ with these, witness and counts included.
 * candidate_blocks lists the windows an evaluator's pair masks allow, one
   x at a time, as the evaluator did before it listed (x, y) pairs in
   blocks.
+* law_program and program_row are the evaluator as it was before each
+  certificate was compiled once per sigma class: the program is parsed
+  from the words on every call, and program_row builds every node of
+  law_program(cert.windows), none aliased. Set on the module as
+  stability._certified_row, it runs the library's own audits.
 """
+
+import itertools
+import re
 
 import numpy as np
 
+from feqlab import stability
 from feqlab.feq import companion_mg, section_function
 from feqlab.morphisms import satisfies_morphism_law
-from feqlab.stability import (AUDIT_TOL, AuditInapplicable, StabilityAuditRow,
-                              _padded, _val)
+from feqlab.stability import AUDIT_TOL, AuditInapplicable, StabilityAuditRow
+
+
+def _padded(table):
+    """The index table with a -1 appended along each axis."""
+    return np.pad(table, [(0, 1)] * table.ndim, constant_values=-1)
+
+
+def _val(values, idx):
+    """values at the ids idx, and 0 where an id is -1 (outside the ball)."""
+    return np.append(values, 0.0).take(idx)
 
 
 def x_slices(n, ndim, entries=1 << 18):
@@ -353,3 +371,93 @@ SECTION_AUDITS = ("audit_sine_addition_bound",
                   "audit_symmetrized_sine_addition_bound")
 
 
+
+
+def law_program(windows, law=None):
+    """Every node of the windows' residuals F(u, v), in evaluation order,
+    keyed by its word written flat and mapped to the keys it is built from.
+    Under a law, sigma(v) u for a product v is not built where the law
+    makes it a node the windows already have, and a sigma node that no
+    other node is built from goes too."""
+    steps = {}
+
+    def node(word):
+        fs = re.findall(r"s\(\w+\)|\w", word)
+        for f in fs:
+            if f.startswith("s("):
+                node(f[2:-1])
+                steps.setdefault(f, (f[2:-1],))
+        for i in range(1, len(fs)):
+            steps.setdefault("".join(fs[:i + 1]), ("".join(fs[:i]), fs[i]))
+
+    for u, v in windows:
+        node(u)
+        node(f"s({v})")
+        steps.setdefault(u + v, (u, v))
+        steps.setdefault(f"s({v}){u}", (f"s({v})", u))
+    if law:
+        for u, v in windows:
+            letters = v[::-1] if law == "anti-automorphism" else v
+            if len(v) > 1 and "".join(f"s({c})" for c in letters) + u in steps:
+                del steps[f"s({v}){u}"]
+        factors = {k for ops in steps.values() for k in ops}
+        steps = {k: ops for k, ops in steps.items()
+                 if len(ops) == 2 or k in factors}
+    return steps
+
+
+def program_row(cert, domain, sigma, excess, a=0, tables=None):
+    """The audit row of stability._certified_row, from every node of
+    law_program(cert.windows) built on every window the pair masks allow,
+    with the library's candidate listing, chunks and row merge. It pads its
+    own tables and ignores those given."""
+    if cert.law and not satisfies_morphism_law(domain, sigma.table, cert.law):
+        what = ("an anti-homomorphism" if cert.law == "anti-automorphism"
+                else "a homomorphism")
+        raise AuditInapplicable(f"sigma is not {what} on this domain")
+    n, m = domain.n, domain.n + 1
+    mp = _padded(domain.mul).astype(np.int32).ravel()
+    sp = _padded(sigma.table).astype(np.int32)
+    inv = domain.inv.astype(np.int32)
+    steps = law_program(cert.windows)
+    axes = [c for c in "xyz"
+            if any(c in (u + v).lower() for u, v in cert.windows)]
+
+    def leaves(grids):
+        env = {"a": a}
+        for c, grid in grids.items():
+            env[c] = grid
+            env[c.upper()] = inv[grid]
+        return env
+
+    def run(keys, env, valid):
+        for key in keys:
+            ops = [env[k] for k in steps[key]]
+            if len(ops) == 1:
+                env[key] = sp.take(ops[0])
+            else:
+                env[key] = mp.take(ops[0] * m + ops[1])
+                valid &= env[key] >= 0
+
+    def pair_mask(p, q):
+        others = set(axes) - {p, q}
+        keys = [k for k in steps if not others & set(k.lower())]
+        mask = np.ones((n, n), dtype=bool)
+        for x in range(n):
+            grids = {p: np.array([[x]], dtype=np.int32),
+                     q: np.arange(n, dtype=np.int32)[None]}
+            run(keys, leaves(grids), mask[x:x + 1])
+        return mask
+
+    masks = [pair_mask(p, q) for p, q in itertools.combinations(axes, 2)]
+
+    def chunks():
+        blocks = stability._candidate_blocks(masks, n)
+        for window in stability._chunks(blocks, stability.AUDIT_CHUNK_ENTRIES):
+            env = leaves(dict(zip(axes, window)))
+            valid = np.ones(len(window[0]), dtype=bool)
+            run(steps, env, valid)
+            yield excess(env.__getitem__), valid, window
+
+    return stability._row_from_chunks(cert.name, cert.bound, n ** len(axes),
+                                      chunks())

@@ -21,14 +21,16 @@ import numpy as np
 import pytest
 
 from audit_oracle import (OLD_AUDITS, SECTION_AUDITS, centrality_valid,
-                          old_sine_addition_bound, oracle_centrality)
+                          law_program, old_sine_addition_bound,
+                          oracle_centrality, program_row)
 from feqlab import stability
 from feqlab.feq import GroupFunction
 from feqlab.groups import (BallDomain, DiscreteHeisenberg, FreeGroup,
                            IntegerLattice, build_catalog_group)
 from feqlab.morphisms import (ball_character, ball_involution,
                               compatible_characters, enumerate_characters,
-                              enumerate_involutions, satisfies_morphism_law)
+                              enumerate_involutions, identity_involution,
+                              inversion_involution, satisfies_morphism_law)
 from feqlab.stability import AuditInapplicable
 
 
@@ -117,19 +119,128 @@ def test_a_law_drops_the_nodes_it_makes_one_element():
     certs = (stability.CENTRALITY, stability.COMPANION_SHIFT,
              stability.PARITY, stability.SECTION_SINE,
              stability.SYMMETRIZED_SINE)
-    programs = {c.name: (stability._program(c.windows),
-                         stability._program(c.windows, c.law)) for c in certs}
+    programs = {c.name: (law_program(c.windows),
+                         stability._compile(c, None, False)[1]) for c in certs}
     assert {name: tuple(map(len, p)) for name, p in programs.items()} == {
         "centrality_defect": (18, 14), "companion_shift_defect": (9, 9),
         "parity_defect": (18, 18), "section_sine_addition_defect": (11, 9),
         "symmetrized_sine_addition_defect": (18, 18)}
     # s(zy)x is s(y)s(z)x under an anti-automorphism and s(xy)a is
-    # s(x)s(y)a under an automorphism; every node kept is built as before
+    # s(x)s(y)a under an automorphism; the later node of each pair is bound
+    # to the earlier one, the sigma node it used goes, and every node kept
+    # is built as before
     dropped = {"centrality_defect": {"s(zy)", "s(zy)x", "s(yz)", "s(yz)x"},
-               "section_sine_addition_defect": {"s(xy)", "s(xy)a"}}
+               "section_sine_addition_defect": {"s(x)", "s(x)s(y)a"}}
     for name, (plain, aliased) in programs.items():
         assert set(plain) - set(aliased) == dropped.get(name, set())
-        assert all(plain[k] == ops for k, ops in aliased.items())
+        assert all(plain[k] == tuple(op for op in ops if op)
+                   for k, ops in aliased.items())
+
+
+CERTS = (stability.CENTRALITY, stability.COMPANION_SHIFT, stability.PARITY,
+         stability.SECTION_SINE, stability.SYMMETRIZED_SINE)
+
+
+def test_each_sigma_class_compiles_to_its_node_count():
+    # nodes gathered per window: any other sigma (law rewrite only), then
+    # inversion and the identity on Z^d, whose letters commute, and on H3,
+    # F2 and finite groups, whose letters need not
+    classes = [(None, False), ("inv", True), ("id", True), ("inv", False),
+               ("id", False)]
+    counts = {c.name: [len(stability._compile(c, *k)[2]) for k in classes]
+              for c in CERTS}
+    assert counts == {
+        "centrality_defect": [14, 9, 4, 12, 12],
+        "companion_shift_defect": [9, 5, 3, 6, 6],
+        "parity_defect": [18, 7, 3, 9, 9],
+        "section_sine_addition_defect": [9, 8, 4, 9, 7],
+        "symmetrized_sine_addition_defect": [18, 10, 4, 13, 12]}
+    # a bound node has the form of the node or leaf it is bound to, and no
+    # two kept nodes share a form
+    for cert, (cls, commutes) in itertools.product(CERTS, classes):
+        _, build, steps, alias, _, _ = stability._compile(cert, cls, commutes)
+        forms = {k: stability._normal_form(k, cls, cert.law, commutes)
+                 for k in law_program(cert.windows)}
+        assert all(forms[k] == forms.get(v, v) for k, v in alias.items())
+        assert len({forms[k] for k in build}) == len(build)
+
+
+def test_the_evaluator_reads_the_sigma_class_and_commutativity_from_the_kind():
+    seen, compile_ = [], stability._compile
+
+    def spy(cert, sigma_class, commutes):
+        seen.append((sigma_class, commutes))
+        return compile_(cert, sigma_class, commutes)
+
+    stability._compile.cache_clear()
+    G = build_catalog_group("S3")
+    other = next(s for s in enumerate_involutions(G, "anti-automorphism")
+                 if not s.is_inversion)
+    setups = [*ball_setups(IntegerLattice(2), 2),
+              *ball_setups(DiscreteHeisenberg(), 2),
+              *ball_setups(FreeGroup(2), 1),
+              (G, inversion_involution(G), None), (G, other, None)]
+    want = [("id", True), ("inv", True), ("id", False), ("inv", False),
+            ("id", False), ("inv", False), ("inv", False), (None, False)]
+    for (domain, sigma, _), classes in zip(setups, want):
+        f, g = random_pair(domain, seed=1)
+        seen.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stability, "_compile", spy)
+            stability.audit_parity_bound(domain, sigma, None, f, g, 0.1)
+        # F2's ball of radius 1 has a symmetric table, yet its letters are
+        # not taken to commute: the flag is the kind's
+        assert seen == [classes]
+
+
+def test_other_sigmas_get_only_the_law_rewrite(monkeypatch):
+    # the only nodes bound are those the law makes one element, as in
+    # law_program, and commuting letters change nothing
+    pairs = {"centrality_defect": {("s(zy)x", "s(y)s(z)x"),
+                                   ("s(yz)x", "s(z)s(y)x")},
+             "section_sine_addition_defect": {("s(x)s(y)a", "s(xy)a")}}
+    for cert in CERTS:
+        program = stability._compile(cert, None, False)
+        assert program == stability._compile(cert, None, True)
+        assert set(program[3].items()) == pairs.get(cert.name, set())
+        assert len(program[2]) == len(law_program(cert.windows, cert.law))
+    # and their rows are the unaliased program's, on every involution of
+    # S3 and D4 that is neither inversion nor the identity
+    checked = 0
+    for name in ("S3", "D4"):
+        for G, sigma, chi in catalog_setups(name):
+            if sigma.is_identity or sigma.is_inversion:
+                continue
+            f, g = random_pair(G, seed=2)
+            got = stability.run_stability_battery(G, sigma, chi, f, g, 0.1)
+            with monkeypatch.context() as mp:
+                mp.setattr(stability, "_certified_row", program_row)
+                want = stability.run_stability_battery(G, sigma, chi, f, g,
+                                                       0.1)
+            assert got == want
+            checked += 1
+    assert checked
+
+
+def test_interleaved_audits_give_the_rows_of_fresh_calls():
+    # one compiled program per (certificate, sigma class, commutativity)
+    # serves balls of every size
+    setups = [*ball_setups(IntegerLattice(2), 4),
+              *ball_setups(DiscreteHeisenberg(), 2),
+              *ball_setups(IntegerLattice(2), 2),
+              *ball_setups(FreeGroup(2), 2),
+              *catalog_setups("Q8")[:2]]
+    runs = []
+    for round_ in range(2):
+        for domain, sigma, chi in setups[round_::2] + setups[1 - round_::2]:
+            f, g = random_pair(domain, seed=domain.n)
+            report = stability.run_stability_battery(domain, sigma, chi, f, g,
+                                                     0.1, a=domain.n - 1)
+            runs.append(((domain, sigma, chi, f, g), report))
+    for (domain, sigma, chi, f, g), report in runs:
+        stability._compile.cache_clear()
+        assert report == stability.run_stability_battery(
+            domain, sigma, chi, f, g, 0.1, a=domain.n - 1)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -17,9 +17,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from audit_oracle import (OLD_AUDITS, SECTION_AUDITS, candidate_blocks,
+from audit_oracle import (OLD_AUDITS, SECTION_AUDITS, _val, candidate_blocks,
                           centrality_valid, oracle_centrality, oracle_row,
-                          row_from_slices)
+                          program_row, row_from_slices)
 from feqlab import stability
 from feqlab.feq import GroupFunction
 from feqlab.groups import (BallDomain, DiscreteHeisenberg, FreeGroup,
@@ -27,7 +27,7 @@ from feqlab.groups import (BallDomain, DiscreteHeisenberg, FreeGroup,
 from feqlab.morphisms import (ball_character, ball_involution,
                               enumerate_involutions, identity_involution,
                               inversion_involution, trivial_character)
-from feqlab.stability import (AuditInapplicable, AuditTooLarge, _val,
+from feqlab.stability import (AuditInapplicable, AuditTooLarge,
                               audit_centrality_bound,
                               audit_sine_addition_bound,
                               audit_symmetrized_sine_addition_bound)
@@ -150,6 +150,29 @@ def test_candidate_listing_matches_the_per_x_loop(monkeypatch, name, entries):
                     for blocks in (got, want))
             assert a.dtype == b.dtype == np.int32
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(SETUPS))
+@pytest.mark.parametrize("spec", ["id", "inv"])
+@pytest.mark.parametrize("entries", ["default", "3n+1"])
+def test_compiled_rows_equal_the_per_call_program_rows(monkeypatch, name,
+                                                       spec, entries):
+    # the battery on each setup's domain under the identity and inversion,
+    # every node aliased that _compile binds, against program_row, which
+    # builds every node of the unaliased program; 3n + 1 windows drop dead
+    # windows inside chunks
+    domain, _, chi = SETUPS[name]()
+    sigma = {"id": identity_involution, "inv": inversion_involution}[spec](
+        domain)
+    if entries == "3n+1":
+        monkeypatch.setattr(stability, "AUDIT_CHUNK_ENTRIES", 3 * domain.n + 1)
+    f, g = random_pair(domain, seed=domain.n)
+    a = domain.n - 1
+    got = stability.run_stability_battery(domain, sigma, chi, f, g, 0.1, a=a)
+    monkeypatch.setattr(stability, "_certified_row", program_row)
+    want = stability.run_stability_battery(domain, sigma, chi, f, g, 0.1, a=a)
+    assert got == want
+    assert len(got.rows) >= 4 and all(row.evaluated for row in got.rows)
 
 
 @pytest.mark.parametrize("name", sorted(MORPHISM_SETUPS))

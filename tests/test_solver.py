@@ -11,6 +11,7 @@ from feqlab.morphisms import (
     compatible_characters,
     enumerate_characters,
     enumerate_involutions,
+    enumerate_multiplicative,
     identity_involution,
     inversion_involution,
     trivial_character,
@@ -36,6 +37,44 @@ def test_system_matrix_matches_hand_computation():
                              GroupFunction(Z2, [1.0, 1.0]))
     expected = np.array([[0, 0], [-2, 2], [0, 0], [2, -2]], dtype=complex)
     assert np.array_equal(A, expected)
+
+
+def add_at_system_matrix(domain, sigma, chi, g):
+    """The pair system's matrix as np.add.at accumulates it, term by term."""
+    n, mul = domain.n, domain.mul
+    A = np.zeros((n * n, n), dtype=np.complex128)
+    rows = np.arange(n * n)
+    xs, ys = rows // n, rows % n
+    np.add.at(A, (rows, mul[xs, ys]), 1.0)
+    np.add.at(A, (rows, mul[sigma.table[ys], xs]), chi.values[ys])
+    np.add.at(A, (rows, xs), -2.0 * g.values[ys])
+    return A
+
+
+def test_system_matrix_is_bitwise_the_add_at_accumulation():
+    # every catalog (sigma, compatible chi) at g = 0, the Newton search's
+    # linear part, and at each candidate g of an automorphism; then the
+    # benchmark's n = 32 solve, Z4xZ8 under inversion with chi 0
+    combos = [(G, kind, sigma, chi) for G in map(build_catalog_group,
+                                                 CATALOG_NAMES)
+              for kind in ("automorphism", "anti-automorphism")
+              for sigma in enumerate_involutions(G, kind)
+              for chi in compatible_characters(G, sigma,
+                                               enumerate_characters(G))]
+    big = build_catalog_group("Z4xZ8")
+    combos.append((big, "automorphism", inversion_involution(big),
+                   enumerate_characters(big)[0]))
+    systems = 0
+    for G, kind, sigma, chi in combos:
+        gs = [GroupFunction.zero(G)]
+        if kind == "automorphism":
+            gs += [g for _, g, _ms in candidate_gs(G, sigma, chi)]
+        for g in gs:
+            got = wilson_system_matrix(G, sigma, chi, g)
+            want = add_at_system_matrix(G, sigma, chi, g)
+            assert got.tobytes() == want.tobytes(), G.name
+            systems += 1
+    assert systems > 1000
 
 
 def test_system_matrix_needs_total_table():
@@ -310,3 +349,34 @@ def test_audit_fails_with_witness_on_a_corrupted_pair():
     for row in failing:
         assert row.max_violation > 1e-10
         assert all(0 <= i < 8 for i in row.witness)
+
+
+def test_newton_search_under_anti_automorphisms_finds_the_mixed_family():
+    # the paper proves only properties of the solutions when sigma is an
+    # anti-automorphism; on S3, Q8 and D4 the formula-free search finds the
+    # mixed family (m + chi m o sigma) / 2, plus the half trace of the 2-dim
+    # irreducible representation wherever that solves the equation
+    combos = with_half = 0
+    for name in ("S3", "Q8", "D4"):
+        G = build_catalog_group(name)
+        ms, half = enumerate_multiplicative(G), canned_half_trace(G)
+        chars = enumerate_characters(G)
+        for sigma in enumerate_involutions(G, "anti-automorphism"):
+            for chi in compatible_characters(G, sigma, chars):
+                expected = []
+                for cand in [GroupFunction(G, (m.values + chi.values
+                                               * m.values[sigma.table]) / 2)
+                             for m in ms] + [half]:
+                    if cand is half and residual_wilson(
+                            G, sigma, chi, half, half).sup > 1e-12:
+                        continue
+                    if all(np.abs(cand.values - e.values).max() >= 1e-6
+                           for e in expected):
+                        expected.append(cand)
+                        with_half += cand is half
+                found = brute_force_dalembert(G, sigma, chi, n_starts=200,
+                                              seed=0)
+                assert function_sets_equal(found.solutions, expected,
+                                           tol=1e-6), (name, sigma.table, chi)
+                combos += 1
+    assert (combos, with_half) == (56, 9)
