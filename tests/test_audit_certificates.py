@@ -29,8 +29,8 @@ from feqlab.groups import (BallDomain, DiscreteHeisenberg, FreeGroup,
                            IntegerLattice, build_catalog_group)
 from feqlab.morphisms import (ball_character, ball_involution,
                               compatible_characters, enumerate_characters,
-                              enumerate_involutions, identity_involution,
-                              inversion_involution, satisfies_morphism_law)
+                              enumerate_involutions, inversion_involution,
+                              satisfies_morphism_law)
 from feqlab.stability import AuditInapplicable
 
 
@@ -114,13 +114,14 @@ def test_centrality_outside_its_law_raises(monkeypatch, kind):
         stability.audit_sine_addition_bound(domain, inv, chi, f, g, 0.1)
 
 
+CERTS = (stability.CENTRALITY, stability.COMPANION_SHIFT, stability.PARITY,
+         stability.SECTION_SINE, stability.SYMMETRIZED_SINE)
+
+
 def test_a_law_drops_the_nodes_it_makes_one_element():
     # (nodes without the law, nodes with it) of each certificate's program
-    certs = (stability.CENTRALITY, stability.COMPANION_SHIFT,
-             stability.PARITY, stability.SECTION_SINE,
-             stability.SYMMETRIZED_SINE)
     programs = {c.name: (law_program(c.windows),
-                         stability._compile(c, None, False)[1]) for c in certs}
+                         stability._compile(c, None, False)[1]) for c in CERTS}
     assert {name: tuple(map(len, p)) for name, p in programs.items()} == {
         "centrality_defect": (18, 14), "companion_shift_defect": (9, 9),
         "parity_defect": (18, 18), "section_sine_addition_defect": (11, 9),
@@ -135,10 +136,6 @@ def test_a_law_drops_the_nodes_it_makes_one_element():
         assert set(plain) - set(aliased) == dropped.get(name, set())
         assert all(plain[k] == tuple(op for op in ops if op)
                    for k, ops in aliased.items())
-
-
-CERTS = (stability.CENTRALITY, stability.COMPANION_SHIFT, stability.PARITY,
-         stability.SECTION_SINE, stability.SYMMETRIZED_SINE)
 
 
 def test_each_sigma_class_compiles_to_its_node_count():
@@ -165,14 +162,15 @@ def test_each_sigma_class_compiles_to_its_node_count():
         assert len({forms[k] for k in build}) == len(build)
 
 
-def test_the_evaluator_reads_the_sigma_class_and_commutativity_from_the_kind():
+def test_the_evaluator_reads_the_sigma_class_and_commutativity_from_the_kind(
+        monkeypatch):
     seen, compile_ = [], stability._compile
 
     def spy(cert, sigma_class, commutes):
         seen.append((sigma_class, commutes))
         return compile_(cert, sigma_class, commutes)
 
-    stability._compile.cache_clear()
+    monkeypatch.setattr(stability, "_compile", spy)
     G = build_catalog_group("S3")
     other = next(s for s in enumerate_involutions(G, "anti-automorphism")
                  if not s.is_inversion)
@@ -185,9 +183,7 @@ def test_the_evaluator_reads_the_sigma_class_and_commutativity_from_the_kind():
     for (domain, sigma, _), classes in zip(setups, want):
         f, g = random_pair(domain, seed=1)
         seen.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stability, "_compile", spy)
-            stability.audit_parity_bound(domain, sigma, None, f, g, 0.1)
+        stability.audit_parity_bound(domain, sigma, None, f, g, 0.1)
         # F2's ball of radius 1 has a symmetric table, yet its letters are
         # not taken to commute: the flag is the kind's
         assert seen == [classes]

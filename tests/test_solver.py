@@ -54,7 +54,7 @@ def add_at_system_matrix(domain, sigma, chi, g):
 def test_system_matrix_is_bitwise_the_add_at_accumulation():
     # every catalog (sigma, compatible chi) at g = 0, the Newton search's
     # linear part, and at each candidate g of an automorphism; then the
-    # benchmark's n = 32 solve, Z4xZ8 under inversion with chi 0
+    # benchmark's n = 32 solve, Z4xZ8 under inversion with its first chi
     combos = [(G, kind, sigma, chi) for G in map(build_catalog_group,
                                                  CATALOG_NAMES)
               for kind in ("automorphism", "anti-automorphism")
