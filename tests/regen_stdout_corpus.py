@@ -83,6 +83,9 @@ CONFIG_ERRORS = [
      "--chi-z", "2"],
     ["perturb", "--group", "Z4", "--domain", "S3", "--epsilon", "0.01"],
     ["stability", "--domain", "lattice:2", "--radii", "300"],
+    # the window budget, unpatched: centrality's pair masks estimate
+    # 589,555,241 windows on Z^2 r=24 under the identity
+    ["stability", "--domain", "lattice:2", "--radii", "24", "--sigma", "id"],
     ["perturb", "--domain", "free:2", "--radius", "40", "--epsilon", "0.01"],
 ]
 
