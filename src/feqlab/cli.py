@@ -377,7 +377,7 @@ def _ball_exact_pair(ball, sigma, chi, zs):
     (square roots of the chi bases under inversion), f = (a + 1) m with the
     first-coordinate additive map when sigma is inversion, f = m otherwise."""
     k = len(zs)
-    if sigma.is_inversion and not sigma.is_identity:
+    if sigma.is_inversion:
         m = ball_character(ball, [np.sqrt(complex(z)) for z in zs])
         coeffs = np.zeros(k)
         coeffs[0] = 1.0

@@ -528,7 +528,7 @@ def theorem22_audit(domain, sigma, chi, f, g, tol=1e-10):
         np.abs(fov[mul] + fov[mul.T]
                - 2.0 * fov[:, None] * gv[None, :] - 2.0 * fov[None, :] * gv[:, None]))
     skipped = []
-    if sigma.is_inversion or (sigma.table == inv).all():
+    if (sigma.table == inv).all():
         signs = cv[inv] * mg
         add("inversion_gives_sign_valued_chi_mg",
             np.minimum(np.abs(signs - 1.0), np.abs(signs + 1.0)))

@@ -14,17 +14,18 @@ The evaluator gathers only candidate windows. The certificate's points in
 two of the letters x, y, z (xy, s(z)x, zy, ...) give n x n pair masks, and
 a window is a candidate when every pair mask allows it. Candidates are
 gathered in chunks of AUDIT_CHUNK_ENTRIES, so peak memory is O(n^2) (the
-padded tables and the pair masks) plus a few MiB. Within a chunk, the
-windows a gathered node puts outside the ball are dropped once they are half
-of it, so the later gathers run on live windows only. Each certificate is
-compiled once per sigma class (inversion, the identity, any other) and per
-kind whose letters commute or not, and a node that is the same element as
-an earlier node or a leaf is not gathered: centrality's 18 points per
-window become 9 under inversion and 4 under the identity on Z^d, 12 under
-either on Heisenberg and free balls, and 14 under any other
-anti-automorphism. An audit whose pair masks allow more than
-AUDIT_WINDOW_BUDGET windows raises AuditTooLarge before gathering any; the
-CLI exits 4 with the estimate.
+padded tables and the pair masks) plus a few MiB. A chunk checks only the
+points that use all three letters, dropping the windows they put outside
+the ball once those are half of it; any other point is gathered when the
+excess asks for it. Each certificate is compiled once per sigma class
+(inversion, the identity, any other) and per kind whose letters commute or
+not, and a point that is the same element as an earlier one or a leaf is
+never gathered. Table reads per candidate window in a chunk, the excess's
+own included: centrality 8.7 on Z^2 r=4 under inversion and 4 under the
+identity, 10.2 on H3 r=3 and 14 on F2 r=2 under inversion; parity none; the
+companion shift at most 3 and both sine audits 2 to 4. An audit whose pair
+masks allow more than AUDIT_WINDOW_BUDGET windows raises AuditTooLarge
+before gathering any; the CLI exits 4 with the estimate.
 """
 
 import functools
@@ -47,7 +48,7 @@ AUDIT_TOL = 1e-9
 # windows per gathered chunk of an audit (64 KiB per int32 node array)
 AUDIT_CHUNK_ENTRIES = 1 << 14
 # most candidate windows one audit may gather, as its pair masks estimate
-# them (~55 ns each on 2 vCPU: lattice:2 r=24 under sigma = inv needs 1.9e8)
+# them (~40 ns each on 2 vCPU: lattice:2 r=24 under sigma = inv needs 1.9e8)
 AUDIT_WINDOW_BUDGET = 300_000_000
 
 PERTURBATION_SHAPES = ("uniform-disk", "single-point", "character-phase")
@@ -318,26 +319,15 @@ def _program(windows):
     return steps
 
 
-def _normal_form(word, sigma_class, law, commutes):
+def _normal_form(word, sigma_class, commutes):
     """A node word written so that two nodes with one form are one element.
     Under inversion or the identity, each s(w) is w^-1 or w, adjacent
     inverse letters cancel and, where the kind's letters commute, letters
-    are sorted. Any other sigma keeps its s(...), written letter by letter
-    under a law: s(v_1...v_k) is s(v_k)...s(v_1) under an
-    anti-automorphism, s(v_1)...s(v_k) under an automorphism."""
-    def image(s):
-        if sigma_class == "inv":
-            return s[1][::-1].swapcase()
-        if sigma_class == "id":
-            return s[1]
-        if not law:
-            return s[0]
-        w = s[1][::-1] if law == "anti-automorphism" else s[1]
-        return "".join(f"s({c})" for c in w)
-
-    flat = re.sub(r"s\((\w+)\)", image, word)
+    are sorted. Under any other sigma (class None) the word is its form."""
     if not sigma_class:
-        return flat
+        return word
+    flat = re.sub(r"s\((\w+)\)", lambda s: s[1][::-1].swapcase()
+                  if sigma_class == "inv" else s[1], word)
     out = []
     for c in sorted(flat, key=str.lower) if commutes else flat:
         if out and out[-1] == c.swapcase():
@@ -352,40 +342,39 @@ def _compile(cert, sigma_class, commutes):
     """cert's program for a sigma that is inversion ("inv"), the identity
     ("id") or any other (None), on a kind whose letters commute or not;
     built once for each. A node of _program(cert.windows) whose _normal_form
-    is an earlier node's or a leaf's is bound to it (alias) and neither
-    gathered nor checked: where that one lies in the ball, so does the same
-    element, for a sigma that is a morphism of the law mapping the ball onto
-    itself (inversion and the identity on a ball, any sigma on a finite
-    group). Every product node of another form stays required, so validity
-    is unchanged. A sigma node that no node is built from goes.
+    is an earlier node's or a leaf's is bound to it (alias) and never
+    gathered: where that one lies in the ball, so does the same element,
+    since inversion and the identity map a ball onto itself. Every product
+    node of another form is checked, so validity is unchanged.
 
-    Returns (axes, build, steps, alias, inverses, masks): build maps each
-    node to its ops (op, op or None for sigma), steps are (node, op, op,
-    kept for a later node) in evaluation order, inverses the capital
-    leaves read, and masks, for each pair of axes, the steps whose words
-    use no other axis."""
+    Returns (axes, build, alias, factors, checks): build maps each product
+    node to its two factors, and each sigma node and inverse leaf (Y) that
+    a node is built from to its one; factors are the leaves and every node
+    some node is built from; checks hold the product nodes, in evaluation
+    order, for each pair of axes those whose words use no other axis, then
+    those left, which use all three (none on a pair grid)."""
     axes = [c for c in "xyz"
             if any(c in (u + v).lower() for u, v in cert.windows)]
-    seen = {c: c for c in "a" + "".join(axes) + "".join(axes).upper()}
-    build, alias = {}, {}
+    build = {c.upper(): (c,) for c in axes}
+    seen = {c: c for c in ["a", *axes, *build]}
+    alias = {}
     for key, ops in _program(cert.windows).items():
-        form = _normal_form(key, sigma_class, cert.law, commutes)
+        form = _normal_form(key, sigma_class, commutes)
         if form in seen:
             alias[key] = seen[form]
         else:
             seen[form] = key
             build[key] = tuple(alias.get(k, k) for k in ops)
     used = {k for ops in build.values() for k in ops}
-    build = {k: (ops + (None,))[:2] for k, ops in build.items()
-             if len(ops) == 2 or k in used}
-    factors = {k for ops in build.values() for k in ops}
-    steps = tuple((k, p, q, k in factors) for k, (p, q) in build.items())
-    inverses = {c.upper() for c in axes} & (factors | set(alias.values()))
+    build = {k: ops for k, ops in build.items() if len(ops) == 2 or k in used}
+    factors = {"a", *axes}.union(*build.values())
+    products = [k for k, ops in build.items() if len(ops) == 2]
     # no factor of a node uses a letter its word does not use
-    masks = tuple(tuple(s for s in steps
-                        if not (set(axes) - {p, q}) & set(s[0].lower()))
-                  for p, q in itertools.combinations(axes, 2))
-    return axes, build, steps, alias, inverses, masks
+    checks = [[k for k in products
+               if not (set(axes) - {p, q}) & set(k.lower())]
+              for p, q in itertools.combinations(axes, 2)]
+    checks.append([k for k in products if not any(k in c for c in checks)])
+    return axes, build, alias, factors, checks
 
 
 def _certified_row(cert, domain, sigma, excess, a=0, tables=None):
@@ -396,16 +385,18 @@ def _certified_row(cert, domain, sigma, excess, a=0, tables=None):
     word that is when the element itself lies in it, since every factor is
     a node too. The program is _compile's for sigma's class (its table
     against the inverses and the identity) and the kind's commutativity.
-    Its steps whose words use two of the letters x, y, z give one n x n
-    pair mask, built in row blocks of about AUDIT_CHUNK_ENTRIES entries.
-    The windows every pair mask allows (_candidate_blocks) go out as flat
+    Each pair of axes gives one n x n mask of the nodes that use only its
+    letters, built in row blocks of about AUDIT_CHUNK_ENTRIES entries. The
+    windows every pair mask allows (_candidate_blocks) go out as flat
     C-order index arrays in chunks of AUDIT_CHUNK_ENTRIES windows, where
-    every step runs with the validity rule. Once half a chunk's windows or
-    more have left the ball, they are dropped from the windows and every
+    only the nodes that use all three letters are checked: the pair masks
+    already put every other node of a candidate in the ball. Once half a
+    chunk's windows or more have left the ball, they are dropped from every
     node array, in one index that keeps C order; a chunk with none left is
     skipped. excess(node) gives LHS - RHS on one chunk, where node(word) is
-    the index array of a node, or of the node it is bound to. tables are
-    _tables(domain, sigma), built here when not given.
+    the index array of a node, or of the node it is bound to, gathered when
+    first asked for. tables are _tables(domain, sigma), built here when not
+    given.
 
     Raises AuditInapplicable first when sigma fails the certificate's law
     on the domain: there the windows do not sum to the left-hand side, so
@@ -421,38 +412,46 @@ def _certified_row(cert, domain, sigma, excess, a=0, tables=None):
     n, m = domain.n, domain.n + 1
     sigma_class = ("inv" if np.array_equal(sigma.table, domain.inv) else
                    "id" if np.array_equal(sigma.table, np.arange(n)) else None)
-    axes, build, steps, alias, inverses, masks = _compile(
+    axes, build, alias, factors, checks = _compile(
         cert, sigma_class, getattr(domain.kind, "commutative", False))
     mp, sp, inv = tables or _tables(domain, sigma)
 
-    def leaves(grids):
-        env = {"a": a}
-        for c, grid in grids.items():
-            env[c] = grid
-            if c.upper() in inverses:
-                env[c.upper()] = inv.take(grid)
-        return env
-
-    def gather(env, p, q):
-        return sp.take(env[p]) if q is None else mp.take(env[p] * m + env[q])
+    def node(env, word):
+        """word's index array on env's windows, gathered with every factor
+        env lacks; factors are kept in env, and only word can be no factor.
+        A worklist, not recursion: a closure that calls itself is a
+        reference cycle, which would hold the tables and each chunk's arrays
+        until the cyclic collector runs."""
+        word = alias.get(word, word)
+        todo = [word]
+        while todo:
+            key = todo.pop()
+            if key in env:
+                continue
+            ops = build[key]
+            missing = [k for k in ops if k not in env]
+            if missing:
+                todo += [key, *missing]
+                continue
+            grid = (mp.take(env[ops[0]] * m + env[ops[1]]) if len(ops) == 2
+                    else (inv if key.isupper() else sp).take(env[ops[0]]))
+            if key not in factors:
+                return grid
+            env[key] = grid
+        return env[word]
 
     def pair_mask(p, q, keys):
         mask = np.ones((n, n), dtype=bool)
         rows = max(1, AUDIT_CHUNK_ENTRIES // n)
+        ids = np.arange(n, dtype=np.int32)
         for p0 in range(0, n, rows):
-            rows_p = np.arange(p0, min(p0 + rows, n), dtype=np.int32)
-            env = leaves({p: rows_p[:, None],
-                          q: np.arange(n, dtype=np.int32)[None]})
-            for key, s, t, keep in keys:
-                grid = gather(env, s, t)
-                if t is not None:
-                    mask[p0:p0 + rows] &= grid >= 0
-                if keep:
-                    env[key] = grid
+            env = {"a": a, q: ids[None], p: ids[p0:p0 + rows, None]}
+            for key in keys:
+                mask[p0:p0 + rows] &= node(env, key) >= 0
         return mask
 
     masks = [pair_mask(p, q, keys) for (p, q), keys
-             in zip(itertools.combinations(axes, 2), masks)]
+             in zip(itertools.combinations(axes, 2), checks)]
     work = masks[0].sum(axis=1)
     if len(masks) == 3:
         work = work * masks[1].sum(axis=1)
@@ -464,30 +463,19 @@ def _certified_row(cert, domain, sigma, excess, a=0, tables=None):
             f"windows to gather (budget {AUDIT_WINDOW_BUDGET})")
 
     def evaluate(window):
-        env = leaves(dict(zip(axes, window)))
+        env = dict(zip(axes, window), a=a)
         valid = np.ones(len(window[0]), dtype=bool)
-        for key, p, q, keep in steps:
-            grid = gather(env, p, q)
-            if keep:
-                env[key] = grid
-            if q is None:
-                continue
-            valid &= grid >= 0
-            del grid  # free before the next gather allocates
+        for key in checks[-1]:
+            valid &= node(env, key) >= 0
             if 2 * np.count_nonzero(valid) <= len(valid):
                 live = np.flatnonzero(valid)
                 if not len(live):
                     return
                 env = {k: e.take(live) if isinstance(e, np.ndarray) else e
                        for k, e in env.items()}
-                window = [w.take(live) for w in window]
                 valid = valid.take(live)
-
-        def node(word):
-            key = alias.get(word, word)
-            return env[key] if key in env else gather(env, *build[key])
-
-        yield excess(node), valid, window
+        yield (excess(lambda word: node(env, word)), valid,
+               [env[c] for c in axes])
 
     def chunks():
         blocks = _candidate_blocks(masks, n)
@@ -675,6 +663,8 @@ def multiplicative_distance(ball, f):
             [fv[i] / fe for i in gens[hits.argmax(axis=1)]]
         if zs and all(z != 0 for z in zs):
             m = ball_character(ball, zs).values
+            # a power of two keeps every bit and |m|^2 within range
+            m = m * 2.0 ** -np.frexp(np.abs(m).max())[1]
             denom = np.vdot(m, m)
             lam = np.vdot(m, fv) / denom
             best = min(best, float(np.abs(fv - lam * m).max()))

@@ -14,7 +14,9 @@ points that must lie in the ball. Rows must agree exactly, witness and
 counts included.
 """
 
+import gc
 import itertools
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -118,48 +120,41 @@ CERTS = (stability.CENTRALITY, stability.COMPANION_SHIFT, stability.PARITY,
          stability.SECTION_SINE, stability.SYMMETRIZED_SINE)
 
 
-def test_a_law_drops_the_nodes_it_makes_one_element():
-    # (nodes without the law, nodes with it) of each certificate's program
-    programs = {c.name: (law_program(c.windows),
-                         stability._compile(c, None, False)[1]) for c in CERTS}
-    assert {name: tuple(map(len, p)) for name, p in programs.items()} == {
-        "centrality_defect": (18, 14), "companion_shift_defect": (9, 9),
-        "parity_defect": (18, 18), "section_sine_addition_defect": (11, 9),
-        "symmetrized_sine_addition_defect": (18, 18)}
-    # s(zy)x is s(y)s(z)x under an anti-automorphism and s(xy)a is
-    # s(x)s(y)a under an automorphism; the later node of each pair is bound
-    # to the earlier one, the sigma node it used goes, and every node kept
-    # is built as before
-    dropped = {"centrality_defect": {"s(zy)", "s(zy)x", "s(yz)", "s(yz)x"},
-               "section_sine_addition_defect": {"s(x)", "s(x)s(y)a"}}
-    for name, (plain, aliased) in programs.items():
-        assert set(plain) - set(aliased) == dropped.get(name, set())
-        assert all(plain[k] == tuple(op for op in ops if op)
-                   for k, ops in aliased.items())
-
-
 def test_each_sigma_class_compiles_to_its_node_count():
-    # nodes gathered per window: any other sigma (law rewrite only), then
-    # inversion and the identity on Z^d, whose letters commute, and on H3,
-    # F2 and finite groups, whose letters need not
+    # nodes kept (neither a leaf nor bound to one) under any other sigma,
+    # then inversion and the identity on Z^d, whose letters commute, and on
+    # H3, F2 and finite groups, whose letters need not
     classes = [(None, False), ("inv", True), ("id", True), ("inv", False),
                ("id", False)]
-    counts = {c.name: [len(stability._compile(c, *k)[2]) for k in classes]
-              for c in CERTS}
-    assert counts == {
-        "centrality_defect": [14, 9, 4, 12, 12],
-        "companion_shift_defect": [9, 5, 3, 6, 6],
-        "parity_defect": [18, 7, 3, 9, 9],
-        "section_sine_addition_defect": [9, 8, 4, 9, 7],
-        "symmetrized_sine_addition_defect": [18, 10, 4, 13, 12]}
-    # a bound node has the form of the node or leaf it is bound to, and no
-    # two kept nodes share a form
+    counts = {}
     for cert, (cls, commutes) in itertools.product(CERTS, classes):
-        _, build, steps, alias, _, _ = stability._compile(cert, cls, commutes)
-        forms = {k: stability._normal_form(k, cls, cert.law, commutes)
+        axes, build, alias, factors, checks = stability._compile(cert, cls,
+                                                                 commutes)
+        kept = [k for k in build if k not in map(str.upper, axes)]
+        counts.setdefault(cert.name, []).append(len(kept))
+        # a bound node has the form of the node or leaf it is bound to, and
+        # no two kept nodes share a form
+        forms = {k: stability._normal_form(k, cls, commutes)
                  for k in law_program(cert.windows)}
         assert all(forms[k] == forms.get(v, v) for k, v in alias.items())
-        assert len({forms[k] for k in build}) == len(build)
+        assert len({forms[k] for k in kept}) == len(kept)
+        assert factors == {"a", *axes}.union(*build.values())
+        # a sigma node or inverse leaf is kept only as some node's factor
+        assert all(k in factors for k, ops in build.items() if len(ops) == 1)
+        # each product node is checked once: by the pair mask of the only
+        # letters it uses or, using all three, in the chunk pass
+        products = [k for k in kept if len(build[k]) == 2]
+        assert sorted(k for c in checks for k in c) == sorted(products)
+        for (p, q), keys in zip(itertools.combinations(axes, 2), checks):
+            assert all(set(k.lower()) & set(axes) <= {p, q} for k in keys)
+        assert all(set(axes) <= set(k.lower()) for k in checks[-1])
+        assert bool(checks[-1]) == (len(axes) == 3)
+    assert counts == {
+        "centrality_defect": [18, 9, 4, 12, 12],
+        "companion_shift_defect": [9, 5, 3, 6, 6],
+        "parity_defect": [18, 7, 3, 9, 9],
+        "section_sine_addition_defect": [11, 8, 4, 9, 7],
+        "symmetrized_sine_addition_defect": [18, 10, 4, 13, 12]}
 
 
 def test_the_evaluator_reads_the_sigma_class_and_commutativity_from_the_kind(
@@ -189,17 +184,19 @@ def test_the_evaluator_reads_the_sigma_class_and_commutativity_from_the_kind(
         assert seen == [classes]
 
 
-def test_other_sigmas_get_only_the_law_rewrite(monkeypatch):
-    # the only nodes bound are those the law makes one element, as in
-    # law_program, and commuting letters change nothing
-    pairs = {"centrality_defect": {("s(zy)x", "s(y)s(z)x"),
-                                   ("s(yz)x", "s(z)s(y)x")},
-             "section_sine_addition_defect": {("s(x)s(y)a", "s(xy)a")}}
+def test_other_sigmas_compile_the_plain_program(monkeypatch):
+    # no node is bound under a sigma that is neither inversion nor the
+    # identity, and commuting letters change nothing
     for cert in CERTS:
         program = stability._compile(cert, None, False)
         assert program == stability._compile(cert, None, True)
-        assert set(program[3].items()) == pairs.get(cert.name, set())
-        assert len(program[2]) == len(law_program(cert.windows, cert.law))
+        axes, build, alias, factors, _ = program
+        assert not alias
+        # every node of the windows' residuals, each built as written
+        plain = law_program(cert.windows)
+        assert {k: ops for k, ops in build.items() if k in plain} == {
+            k: ops for k, ops in plain.items() if len(ops) == 2 or k in factors}
+        assert set(build) - set(plain) <= {c.upper() for c in axes}
     # and their rows are the unaliased program's, on every involution of
     # S3 and D4 that is neither inversion nor the identity
     checked = 0
@@ -216,6 +213,79 @@ def test_other_sigmas_get_only_the_law_rewrite(monkeypatch):
             assert got == want
             checked += 1
     assert checked
+
+
+# table reads (products, sigma, inverses) per candidate window in the chunk
+# pass, the excess's own included, for the five audits in battery order;
+# None where the audit is N/A. A pair grid checks nothing there, and
+# centrality only its nodes that use all three letters. A node that is no
+# factor is not kept, so one the excess asks for twice (zy and yz, axy and
+# ayx on Z^2) is gathered twice
+CHUNK_READS = {
+    ("Z2_r4", "inversion"): [8.7, 0.0, 0.0, 2.0, 3.0],
+    ("Z2_r4", "identity"): [4.0, 2.0, 0.0, 2.0, 3.0],
+    ("H3_r3", "inversion"): [10.2, 3.0, 0.0, None, 4.0],
+    ("H3_r3", "identity"): [None, 2.0, 0.0, 2.0, 4.0],
+    ("F2_r2", "inversion"): [14.0, 3.0, 0.0, None, 4.0],
+    ("F2_r2", "identity"): [None, 2.0, 0.0, 2.0, 4.0],
+}
+
+
+def test_the_chunk_pass_reads_only_what_the_pair_masks_leave_open(
+        monkeypatch):
+    count = {"on": False, "reads": 0, "windows": 0}
+
+    class Counting(np.ndarray):
+        def take(self, indices, *args, **kwargs):
+            count["reads"] += count["on"] * np.size(indices)
+            return np.asarray(self).take(indices, *args, **kwargs)
+
+    blocks = stability._candidate_blocks
+
+    def spy(masks, n):
+        count["on"] = True  # the pair masks are built
+        for block in blocks(masks, n):
+            count["windows"] += len(block[0])
+            yield block
+
+    monkeypatch.setattr(stability, "_candidate_blocks", spy)
+    got = {}
+    for name, kind, radius in (("Z2_r4", IntegerLattice(2), 4),
+                               ("H3_r3", DiscreteHeisenberg(), 3),
+                               ("F2_r2", FreeGroup(2), 2)):
+        for domain, sigma, chi in ball_setups(kind, radius):
+            f, g = random_pair(domain, seed=1)
+            tables = tuple(t.view(Counting)
+                           for t in stability._tables(domain, sigma))
+            reads = got[name, sigma.label] = []
+            for audit in OLD_AUDITS:
+                count.update(on=False, reads=0, windows=0)
+                try:
+                    getattr(stability, audit)(domain, sigma, chi, f, g, 0.1,
+                                              tables=tables)
+                except AuditInapplicable:
+                    reads.append(None)
+                    continue
+                reads.append(round(count["reads"] / count["windows"], 1))
+    assert got == CHUNK_READS
+
+
+def test_an_audit_frees_its_tables_without_the_cyclic_collector():
+    # a lookup that reached itself through its own closure would be a
+    # reference cycle, holding the tables until the collector runs
+    gc.disable()
+    try:
+        for domain, sigma, chi in ball_setups(IntegerLattice(2), 3):
+            f, g = random_pair(domain, seed=4)
+            for audit in OLD_AUDITS:
+                tables = stability._tables(domain, sigma)
+                refs = [weakref.ref(t) for t in tables]
+                getattr(stability, audit)(domain, sigma, chi, f, g, 0.1,
+                                          tables=tables)
+                del tables
+                assert all(r() is None for r in refs), audit
+    finally:
+        gc.enable()
 
 
 def test_interleaved_audits_give_the_rows_of_fresh_calls():

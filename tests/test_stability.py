@@ -254,6 +254,14 @@ def test_exact_exponential_dichotomy_is_exactly_zero():
     assert rep.csv().startswith("radius,sup_f,sup_g,delta,dist_to_family,branch_label")
 
 
+def test_an_exact_character_past_the_float_square_is_near_the_family():
+    # |m|^2 of 1.7^x on Z^1 r=700 passes the float range though m is finite
+    (row,) = dichotomy_experiment(IntegerLattice(1), [700],
+                                  lambda el: 1.7 ** el[0]).growth_rows
+    assert math.isfinite(row.sup_f)
+    assert row.dist_to_family <= 1e-9 * row.sup_f
+
+
 def test_bounded_noise_lands_on_the_bounded_branch():
     provider = bounded_noise_candidate(IntegerLattice(1), 16, seed=7, epsilon=0.01)
     rep = dichotomy_experiment(IntegerLattice(1), [4, 8, 12, 16], provider)
