@@ -395,8 +395,8 @@ def _certified_row(cert, domain, sigma, excess, a=0, tables=None):
     node array, in one index that keeps C order; a chunk with none left is
     skipped. excess(node) gives LHS - RHS on one chunk, where node(word) is
     the index array of a node, or of the node it is bound to, gathered when
-    first asked for. tables are _tables(domain, sigma), built here when not
-    given.
+    asked for (only factors are kept). tables are _tables(domain, sigma),
+    built here when not given.
 
     Raises AuditInapplicable first when sigma fails the certificate's law
     on the domain: there the windows do not sum to the left-hand side, so
@@ -664,7 +664,7 @@ def multiplicative_distance(ball, f):
         if zs and all(z != 0 for z in zs):
             m = ball_character(ball, zs).values
             # a power of two keeps every bit and |m|^2 within range
-            m = m * 2.0 ** -np.frexp(np.abs(m).max())[1]
+            m *= 2.0 ** -np.frexp(np.abs(m).max())[1]
             denom = np.vdot(m, m)
             lam = np.vdot(m, fv) / denom
             best = min(best, float(np.abs(fv - lam * m).max()))

@@ -14,11 +14,11 @@ with these, witness and counts included.
 * candidate_blocks lists the windows an evaluator's pair masks allow, one
   x at a time, as the evaluator did before it listed (x, y) pairs in
   blocks.
-* law_program and program_row are the evaluator as it was before each
+* plain_program and program_row are the evaluator as it was before each
   certificate was compiled once per sigma class: the program is parsed
   from the words on every call, and program_row builds every node of
-  law_program(cert.windows), none aliased. Set on the module as
-  stability._certified_row, it runs the library's own audits.
+  plain_program(cert.windows) on every candidate window. Set on the module
+  as stability._certified_row, it runs the library's own audits.
 """
 
 import itertools
@@ -373,12 +373,10 @@ SECTION_AUDITS = ("audit_sine_addition_bound",
 
 
 
-def law_program(windows, law=None):
+def plain_program(windows):
     """Every node of the windows' residuals F(u, v), in evaluation order,
-    keyed by its word written flat and mapped to the keys it is built from.
-    Under a law, sigma(v) u for a product v is not built where the law
-    makes it a node the windows already have, and a sigma node that no
-    other node is built from goes too."""
+    keyed by its word written flat and mapped to the keys it is built from,
+    none aliased."""
     steps = {}
 
     def node(word):
@@ -395,20 +393,12 @@ def law_program(windows, law=None):
         node(f"s({v})")
         steps.setdefault(u + v, (u, v))
         steps.setdefault(f"s({v}){u}", (f"s({v})", u))
-    if law:
-        for u, v in windows:
-            letters = v[::-1] if law == "anti-automorphism" else v
-            if len(v) > 1 and "".join(f"s({c})" for c in letters) + u in steps:
-                del steps[f"s({v}){u}"]
-        factors = {k for ops in steps.values() for k in ops}
-        steps = {k: ops for k, ops in steps.items()
-                 if len(ops) == 2 or k in factors}
     return steps
 
 
 def program_row(cert, domain, sigma, excess, a=0, tables=None):
     """The audit row of stability._certified_row, from every node of
-    law_program(cert.windows) built on every window the pair masks allow,
+    plain_program(cert.windows) built on every window the pair masks allow,
     with the library's candidate listing, chunks and row merge. It pads its
     own tables and ignores those given."""
     if cert.law and not satisfies_morphism_law(domain, sigma.table, cert.law):
@@ -419,7 +409,7 @@ def program_row(cert, domain, sigma, excess, a=0, tables=None):
     mp = _padded(domain.mul).astype(np.int32).ravel()
     sp = _padded(sigma.table).astype(np.int32)
     inv = domain.inv.astype(np.int32)
-    steps = law_program(cert.windows)
+    steps = plain_program(cert.windows)
     axes = [c for c in "xyz"
             if any(c in (u + v).lower() for u, v in cert.windows)]
 

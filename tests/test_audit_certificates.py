@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 
 from audit_oracle import (OLD_AUDITS, SECTION_AUDITS, centrality_valid,
-                          law_program, old_sine_addition_bound,
-                          oracle_centrality, program_row)
+                          old_sine_addition_bound, oracle_centrality,
+                          plain_program, program_row)
 from feqlab import stability
 from feqlab.feq import GroupFunction
 from feqlab.groups import (BallDomain, DiscreteHeisenberg, FreeGroup,
@@ -135,7 +135,7 @@ def test_each_sigma_class_compiles_to_its_node_count():
         # a bound node has the form of the node or leaf it is bound to, and
         # no two kept nodes share a form
         forms = {k: stability._normal_form(k, cls, commutes)
-                 for k in law_program(cert.windows)}
+                 for k in plain_program(cert.windows)}
         assert all(forms[k] == forms.get(v, v) for k, v in alias.items())
         assert len({forms[k] for k in kept}) == len(kept)
         assert factors == {"a", *axes}.union(*build.values())
@@ -193,7 +193,7 @@ def test_other_sigmas_compile_the_plain_program(monkeypatch):
         axes, build, alias, factors, _ = program
         assert not alias
         # every node of the windows' residuals, each built as written
-        plain = law_program(cert.windows)
+        plain = plain_program(cert.windows)
         assert {k: ops for k, ops in build.items() if k in plain} == {
             k: ops for k, ops in plain.items() if len(ops) == 2 or k in factors}
         assert set(build) - set(plain) <= {c.upper() for c in axes}
