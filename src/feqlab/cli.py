@@ -82,7 +82,7 @@ def _load_config(path):
                     raise CliError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 table[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file: {exc}") from None
     return table
 

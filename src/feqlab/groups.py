@@ -293,6 +293,7 @@ class IntegerLattice:
             raise ValueError("dimension must be >= 1")
         self.d = d
         self.name = f"Z^{d}"
+        self.ngens = 2 * d  # len(generators()), without building them
 
     def generators(self):
         gens = []
@@ -331,6 +332,7 @@ class DiscreteHeisenberg:
     """
 
     name = "H3"
+    ngens = 4
 
     def generators(self):
         return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
@@ -370,6 +372,7 @@ class FreeGroup:
             raise ValueError("rank must be >= 1")
         self.rank = rank
         self.name = f"F{rank}"
+        self.ngens = 2 * rank
 
     def generators(self):
         return [(i,) for i in range(1, self.rank + 1)] + \
@@ -506,7 +509,9 @@ def _bfs(kind, radius, depth):
     Levels up to `radius` are held under BALL_ELEMENT_CAP elements; from
     level `radius` on, the right-multiplication table over the elements
     found so far must fit in BALL_AUX_BYTES. Both are checked before the
-    next level is built.
+    next level is built, and level 1, the identity's kind.ngens neighbours,
+    before any level is: a kind too wide for the cap is refused before its
+    generators or rows are built.
 
     Level k comes from the products of level k - 1 with every generator
     (_next_level): those not in level k - 2 or k - 1 are new, and of equal
@@ -516,7 +521,18 @@ def _bfs(kind, radius, depth):
     ball or is the y of the level below with y * s^-1 = x."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    ngens, cap = len(kind.generators()), BALL_ELEMENT_CAP
+    ngens, cap = kind.ngens, BALL_ELEMENT_CAP
+
+    def over_cap(k, count):
+        return BallTooLarge(
+            f"ball of radius {radius} exceeds the element cap {cap}: "
+            f"radius {k} already holds {count} elements, so its "
+            f"multiplication table needs at least "
+            f"{8 * count ** 2 / 2**20:.1f} MiB "
+            f"(budget {8 * cap ** 2 / 2**20:.1f} MiB)")
+
+    if radius and 1 + ngens > cap:
+        raise over_cap(1, 1 + ngens)
     levels = [np.zeros((1, kind.row_width(depth)), dtype=np.int64)]
     parent, step, ids = [np.array([-1])], [np.array([-1])], []
     count = 1
@@ -529,12 +545,7 @@ def _bfs(kind, radius, depth):
             ids.append(products)
             count += len(rows)
         if k <= radius and count > cap:
-            raise BallTooLarge(
-                f"ball of radius {radius} exceeds the element cap {cap}: "
-                f"radius {k} already holds {count} elements, so its "
-                f"multiplication table needs at least "
-                f"{8 * count ** 2 / 2**20:.1f} MiB "
-                f"(budget {8 * cap ** 2 / 2**20:.1f} MiB)")
+            raise over_cap(k, count)
         aux = 8 * ngens * (count + 1)
         if k >= radius and aux > BALL_AUX_BYTES:
             raise BallTooLarge(

@@ -16,15 +16,15 @@ a window is a candidate when every pair mask allows it. Candidates are
 gathered in chunks of AUDIT_CHUNK_ENTRIES, so peak memory is O(n^2) (the
 padded tables and the pair masks) plus a few MiB. A chunk checks only the
 points that use all three letters, dropping the windows they put outside
-the ball once those are half of it; any other point is gathered when the
-excess asks for it. Each certificate is compiled once per sigma class
-(inversion, the identity, any other) and per kind whose letters commute or
-not, and a point that is the same element as an earlier one or a leaf is
-never gathered. Table reads per candidate window in a chunk, the excess's
-own included: centrality 8.7 on Z^2 r=4 under inversion and 4 under the
-identity, 10.2 on H3 r=3 and 14 on F2 r=2 under inversion; parity none; the
-companion shift at most 3 and both sine audits 2 to 4. An audit whose pair
-masks allow more than AUDIT_WINDOW_BUDGET windows raises AuditTooLarge
+the ball once those are half of it and the rest after its last check;
+any other point is gathered when the excess asks for it, in the ball. Each
+certificate is compiled once per sigma class (inversion, the identity, any
+other) and per kind whose letters commute or not, and a point that is the
+same element as an earlier one or a leaf is never gathered. Table reads per
+candidate window in a chunk, the excess's own included: centrality 8.6 on
+Z^2 r=4 under inversion and 3.8 under the identity, 10.2 on H3 r=3 and 13.1
+on F2 r=2 under inversion; parity none; the companion shift at most 3 and
+both sine audits 2 to 4. An audit whose pair masks allow more than AUDIT_WINDOW_BUDGET windows raises AuditTooLarge
 before gathering any; the CLI exits 4 with the estimate.
 """
 
@@ -189,25 +189,22 @@ def _tables(domain, sigma):
 
 
 def _row_from_chunks(name, bound, total, chunks, tol=AUDIT_TOL):
-    """Audit row of a grid of `total` windows, given as chunks
-    (excess, valid, windows): `windows` holds one index array per axis, and
-    the chunks list their windows in C order of the grid.
+    """Audit row of a grid of `total` windows, given as chunks (excess,
+    windows) of evaluated windows only, in C order of the grid: `windows`
+    holds one index array per axis. A window in no chunk is skipped.
 
-    Gives what one argmax over the whole grid gives: the first C-order
-    witness wins ties (a later chunk must be strictly larger) and NaN beats
-    any number, as in np.argmax.
+    Gives what one argmax over the evaluated windows gives: the first
+    C-order witness wins ties (a later chunk must be strictly larger) and
+    NaN beats any number, as in np.argmax.
     """
     evaluated = 0
     worst, witness = None, ()
-    for excess, valid, windows in chunks:
-        count = int(valid.sum())
-        if count:
-            masked = np.where(valid, excess, -np.inf)
-            i = int(np.argmax(masked))
-            v = masked[i]
-            if replaces_max(v, worst):
-                worst, witness = v, tuple(int(w[i]) for w in windows)
-        evaluated += count
+    for excess, windows in chunks:
+        if len(excess):
+            i = int(np.argmax(excess))
+            if replaces_max(excess[i], worst):
+                worst, witness = excess[i], tuple(int(w[i]) for w in windows)
+        evaluated += len(excess)
     if evaluated == 0:
         return StabilityAuditRow(name, bound, 0.0, (), 0, total, True)
     worst = float(worst)
@@ -390,13 +387,14 @@ def _certified_row(cert, domain, sigma, excess, a=0, tables=None):
     windows every pair mask allows (_candidate_blocks) go out as flat
     C-order index arrays in chunks of AUDIT_CHUNK_ENTRIES windows, where
     only the nodes that use all three letters are checked: the pair masks
-    already put every other node of a candidate in the ball. Once half a
-    chunk's windows or more have left the ball, they are dropped from every
-    node array, in one index that keeps C order; a chunk with none left is
-    skipped. excess(node) gives LHS - RHS on one chunk, where node(word) is
-    the index array of a node, or of the node it is bound to, gathered when
-    asked for (only factors are kept). tables are _tables(domain, sigma),
-    built here when not given.
+    already put every other node of a candidate in the ball. A chunk drops
+    the windows that left the ball once they are half of it and after its
+    last check, from every node array in one index that keeps C order (the
+    axes only, after the last), and is skipped when none is left. So excess(node) gives LHS - RHS on a
+    chunk of evaluated windows, where node(word) is the index array of a
+    node, or of the node it is bound to, in the ball, gathered when asked
+    for (only factors are kept). tables are _tables(domain, sigma), built
+    here when not given.
 
     Raises AuditInapplicable first when sigma fails the certificate's law
     on the domain: there the windows do not sum to the left-hand side, so
@@ -462,25 +460,24 @@ def _certified_row(cert, domain, sigma, excess, a=0, tables=None):
             f"budget: its certificate's pair masks leave {work} candidate "
             f"windows to gather (budget {AUDIT_WINDOW_BUDGET})")
 
-    def evaluate(window):
-        env = dict(zip(axes, window), a=a)
-        valid = np.ones(len(window[0]), dtype=bool)
-        for key in checks[-1]:
-            valid &= node(env, key) >= 0
-            if 2 * np.count_nonzero(valid) <= len(valid):
-                live = np.flatnonzero(valid)
-                if not len(live):
-                    return
-                env = {k: e.take(live) if isinstance(e, np.ndarray) else e
-                       for k, e in env.items()}
-                valid = valid.take(live)
-        yield (excess(lambda word: node(env, word)), valid,
-               [env[c] for c in axes])
-
     def chunks():
-        blocks = _candidate_blocks(masks, n)
-        for window in _chunks(blocks, AUDIT_CHUNK_ENTRIES):
-            yield from evaluate(window)
+        for window in _chunks(_candidate_blocks(masks, n),
+                              AUDIT_CHUNK_ENTRIES):
+            env, valid = dict(zip(axes, window), a=a), True
+            for key in checks[-1]:
+                valid = valid & (node(env, key) >= 0)
+                count, last = np.count_nonzero(valid), key == checks[-1][-1]
+                if 2 * count <= len(valid) or (last and count < len(valid)):
+                    if not count:
+                        break
+                    # after the last check the excess gathers any factor anew
+                    live, valid = np.flatnonzero(valid), True
+                    env = {k: e.take(live) if isinstance(e, np.ndarray) else e
+                           for k, e in env.items()
+                           if not last or k in axes or k == "a"}
+            else:
+                yield (excess(lambda word: node(env, word)),
+                       [env[c] for c in axes])
 
     return _row_from_chunks(cert.name, cert.bound, n ** len(axes), chunks())
 
@@ -494,12 +491,11 @@ def audit_centrality_bound(domain, sigma, chi, f, g, delta, *, tables=None):
     Only the windows its pair masks allow are gathered, in chunks, so peak
     memory is O(n^2) plus a few MiB for any ball size.
     """
-    ag, fv = np.abs(g.values), np.abs(f.values)
-    gp = np.append(g.values, 0.0)  # 0 at id -1, outside the ball
+    gv, ag, fv = g.values, np.abs(g.values), np.abs(f.values)
 
     def excess(node):
         Y, Z = node("y"), node("z")
-        gap = np.abs(gp.take(node("zy")) - gp.take(node("yz")))
+        gap = np.abs(gv.take(node("zy")) - gv.take(node("yz")))
         return (gap * fv.take(node("x"))
                 - (2.0 * ag.take(Z) + 2.0 * ag.take(Y) + 6.0) * delta)
 
@@ -510,12 +506,11 @@ def audit_mg_shift_bound(domain, sigma, chi, f, g, delta, *, tables=None):
     """|m_g(y) f(x) - chi(y) f(sigma(y) x y)| <= |g(y)| delta + 1.5 delta."""
     mg = companion_mg(g).values
     rhs = (np.abs(g.values) + 1.5) * delta
-    fp = np.append(f.values, 0.0)
 
     def excess(node):
         Y = node("y")
-        lhs = np.abs(mg.take(Y) * fp.take(node("x"))
-                     - chi.values.take(Y) * fp.take(node("s(y)xy")))
+        lhs = np.abs(mg.take(Y) * f.values.take(node("x"))
+                     - chi.values.take(Y) * f.values.take(node("s(y)xy")))
         return lhs - rhs.take(Y)
 
     return _certified_row(COMPANION_SHIFT, domain, sigma, excess,
@@ -547,11 +542,10 @@ def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0, *,
     """
     fv, gv = f.values, g.values
     fa = section_function(f, g, a).values
-    fp, gp = np.append(fv, 0.0), np.append(gv, 0.0)
 
     def excess(node):
         X, Y = node("x"), node("y")
-        lhs = np.abs(fp[node("axy")] - fv[a] * gp[node("xy")]
+        lhs = np.abs(fv[node("axy")] - fv[a] * gv[node("xy")]
                      - fa[X] * gv[Y] - fa[Y] * gv[X])
         return lhs - (np.abs(gv)[X] + 1.5) * delta
 
@@ -568,12 +562,11 @@ def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0,
     """
     fv, gv = f.values, g.values
     fa = section_function(f, g, a).values
-    fp, gp = np.append(fv, 0.0), np.append(gv, 0.0)
 
     def excess(node):
         X, Y = node("x"), node("y")
-        fa_xy = fp[node("axy")] - fv[a] * gp[node("xy")]
-        fa_yx = fp[node("ayx")] - fv[a] * gp[node("yx")]
+        fa_xy = fv[node("axy")] - fv[a] * gv[node("xy")]
+        fa_yx = fv[node("ayx")] - fv[a] * gv[node("yx")]
         lhs = np.abs(fa_xy + fa_yx - 2.0 * fa[X] * gv[Y]
                      - 2.0 * fa[Y] * gv[X])
         return lhs - (np.abs(gv)[X] + np.abs(gv)[Y] + 3.0) * delta
@@ -587,20 +580,17 @@ def run_stability_battery(domain, sigma, chi, f, g, delta, a=0):
     sigma fails raises AuditInapplicable before it gathers anything, and is
     reported N/A."""
     report = StabilityReport(measured_delta=delta)
-    args = (domain, sigma, chi, f, g, delta)
-    kw = {"tables": _tables(domain, sigma)}
-    # the audits are looked up when called, so a wrapper set on the module
-    # runs in the battery too
-    for cert, audit in (
-            (CENTRALITY, lambda: audit_centrality_bound(*args, **kw)),
-            (COMPANION_SHIFT, lambda: audit_mg_shift_bound(*args, **kw)),
-            (PARITY, lambda: audit_parity_bound(*args, **kw)),
-            (SECTION_SINE,
-             lambda: audit_sine_addition_bound(*args, a=a, **kw)),
-            (SYMMETRIZED_SINE,
-             lambda: audit_symmetrized_sine_addition_bound(*args, a=a, **kw))):
+    tables = _tables(domain, sigma)
+    for cert, audit, kw in (
+            (CENTRALITY, audit_centrality_bound, {}),
+            (COMPANION_SHIFT, audit_mg_shift_bound, {}),
+            (PARITY, audit_parity_bound, {}),
+            (SECTION_SINE, audit_sine_addition_bound, {"a": a}),
+            (SYMMETRIZED_SINE, audit_symmetrized_sine_addition_bound,
+             {"a": a})):
         try:
-            report.rows.append(audit())
+            report.rows.append(audit(domain, sigma, chi, f, g, delta,
+                                     tables=tables, **kw))
         except AuditInapplicable as why:
             report.not_applicable.append((cert.name, str(why)))
     return report

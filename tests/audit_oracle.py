@@ -11,6 +11,8 @@ with these, witness and counts included.
   the audits did before their masks were derived from the certificates.
   old_centrality_bound is evaluated in x-slices; the pair audits are one
   n x n grid each.
+* pair_valid is the dense mask of the windows a two-letter certificate
+  evaluates, as centrality_valid is centrality's.
 * candidate_blocks lists the windows an evaluator's pair masks allow, one
   x at a time, as the evaluator did before it listed (x, y) pairs in
   blocks.
@@ -396,11 +398,29 @@ def plain_program(windows):
     return steps
 
 
+def pair_valid(cert, domain, sigma, a=0):
+    """The n x n mask of the (x, y) windows of a two-letter certificate
+    whose every node of plain_program(cert.windows) lies in the ball; a
+    three-letter one's is centrality_valid."""
+    n = domain.n
+    X, Y = np.arange(n)[:, None], np.arange(n)[None, :]
+    env = {"a": a, "x": X, "y": Y, "X": domain.inv[X], "Y": domain.inv[Y]}
+    valid = np.ones((n, n), dtype=bool)
+    for key, ops in plain_program(cert.windows).items():
+        if len(ops) == 1:
+            env[key] = _map(sigma.table, env[ops[0]])
+        else:
+            env[key] = _chain(domain.mul, env[ops[0]], env[ops[1]])
+            valid &= env[key] >= 0
+    return valid
+
+
 def program_row(cert, domain, sigma, excess, a=0, tables=None):
     """The audit row of stability._certified_row, from every node of
     plain_program(cert.windows) built on every window the pair masks allow,
-    with the library's candidate listing, chunks and row merge. It pads its
-    own tables and ignores those given."""
+    with the library's candidate listing, chunks and row merge; each chunk
+    hands its excess only the windows whose nodes all lie in the ball. It
+    pads its own tables and ignores those given."""
     if cert.law and not satisfies_morphism_law(domain, sigma.table, cert.law):
         what = ("an anti-homomorphism" if cert.law == "anti-automorphism"
                 else "a homomorphism")
@@ -447,7 +467,10 @@ def program_row(cert, domain, sigma, excess, a=0, tables=None):
             env = leaves(dict(zip(axes, window)))
             valid = np.ones(len(window[0]), dtype=bool)
             run(steps, env, valid)
-            yield excess(env.__getitem__), valid, window
+            live = np.flatnonzero(valid)
+            env = {k: e.take(live) if isinstance(e, np.ndarray) else e
+                   for k, e in env.items()}
+            yield excess(env.__getitem__), [w.take(live) for w in window]
 
     return stability._row_from_chunks(cert.name, cert.bound, n ** len(axes),
                                       chunks())

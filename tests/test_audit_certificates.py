@@ -24,7 +24,7 @@ import pytest
 
 from audit_oracle import (OLD_AUDITS, SECTION_AUDITS, centrality_valid,
                           old_sine_addition_bound, oracle_centrality,
-                          plain_program, program_row)
+                          pair_valid, plain_program, program_row)
 from feqlab import stability
 from feqlab.feq import GroupFunction
 from feqlab.groups import (BallDomain, DiscreteHeisenberg, FreeGroup,
@@ -222,11 +222,11 @@ def test_other_sigmas_compile_the_plain_program(monkeypatch):
 # factor is not kept, so one the excess asks for twice (zy and yz, axy and
 # ayx on Z^2) is gathered twice
 CHUNK_READS = {
-    ("Z2_r4", "inversion"): [8.7, 0.0, 0.0, 2.0, 3.0],
-    ("Z2_r4", "identity"): [4.0, 2.0, 0.0, 2.0, 3.0],
+    ("Z2_r4", "inversion"): [8.6, 0.0, 0.0, 2.0, 3.0],
+    ("Z2_r4", "identity"): [3.8, 2.0, 0.0, 2.0, 3.0],
     ("H3_r3", "inversion"): [10.2, 3.0, 0.0, None, 4.0],
     ("H3_r3", "identity"): [None, 2.0, 0.0, 2.0, 4.0],
-    ("F2_r2", "inversion"): [14.0, 3.0, 0.0, None, 4.0],
+    ("F2_r2", "inversion"): [13.1, 3.0, 0.0, None, 4.0],
     ("F2_r2", "identity"): [None, 2.0, 0.0, 2.0, 4.0],
 }
 
@@ -268,6 +268,45 @@ def test_the_chunk_pass_reads_only_what_the_pair_masks_leave_open(
                     continue
                 reads.append(round(count["reads"] / count["windows"], 1))
     assert got == CHUNK_READS
+
+
+CONTRACT_SETUPS = {
+    **{name: CORPUS[name] for name in ("Z2_r4", "Z2_r8", "F2_r2", "S3", "D4")},
+    "H3_r3": lambda: ball_setups(DiscreteHeisenberg(), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_SETUPS))
+def test_every_window_an_excess_reads_is_evaluated(monkeypatch, name):
+    # a chunk drops its windows with a node outside the ball before its
+    # excess reads it, so the row merge counts windows and an excess reads
+    # values with no pad; checked against the dense masks of the oracle
+    handed, merge = [], stability._row_from_chunks
+
+    def spy(row_name, bound, total, chunks):
+        chunks = list(chunks)
+        handed.append((row_name, [windows for _, windows in chunks]))
+        return merge(row_name, bound, total, chunks)
+
+    monkeypatch.setattr(stability, "_row_from_chunks", spy)
+    certs = {cert.name: cert for cert in CERTS}
+    for domain, sigma, chi in CONTRACT_SETUPS[name]():
+        f, g = random_pair(domain, seed=domain.n)
+        for a in sorted({0, domain.n - 1}):
+            handed.clear()
+            report = stability.run_stability_battery(domain, sigma, chi, f, g,
+                                                     0.1, a=a)
+            assert [row_name for row_name, _ in handed] == [
+                row.name for row in report.rows]
+            for (row_name, chunks), row in zip(handed, report.rows):
+                cert = certs[row_name]
+                valid = (centrality_valid(domain, sigma)
+                         if cert is stability.CENTRALITY
+                         else pair_valid(cert, domain, sigma, a))
+                assert all(len(w[0]) and valid[tuple(w)].all()
+                           for w in chunks), (row_name, sigma.label, a)
+                assert (sum(len(w[0]) for w in chunks) == row.evaluated
+                        == np.count_nonzero(valid))
 
 
 def test_an_audit_frees_its_tables_without_the_cyclic_collector():

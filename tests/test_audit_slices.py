@@ -334,13 +334,14 @@ def test_sine_audits_match_the_inline_section(monkeypatch, name, where):
         assert rows[0][1].evaluated > 0
 
 
-def _split(excess, valid, candidates, cuts):
-    """Chunks (excess, valid, windows) of the candidate windows of a grid,
-    cut at the given candidate counts."""
-    windows = np.nonzero(candidates)
-    bounds = [0, *cuts, len(windows[0])]
-    return [(excess[windows][a:b], valid[windows][a:b],
-             [w[a:b] for w in windows]) for a, b in zip(bounds, bounds[1:])]
+def _split(excess, valid, cuts):
+    """Chunks (excess, windows) of the valid windows of a grid, cut at the
+    given counts of valid windows; no chunk is empty."""
+    windows = np.nonzero(valid)
+    count = len(windows[0])
+    bounds = [0, *[c for c in cuts if c < count], count]
+    return [(excess[windows][a:b], [w[a:b] for w in windows])
+            for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 def _split_rows(excess, valid, cuts):
@@ -364,12 +365,9 @@ def test_slice_merge_matches_one_argmax(case):
         valid[:] = False
     elif case == "sparse":
         valid[:4] = False
-    # the candidates hold every valid window and some invalid ones
-    candidates = valid | (rng.uniform(size=excess.shape) < 0.5)
     want = oracle_row("r", "b", excess, valid)
     got = [stability._row_from_chunks("r", "b", excess.size,
-                                      _split(excess, valid, candidates,
-                                             [3, 17, 40, 41])),
+                                      _split(excess, valid, [3, 17, 40, 41])),
            row_from_slices("r", "b", excess.shape,
                            _split_rows(excess, valid, [2, 3, 6]))]
     assert [repr(row) for row in got] == [repr(want)] * 2

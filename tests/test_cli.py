@@ -216,6 +216,15 @@ def test_missing_config_file_is_rejected(capsys, tmp_path):
     assert code == EXIT_BADCONFIG
 
 
+def test_config_file_that_is_not_utf8_is_rejected(capsys, tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"\xffgroup = Z4\n")
+    code, out, err = run(capsys, "solve", "--config", str(cfg))
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert "cannot read config file: 'utf-8' codec can't decode" in err
+
+
 def test_unknown_subcommand_exits_with_config_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

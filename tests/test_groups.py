@@ -455,6 +455,7 @@ class SteppedIntegers(IntegerLattice):
     def __init__(self):
         super().__init__(1)
         self.name = "Z(1,2)"
+        self.ngens = 4
 
     def generators(self):
         return [(1,), (-1,), (2,), (-2,)]
@@ -530,6 +531,29 @@ def test_bfs_of_a_high_rank_lattice_keeps_its_peak_memory_low():
     assert len(rows) == 1 + 60 + 1800
     assert right.shape == (60, 1 + 60 + 1800 + 36020 + 1)
     assert peak < 45 * 2**20
+
+
+@pytest.mark.parametrize("kind, radius, refused", [
+    (IntegerLattice(2000), 1, "radius 1 already holds 4001 elements"),
+    (FreeGroup(100000), 1, "radius 1 already holds 200001 elements"),
+    (IntegerLattice(2000), 0, None)], ids=["Z2000_r1", "F100000_r1",
+                                           "Z2000_r0"])
+def test_a_kind_wider_than_the_cap_is_refused_before_its_bfs(kind, radius,
+                                                             refused):
+    # level 1 holds the identity and one neighbour per generator, so a
+    # kind with too many generators is refused before they or any level
+    # are built; its ball of radius 0 still builds
+    tracemalloc.start()
+    try:
+        if refused:
+            with pytest.raises(groups.BallTooLarge, match=refused):
+                BallDomain(kind, radius)
+        else:
+            assert BallDomain(kind, radius).n == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_heisenberg_is_noncommutative():
