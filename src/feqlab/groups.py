@@ -185,30 +185,30 @@ class Domain:
     # --- constructors -----------------------------------------------------
 
     @classmethod
-    def cyclic(cls, n, name=None):
+    def cyclic(cls, n):
         if n < 1:
             raise ValueError("cyclic group needs n >= 1")
-        _check_order(n, name or f"Z{n}")
+        _check_order(n, f"Z{n}")
         k = np.arange(n)
         mul = (k[:, None] + k[None, :]) % n
-        return cls(mul, name=name or f"Z{n}")
+        return cls(mul, name=f"Z{n}")
 
     @classmethod
-    def symmetric(cls, n, name=None):
+    def symmetric(cls, n):
         # n! > n, so a larger n is refused before n! is expanded
         if not 1 <= n <= GROUP_ORDER_CAP:
             raise ValueError(f"S_n needs 1 <= n <= {GROUP_ORDER_CAP}")
-        _check_order(math.factorial(n), name or f"S{n}")
+        _check_order(math.factorial(n), f"S{n}")
         # lexicographic order, identity first; (p*q)(i) = p(q(i)) is P[p, P[q]]
         P = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
         # a permutation read as base-n digits indexes its lexicographic rank
         place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
         rank = np.empty(n ** n, dtype=np.int64)
         rank[P @ place] = np.arange(len(P))
-        return cls(rank[P[:, P] @ place], name=name or f"S{n}")
+        return cls(rank[P[:, P] @ place], name=f"S{n}")
 
     @classmethod
-    def dihedral(cls, n, name=None):
+    def dihedral(cls, n):
         """D_n of order 2n: rotations r^k and reflections s r^k, the element
         s^i r^k at id i*n + k."""
         if not 1 <= n <= MAX_DIHEDRAL_N:
@@ -216,10 +216,10 @@ class Domain:
         i, k = np.divmod(np.arange(2 * n), n)
         # (s^i r^k)(s^j r^m) = s^(i+j) r^(((-1)^j) k + m)
         mul = (i[:, None] ^ i) * n + (k[:, None] * (1 - 2 * i) + k) % n
-        return cls(mul, name=name or f"D{n}")
+        return cls(mul, name=f"D{n}")
 
     @classmethod
-    def quaternion(cls, name="Q8"):
+    def quaternion(cls):
         """Q8 = {1, -1, i, -i, j, -j, k, -k}: the unit u in 1, i, j, k (0..3)
         with sign bit s at id 2u + s. Units multiply as u xor v, with the
         sign bit of the unit product uv in neg[u, v]."""
@@ -229,7 +229,7 @@ class Domain:
                         [0, 0, 1, 1]])  # ki = j, kj = -i, kk = -1
         s, u = np.arange(8) % 2, np.arange(8) // 2
         return cls(2 * (u[:, None] ^ u) + (s[:, None] ^ s ^ neg[np.ix_(u, u)]),
-                   name=name)
+                   name="Q8")
 
 
 def _check_order(n, name):
@@ -252,25 +252,24 @@ def direct_product(G, H):
 
 
 def build_catalog_group(spec):
-    """Build a group from a short name: Zn, ZmxZn, Sn, Dn (n<=8), Q8, of
-    order at most GROUP_ORDER_CAP."""
-    s = spec.strip()
-    if s.upper() == "Q8":
-        return Domain.quaternion()
-    if "x" in s:
-        left, _, right = s.partition("x")
-        return direct_product(build_catalog_group(left), build_catalog_group(right))
-    kind, num = s[:1].upper(), s[1:]
-    if not num.isdigit():
-        raise ValueError(f"unknown group spec {spec!r}")
-    n = int(num)
-    if kind == "Z":
-        return Domain.cyclic(n)
-    if kind == "S":
-        return Domain.symmetric(n)
-    if kind == "D":
-        return Domain.dihedral(n)
-    raise ValueError(f"unknown group spec {spec!r}")
+    """Build a group from a short name: Zn, Sn, Dn (n<=8), Q8, or a product
+    of them joined by x (ZmxZn; AxBxC is A x (B x C)), of order at most
+    GROUP_ORDER_CAP. The error for a malformed factor names the whole spec."""
+    factors = []
+    for s in spec.strip().split("x"):
+        s = s.strip()
+        kind, num = s[:1].upper(), s[1:]
+        if s.upper() == "Q8":
+            factors.append(Domain.quaternion())
+        elif kind in ("Z", "S", "D") and num.isdigit():
+            factors.append({"Z": Domain.cyclic, "S": Domain.symmetric,
+                            "D": Domain.dihedral}[kind](int(num)))
+        else:
+            raise ValueError(f"unknown group spec {spec!r}")
+    group = factors.pop()
+    while factors:
+        group = direct_product(factors.pop(), group)
+    return group
 
 
 CATALOG_NAMES = [

@@ -392,11 +392,6 @@ class AdditiveMap:
 # --- file formats ---------------------------------------------------------
 
 
-def write_character(chi, path):
-    lines = [f"{v.real:.17g} {v.imag:.17g}" for v in chi.values]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def read_character(path, domain):
     values = []
     for line in Path(path).read_text().splitlines():

@@ -253,8 +253,8 @@ class BruteForceResult:
     hits: list                  # converged starts that landed on each solution
 
 
-def _disk_starts(rng, count, n, radius=2.0):
-    r = radius * np.sqrt(rng.uniform(size=(count, n)))
+def _disk_starts(rng, count, n):
+    r = 2.0 * np.sqrt(rng.uniform(size=(count, n)))
     theta = 2.0 * np.pi * rng.uniform(size=(count, n))
     return r * np.exp(1j * theta)
 
@@ -371,12 +371,12 @@ def _line_search(system, V, F, norm, active, step):
     return pos
 
 
-def _newton_polish(system, V, max_iter=60):
+def _newton_polish(system, V):
     """Damped Gauss-Newton from every row of V at once; V is updated in place.
 
     Each start follows its own sequential run exactly: it leaves the active
     set when its residual is below 1e-13, when its line search runs out
-    (no t > 1e-7 is accepted, see _line_search) or after max_iter steps.
+    (no t > 1e-7 is accepted, see _line_search) or after 60 steps.
     Each step is one stacked least-squares call and one stacked line search.
     Returns the per-start convergence flags.
     """
@@ -386,7 +386,7 @@ def _newton_polish(system, V, max_iter=60):
     ok = np.zeros(V.shape[0], dtype=bool)
     active = np.arange(V.shape[0])
     J_buf = np.empty((V.shape[0],) + system.base.shape, dtype=np.complex128)
-    for _ in range(max_iter):
+    for _ in range(60):
         done = _converged(F[active])
         ok[active[done]] = True
         active = active[~done]

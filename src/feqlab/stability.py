@@ -24,8 +24,9 @@ same element as an earlier one or a leaf is never gathered. Table reads per
 candidate window in a chunk, the excess's own included: centrality 8.6 on
 Z^2 r=4 under inversion and 3.8 under the identity, 10.2 on H3 r=3 and 13.1
 on F2 r=2 under inversion; parity none; the companion shift at most 3 and
-both sine audits 2 to 4. An audit whose pair masks allow more than AUDIT_WINDOW_BUDGET windows raises AuditTooLarge
-before gathering any; the CLI exits 4 with the estimate.
+both sine audits 2 to 4. An audit whose pair masks allow more than
+AUDIT_WINDOW_BUDGET windows raises AuditTooLarge before gathering any; the
+CLI exits 4 with the estimate.
 """
 
 import functools
@@ -188,7 +189,7 @@ def _tables(domain, sigma):
             domain.inv.astype(np.int32))
 
 
-def _row_from_chunks(name, bound, total, chunks, tol=AUDIT_TOL):
+def _row_from_chunks(name, bound, total, chunks):
     """Audit row of a grid of `total` windows, given as chunks (excess,
     windows) of evaluated windows only, in C order of the grid: `windows`
     holds one index array per axis. A window in no chunk is skipped.
@@ -209,7 +210,7 @@ def _row_from_chunks(name, bound, total, chunks, tol=AUDIT_TOL):
         return StabilityAuditRow(name, bound, 0.0, (), 0, total, True)
     worst = float(worst)
     return StabilityAuditRow(name, bound, worst, witness, evaluated,
-                             total - evaluated, worst <= tol)
+                             total - evaluated, worst <= AUDIT_TOL)
 
 
 def _candidate_blocks(masks, n):
@@ -326,6 +327,7 @@ def _normal_form(word, sigma_class, commutes):
     flat = re.sub(r"s\((\w+)\)", lambda s: s[1][::-1].swapcase()
                   if sigma_class == "inv" else s[1], word)
     out = []
+    # sorting aliases xy and yx: lattice:2 r<=8 audits ran ~30% slower without
     for c in sorted(flat, key=str.lower) if commutes else flat:
         if out and out[-1] == c.swapcase():
             out.pop()
@@ -374,7 +376,7 @@ def _compile(cert, sigma_class, commutes):
     return axes, build, alias, factors, checks
 
 
-def _certified_row(cert, domain, sigma, excess, a=0, tables=None):
+def _certified_row(cert, domain, sigma, excess, a=0):
     """Audit row over the (x, y[, z]) grid of a certificate's windows.
 
     A window is evaluated exactly when every product node of its residuals
@@ -390,11 +392,11 @@ def _certified_row(cert, domain, sigma, excess, a=0, tables=None):
     already put every other node of a candidate in the ball. A chunk drops
     the windows that left the ball once they are half of it and after its
     last check, from every node array in one index that keeps C order (the
-    axes only, after the last), and is skipped when none is left. So excess(node) gives LHS - RHS on a
-    chunk of evaluated windows, where node(word) is the index array of a
-    node, or of the node it is bound to, in the ball, gathered when asked
-    for (only factors are kept). tables are _tables(domain, sigma), built
-    here when not given.
+    axes only, after the last), and is skipped when none is left. So
+    excess(node) gives LHS - RHS on a chunk of evaluated windows, where
+    node(word) is the index array of a node, or of the node it is bound to,
+    in the ball, gathered when asked for (only factors are kept). Every call
+    pads its own tables with _tables, after the law check.
 
     Raises AuditInapplicable first when sigma fails the certificate's law
     on the domain: there the windows do not sum to the left-hand side, so
@@ -412,7 +414,7 @@ def _certified_row(cert, domain, sigma, excess, a=0, tables=None):
                    "id" if np.array_equal(sigma.table, np.arange(n)) else None)
     axes, build, alias, factors, checks = _compile(
         cert, sigma_class, getattr(domain.kind, "commutative", False))
-    mp, sp, inv = tables or _tables(domain, sigma)
+    mp, sp, inv = _tables(domain, sigma)
 
     def node(env, word):
         """word's index array on env's windows, gathered with every factor
@@ -467,6 +469,7 @@ def _certified_row(cert, domain, sigma, excess, a=0, tables=None):
             for key in checks[-1]:
                 valid = valid & (node(env, key) >= 0)
                 count, last = np.count_nonzero(valid), key == checks[-1][-1]
+                # dropping at half spares later gathers (heisenberg r=8: 2-8%)
                 if 2 * count <= len(valid) or (last and count < len(valid)):
                     if not count:
                         break
@@ -482,7 +485,7 @@ def _certified_row(cert, domain, sigma, excess, a=0, tables=None):
     return _row_from_chunks(cert.name, cert.bound, n ** len(axes), chunks())
 
 
-def audit_centrality_bound(domain, sigma, chi, f, g, delta, *, tables=None):
+def audit_centrality_bound(domain, sigma, chi, f, g, delta):
     """|g(zy) - g(yz)| |f(x)| <= 2|g(z)| delta + 2|g(y)| delta + 6 delta.
 
     Certificate: when sigma is an anti-automorphism, f(x) (g(zy) - g(yz))
@@ -499,10 +502,10 @@ def audit_centrality_bound(domain, sigma, chi, f, g, delta, *, tables=None):
         return (gap * fv.take(node("x"))
                 - (2.0 * ag.take(Z) + 2.0 * ag.take(Y) + 6.0) * delta)
 
-    return _certified_row(CENTRALITY, domain, sigma, excess, tables=tables)
+    return _certified_row(CENTRALITY, domain, sigma, excess)
 
 
-def audit_mg_shift_bound(domain, sigma, chi, f, g, delta, *, tables=None):
+def audit_mg_shift_bound(domain, sigma, chi, f, g, delta):
     """|m_g(y) f(x) - chi(y) f(sigma(y) x y)| <= |g(y)| delta + 1.5 delta."""
     mg = companion_mg(g).values
     rhs = (np.abs(g.values) + 1.5) * delta
@@ -513,11 +516,10 @@ def audit_mg_shift_bound(domain, sigma, chi, f, g, delta, *, tables=None):
                      - chi.values.take(Y) * f.values.take(node("s(y)xy")))
         return lhs - rhs.take(Y)
 
-    return _certified_row(COMPANION_SHIFT, domain, sigma, excess,
-                          tables=tables)
+    return _certified_row(COMPANION_SHIFT, domain, sigma, excess)
 
 
-def audit_parity_bound(domain, sigma, chi, f, g, delta, *, tables=None):
+def audit_parity_bound(domain, sigma, chi, f, g, delta):
     """|2 f(x) (g(y) - m_g(y) g(y^{-1}))| <= |m_g(y)| d + 2|g(y)| d + 4d."""
     mg = companion_mg(g).values
     gv = g.values
@@ -529,11 +531,10 @@ def audit_parity_bound(domain, sigma, chi, f, g, delta, *, tables=None):
         return (np.abs(2.0 * f.values.take(node("x")) * gap.take(Y))
                 - rhs.take(Y))
 
-    return _certified_row(PARITY, domain, sigma, excess, tables=tables)
+    return _certified_row(PARITY, domain, sigma, excess)
 
 
-def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0, *,
-                              tables=None):
+def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0):
     """|f_a(xy) - f_a(x) g(y) - f_a(y) g(x)| <= |g(x)| delta + 1.5 delta.
 
     Valid when sigma is a homomorphism (its certificate cancels a
@@ -549,11 +550,11 @@ def audit_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0, *,
                      - fa[X] * gv[Y] - fa[Y] * gv[X])
         return lhs - (np.abs(gv)[X] + 1.5) * delta
 
-    return _certified_row(SECTION_SINE, domain, sigma, excess, a, tables)
+    return _certified_row(SECTION_SINE, domain, sigma, excess, a)
 
 
-def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0,
-                                          *, tables=None):
+def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta,
+                                          a=0):
     """|f_a(xy) + f_a(yx) - 2 f_a(x) g(y) - 2 f_a(y) g(x)|
         <= |g(x)| d + |g(y)| d + 3d.
 
@@ -571,16 +572,15 @@ def audit_symmetrized_sine_addition_bound(domain, sigma, chi, f, g, delta, a=0,
                      - 2.0 * fa[Y] * gv[X])
         return lhs - (np.abs(gv)[X] + np.abs(gv)[Y] + 3.0) * delta
 
-    return _certified_row(SYMMETRIZED_SINE, domain, sigma, excess, a, tables)
+    return _certified_row(SYMMETRIZED_SINE, domain, sigma, excess, a)
 
 
 def run_stability_battery(domain, sigma, chi, f, g, delta, a=0):
     """The four proof-constant audits plus the symmetrized variant, in this
-    order, on one set of padded tables. An audit whose certificate's law
+    order, each on tables it pads itself. An audit whose certificate's law
     sigma fails raises AuditInapplicable before it gathers anything, and is
     reported N/A."""
     report = StabilityReport(measured_delta=delta)
-    tables = _tables(domain, sigma)
     for cert, audit, kw in (
             (CENTRALITY, audit_centrality_bound, {}),
             (COMPANION_SHIFT, audit_mg_shift_bound, {}),
@@ -589,8 +589,7 @@ def run_stability_battery(domain, sigma, chi, f, g, delta, a=0):
             (SYMMETRIZED_SINE, audit_symmetrized_sine_addition_bound,
              {"a": a})):
         try:
-            report.rows.append(audit(domain, sigma, chi, f, g, delta,
-                                     tables=tables, **kw))
+            report.rows.append(audit(domain, sigma, chi, f, g, delta, **kw))
         except AuditInapplicable as why:
             report.not_applicable.append((cert.name, str(why)))
     return report

@@ -415,12 +415,12 @@ def pair_valid(cert, domain, sigma, a=0):
     return valid
 
 
-def program_row(cert, domain, sigma, excess, a=0, tables=None):
+def program_row(cert, domain, sigma, excess, a=0):
     """The audit row of stability._certified_row, from every node of
     plain_program(cert.windows) built on every window the pair masks allow,
     with the library's candidate listing, chunks and row merge; each chunk
     hands its excess only the windows whose nodes all lie in the ball. It
-    pads its own tables and ignores those given."""
+    pads its own tables."""
     if cert.law and not satisfies_morphism_law(domain, sigma.table, cert.law):
         what = ("an anti-homomorphism" if cert.law == "anti-automorphism"
                 else "a homomorphism")

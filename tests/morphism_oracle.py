@@ -11,11 +11,15 @@ Involutions come from a search that walks the Cayley graph afresh for each
 generator assignment. The twisted companion's angles, the candidate-g dedup
 keys and their labels come from Fraction angles added mod 1. Tests compare
 the library's output with these, bit for bit.
+
+write_character writes the file that morphisms.read_character reads: one
+value per line, its real and imaginary parts to 17 significant digits.
 """
 
 import cmath
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -246,3 +250,8 @@ def candidate_groups(multiplicative, companions):
                          angle_key(M_values, M_angles)))
         groups.setdefault(key, []).append(m)
     return list(groups.items())
+
+
+def write_character(chi, path):
+    lines = [f"{v.real:.17g} {v.imag:.17g}" for v in chi.values]
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -39,6 +39,8 @@ STABILITY_Z2 = ["stability", "--domain", "lattice:2", "--radii", "2",
 CONFIG_ERRORS = [
     ["frobnicate"],
     ["catalog", "--group", "E8"],
+    ["catalog", "--group", "x"],
+    ["catalog", "--group", "ZxZ"],
     ["solve"],
     ["solve", "--group", "Z4", "--sigma", "inv", "--chi", "7"],
     ["perturb", "--group", "Z4", "--sigma", "inv"],

@@ -248,21 +248,24 @@ def test_the_chunk_pass_reads_only_what_the_pair_masks_leave_open(
             count["windows"] += len(block[0])
             yield block
 
+    tables = stability._tables
+
+    def counting(domain, sigma):
+        return tuple(t.view(Counting) for t in tables(domain, sigma))
+
     monkeypatch.setattr(stability, "_candidate_blocks", spy)
+    monkeypatch.setattr(stability, "_tables", counting)
     got = {}
     for name, kind, radius in (("Z2_r4", IntegerLattice(2), 4),
                                ("H3_r3", DiscreteHeisenberg(), 3),
                                ("F2_r2", FreeGroup(2), 2)):
         for domain, sigma, chi in ball_setups(kind, radius):
             f, g = random_pair(domain, seed=1)
-            tables = tuple(t.view(Counting)
-                           for t in stability._tables(domain, sigma))
             reads = got[name, sigma.label] = []
             for audit in OLD_AUDITS:
                 count.update(on=False, reads=0, windows=0)
                 try:
-                    getattr(stability, audit)(domain, sigma, chi, f, g, 0.1,
-                                              tables=tables)
+                    getattr(stability, audit)(domain, sigma, chi, f, g, 0.1)
                 except AuditInapplicable:
                     reads.append(None)
                     continue
@@ -309,20 +312,25 @@ def test_every_window_an_excess_reads_is_evaluated(monkeypatch, name):
                         == np.count_nonzero(valid))
 
 
-def test_an_audit_frees_its_tables_without_the_cyclic_collector():
+def test_an_audit_frees_its_tables_without_the_cyclic_collector(monkeypatch):
     # a lookup that reached itself through its own closure would be a
     # reference cycle, holding the tables until the collector runs
+    refs, tables = [], stability._tables
+
+    def recorded(domain, sigma):
+        out = tables(domain, sigma)
+        refs.extend(weakref.ref(t) for t in out)
+        return out
+
+    monkeypatch.setattr(stability, "_tables", recorded)
     gc.disable()
     try:
         for domain, sigma, chi in ball_setups(IntegerLattice(2), 3):
             f, g = random_pair(domain, seed=4)
             for audit in OLD_AUDITS:
-                tables = stability._tables(domain, sigma)
-                refs = [weakref.ref(t) for t in tables]
-                getattr(stability, audit)(domain, sigma, chi, f, g, 0.1,
-                                          tables=tables)
-                del tables
-                assert all(r() is None for r in refs), audit
+                refs.clear()
+                getattr(stability, audit)(domain, sigma, chi, f, g, 0.1)
+                assert refs and all(r() is None for r in refs), audit
     finally:
         gc.enable()
 

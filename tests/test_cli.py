@@ -17,10 +17,11 @@ from feqlab.cli import (
 from feqlab.feq import GroupFunction, read_function, write_function
 from feqlab.groups import BALL_ELEMENT_CAP, GROUP_ORDER_CAP, build_catalog_group
 from feqlab.morphisms import enumerate_characters, inversion_involution, \
-    trivial_character, write_character
+    trivial_character
 from feqlab.families import SolutionPair, canned_half_trace
 from feqlab.solver import candidate_gs, completeness_check, solve_f_given_g
 from feqlab.stability import PerturbationConfig, perturb
+from morphism_oracle import write_character
 
 
 def run(capsys, *argv):
@@ -50,9 +51,12 @@ def test_catalog_morphism_and_character_counts(capsys):
 
 
 def test_catalog_unknown_group_is_a_config_error(capsys):
-    code, _, err = run(capsys, "catalog", "--group", "E8")
-    assert code == EXIT_BADCONFIG
-    assert "error" in err
+    # a malformed factor of a product spec is reported with the whole spec
+    for spec in ("E8", "x", "ZxZ"):
+        code, out, err = run(capsys, "catalog", "--group", spec)
+        assert code == EXIT_BADCONFIG
+        assert out == ""
+        assert err == f"error: unknown group spec {spec!r}\n"
 
 
 def test_solve_passes_on_z4_with_inversion(capsys):

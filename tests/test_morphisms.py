@@ -29,9 +29,9 @@ from feqlab.morphisms import (
     read_character,
     satisfies_morphism_law,
     trivial_character,
-    write_character,
 )
-from morphism_oracle import abelianization, character_from_angles
+from morphism_oracle import abelianization, character_from_angles, \
+    write_character
 
 
 def test_involution_kind_validated():
