@@ -4,7 +4,10 @@ of its stdout and its exit code, in tests/stdout_corpus.json.
     PYTHONPATH=src python tests/regen_stdout_corpus.py          # list changes
     PYTHONPATH=src python tests/regen_stdout_corpus.py --write  # re-record
 
-Every argv runs in-process through cli.main. Without --write the script
+Every argv runs in-process through cli.main. An argv that names a file
+holds the placeholder FIXTURES for its directory, so that no key holds a
+path; its run writes the fixture files into a fresh temporary directory and
+puts that directory in place of FIXTURES. Without --write the script
 prints each argv whose stdout or exit code differs from the stored corpus;
 with --write it records the corpus afresh, with the numpy version and the
 OpenBLAS core it ran on (the last bits of a printed float may depend on
@@ -20,12 +23,17 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from feqlab import cli
-from feqlab.groups import CATALOG_NAMES
+from feqlab.feq import GroupFunction, write_function
+from feqlab.groups import CATALOG_NAMES, build_catalog_group
+from feqlab.morphisms import enumerate_characters
+
+from morphism_oracle import write_character
 
 CORPUS = Path(__file__).with_name("stdout_corpus.json")
 INVOLUTIONS = {"S3": 4, "Q8": 10, "D4": 6}  # of each kind
@@ -92,6 +100,39 @@ CONFIG_ERRORS = [
 ]
 
 
+FIXTURES = "$FIXTURES"
+
+# argvs that read or write a file under FIXTURES (write_fixtures)
+FILE_ARGVS = [
+    ["solve", "--config", f"{FIXTURES}/solve.cfg"],
+    ["solve", "--config", f"{FIXTURES}/latin1.cfg"],
+    ["solve", "--group", "Z4", "--sigma", "inv", "--chi-file",
+     f"{FIXTURES}/chi.txt"],
+    ["audit", "--group", "Z4", "--sigma", "inv", "--f", f"{FIXTURES}/f.txt",
+     "--g", f"{FIXTURES}/g.txt"],
+    ["solve", "--group", "S3", "--sigma", "id", "--out-dir",
+     f"{FIXTURES}/out"],
+    STABILITY_Z2 + ["--csv-out", f"{FIXTURES}/growth.csv"],
+    # the directory of the CSV does not exist: exit code 4
+    STABILITY_Z2 + ["--csv-out", f"{FIXTURES}/missing/growth.csv"],
+]
+
+
+def write_fixtures(directory):
+    """The files FILE_ARGVS read: a config file, one that is not UTF-8, the
+    character i^x of Z4 and the exact Z4 pair f = i^x, g = cos(pi x / 2)
+    under inversion."""
+    d = Path(directory)
+    (d / "solve.cfg").write_text("group = Z4\nsigma = inv\nchi = 1\n",
+                                 encoding="utf-8")
+    (d / "latin1.cfg").write_bytes(b"group = Z4 # \xff\n")
+    Z4 = build_catalog_group("Z4")
+    m = enumerate_characters(Z4)[1]
+    write_character(m, d / "chi.txt")
+    write_function(GroupFunction(Z4, m.values), d / "f.txt")
+    write_function(GroupFunction(Z4, m.values.real), d / "g.txt")
+
+
 def argvs():
     """Every argv of the corpus, in a fixed order."""
     out = [["catalog"]]
@@ -151,16 +192,19 @@ def argvs():
     out += [["perturb", "--domain", "lattice:1448", "--radius", "1",
              "--epsilon", "1e-2"],
             ["stability", "--domain", "free:1448", "--radii", "1"]]
-    return out + CONFIG_ERRORS
+    return out + CONFIG_ERRORS + FILE_ARGVS
 
 
 def run(argv):
     """The sha256 of the stdout and the exit code of one in-process run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(io.StringIO()), \
+            tempfile.TemporaryDirectory() as d:
+        if any(FIXTURES in arg for arg in argv):
+            write_fixtures(d)
         try:
-            code = cli.main(list(argv))
+            code = cli.main([arg.replace(FIXTURES, d) for arg in argv])
         except SystemExit as exc:
             code = exc.code
     return {"stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8"))
