@@ -78,7 +78,7 @@ def write_function(f, path):
 
 
 def read_function(domain, path):
-    raw = Path(path).read_text().split("\n")
+    raw = Path(path).read_text(encoding="utf-8-sig").split("\n")
     n = int(raw[0].strip())
     if n != domain.n:
         raise ValueError(f"function file is for size {n}, domain has {domain.n}")

@@ -394,7 +394,7 @@ class AdditiveMap:
 
 def read_character(path, domain):
     values = []
-    for line in Path(path).read_text().splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if not line:
             continue

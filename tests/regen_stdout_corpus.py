@@ -115,13 +115,20 @@ FILE_ARGVS = [
     STABILITY_Z2 + ["--csv-out", f"{FIXTURES}/growth.csv"],
     # the directory of the CSV does not exist: exit code 4
     STABILITY_Z2 + ["--csv-out", f"{FIXTURES}/missing/growth.csv"],
+    # the same files behind a UTF-8 byte-order mark
+    ["solve", "--config", f"{FIXTURES}/bom-solve.cfg"],
+    ["solve", "--group", "Z4", "--sigma", "inv", "--chi-file",
+     f"{FIXTURES}/bom-chi.txt"],
+    ["audit", "--group", "Z4", "--sigma", "inv", "--f",
+     f"{FIXTURES}/bom-f.txt", "--g", f"{FIXTURES}/bom-g.txt"],
 ]
 
 
 def write_fixtures(directory):
     """The files FILE_ARGVS read: a config file, one that is not UTF-8, the
     character i^x of Z4 and the exact Z4 pair f = i^x, g = cos(pi x / 2)
-    under inversion."""
+    under inversion, and a copy of each but the second behind a UTF-8
+    byte-order mark."""
     d = Path(directory)
     (d / "solve.cfg").write_text("group = Z4\nsigma = inv\nchi = 1\n",
                                  encoding="utf-8")
@@ -131,6 +138,9 @@ def write_fixtures(directory):
     write_character(m, d / "chi.txt")
     write_function(GroupFunction(Z4, m.values), d / "f.txt")
     write_function(GroupFunction(Z4, m.values.real), d / "g.txt")
+    for name in ("solve.cfg", "chi.txt", "f.txt", "g.txt"):
+        (d / f"bom-{name}").write_bytes(b"\xef\xbb\xbf"
+                                        + (d / name).read_bytes())
 
 
 def argvs():

@@ -169,6 +169,15 @@ def test_explicit_flags_beat_the_config_file(capsys, tmp_path):
     assert "trivial" in with_flag
 
 
+def test_config_file_with_a_byte_order_mark_supplies_flags(capsys, tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("group = Z4\nsigma = inv\nchi = 1\n", encoding="utf-8-sig")
+    code, out, _ = run(capsys, "solve", "--config", str(cfg))
+    assert code == EXIT_OK
+    assert out == run(capsys, "solve", "--group", "Z4", "--sigma", "inv",
+                      "--chi", "1")[1]
+
+
 def test_unknown_config_key_is_rejected(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("grup = Z4\n")

@@ -159,6 +159,15 @@ def test_function_file_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+def test_function_file_with_a_byte_order_mark_is_read(tmp_path):
+    Z4 = build_catalog_group("Z4")
+    f = GroupFunction(Z4, [1 / 3, np.pi * 1j, -1e-17, 2 ** 0.5])
+    path = tmp_path / "f.txt"
+    write_function(f, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert np.array_equal(read_function(Z4, path).values, f.values)
+
+
 def test_function_file_size_mismatch_rejected(tmp_path):
     path = tmp_path / "f.txt"
     write_function(GroupFunction.zero(build_catalog_group("Z2")), path)

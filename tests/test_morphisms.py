@@ -413,6 +413,15 @@ def test_character_file_round_trip(tmp_path):
     assert np.allclose(back.values, chi.values, atol=1e-15)
 
 
+def test_character_file_with_a_byte_order_mark_is_read(tmp_path):
+    Z4 = build_catalog_group("Z4")
+    chi = enumerate_characters(Z4)[1]
+    path = tmp_path / "chi.txt"
+    write_character(chi, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert np.array_equal(read_character(path, Z4).values, chi.values)
+
+
 def test_character_file_rejects_non_multiplicative(tmp_path):
     Z4 = build_catalog_group("Z4")
     path = tmp_path / "chi.txt"
