@@ -1,13 +1,11 @@
-"""Closed-form solution families for the pair equation and its g = f case.
+"""The solution families that the solver and the CLI build pairs from.
 
-All constructors re-verify the residual at build time; a nonzero residual
+SolutionPair re-verifies the residual when it is built; a nonzero residual
 means a violated precondition and raises instead of returning a bad pair.
-
-For the two-character family (CaseIII) the second character is the twisted
-companion M = chi * (m o sigma). Writing f as a combination of m and M (not
-m o sigma alone) is what makes the family exact for every compatible chi and
-span the full solution space of its g; see the decisions ledger for the
-completeness counterexamples behind this choice.
+The mixed family has g = (m + M)/2 and f in the span of m and M, where
+M = chi * (m o sigma) is the twisted companion of m (not m o sigma alone):
+that span is exact for every compatible chi, and solver.completeness_check
+checks that it is the whole f-space of each such g.
 """
 
 import math
@@ -16,11 +14,6 @@ import numpy as np
 
 from .feq import GroupFunction, residual_wilson, zero_tolerance
 from .morphisms import Character
-
-# c and f(e) samples used by exhaustive family sweeps; the families are
-# linear in f for fixed g, so a small sample set already spans everything
-PARAM_SAMPLES = (1, 2, 1j, 1 + 1j, 0)
-NONZERO_PARAM_SAMPLES = (1, 2, 1j, 1 + 1j)
 
 FAMILY_TAGS = ("CaseI", "CaseII", "CaseIII", "CaseIV", "DAlembert", "External")
 
@@ -69,36 +62,6 @@ def twisted_companion(m, chi, sigma):
                  + m.turns[sigma.table] * (period // m.period)) % period
     return Character(m.domain, vals, unitary=m.unitary and chi.unitary,
                      turns=turns, period=period)
-
-
-def family_case_i(domain, g_values, sigma, chi):
-    """f = 0, g arbitrary."""
-    g = GroupFunction(domain, g_values)
-    return SolutionPair(GroupFunction.zero(domain), g, "CaseI",
-                        sigma=sigma, chi=chi)
-
-
-def family_case_ii(m, chi, sigma, f_at_e):
-    """g = (m + chi m o sigma)/2, f = f(e) g."""
-    g = _mixed_g(m, chi, sigma)
-    f = complex(f_at_e) * g
-    return SolutionPair(f, g, "CaseII",
-                        parameters={"f_at_e": complex(f_at_e)},
-                        sigma=sigma, chi=chi)
-
-
-def family_case_iii(m, chi, sigma, c, f_at_e):
-    """g = (m + chi m o sigma)/2, f = (c + f(e)/2) m - (c - f(e)/2) chi (m o sigma)."""
-    c = complex(c)
-    if c == 0:
-        raise FamilyConstructionError("CaseIII requires c != 0")
-    fe = complex(f_at_e)
-    M = twisted_companion(m, chi, sigma)
-    g = _mixed_g(m, chi, sigma)
-    f_vals = (c + fe / 2.0) * m.values - (c - fe / 2.0) * M.values
-    f = GroupFunction(m.domain, f_vals)
-    return SolutionPair(f, g, "CaseIII", parameters={"c": c, "f_at_e": fe},
-                        sigma=sigma, chi=chi)
 
 
 def family_case_iv(m, chi, sigma, additive, f_at_e):
@@ -166,19 +129,3 @@ def canned_half_trace(G):
         return GroupFunction(G, vals)
     return None
 
-
-def generate_family_pairs(G, sigma, chi, multiplicative):
-    """All family pairs over the fixed parameter samples.
-
-    CaseII with every f(e) sample, CaseIII with every nonzero c and every
-    f(e). CaseIV on finite groups collapses into CaseII (only a = 0 is
-    additive), so it is not re-emitted here.
-    """
-    pairs = []
-    for m in multiplicative:
-        for fe in PARAM_SAMPLES:
-            pairs.append(family_case_ii(m, chi, sigma, fe))
-        for c in NONZERO_PARAM_SAMPLES:
-            for fe in PARAM_SAMPLES:
-                pairs.append(family_case_iii(m, chi, sigma, c, fe))
-    return pairs

@@ -56,17 +56,6 @@ class GroupFunction:
     def at_identity(self):
         return complex(self.values[self.domain.identity])
 
-    def __add__(self, other):
-        return GroupFunction(self.domain, self.values + other.values)
-
-    def __sub__(self, other):
-        return GroupFunction(self.domain, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return GroupFunction(self.domain, self.values * scalar)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"GroupFunction({np.round(self.values, 4)})"
 

@@ -165,9 +165,6 @@ class Domain:
     def op(self, a, b):
         return int(self.mul[a, b])
 
-    def inverse(self, a):
-        return int(self.inv[a])
-
     def is_abelian(self):
         """True when x and y commute wherever both xy and yx lie in the
         domain. Each pair is compared once, with y >= x, one row block of

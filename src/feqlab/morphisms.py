@@ -11,14 +11,13 @@ assignments would exceed MORPHISM_SEARCH_BUDGET is refused before it starts.
 Every character decision (multiplicativity, compatibility with sigma) reads
 the complex values. Characters enumerated on finite groups also carry exact
 integer turns over a period N: the value at x is exp(2*pi*i*turns[x]/N).
-The turns name the character in dedup keys; the Fraction angles
-turns[x]/N are derived from them for printed labels only.
+The turns name the character in dedup keys and, as the reduced
+fractions turns[x]/N, in printed labels.
 """
 
 import cmath
 import functools
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +53,6 @@ class Involution:
     @property
     def is_inversion(self):
         return self.label == "inversion"
-
-    def __call__(self, a):
-        return int(self.table[a])
 
     def __repr__(self):
         tag = self.label or self.kind
@@ -220,9 +216,8 @@ class Character:
     exponent for enumerated characters): turns[x] in [0, N) and
     values[x] = exp(2*pi*i*turns[x]/N). turns and period are None when only
     floating-point values are available (the zero function, characters read
-    from a file, ball characters with free z's). angles is the derived
-    list of Fractions turns[x]/N; angle_labels() prints them without
-    building them.
+    from a file, ball characters with free z's). angle_labels() prints
+    each turns[x]/N as a reduced fraction.
     """
 
     def __init__(self, domain, values, unitary=None, turns=None, period=None):
@@ -246,12 +241,6 @@ class Character:
     def zero(cls, domain):
         return cls(domain, np.zeros(domain.n), unitary=False)
 
-    @functools.cached_property
-    def angles(self):
-        if self.turns is None:
-            return None
-        return [Fraction(k, self.period) for k in self.turns.tolist()]
-
     def angle_labels(self):
         """str(Fraction(k, N)) of each turn k, without the Fractions: k/N
         reduced by gcd(k, N), the numerator alone where that leaves N = 1."""
@@ -264,17 +253,14 @@ class Character:
         # a multiplicative function that vanishes anywhere vanishes everywhere
         return bool(self.values[self.domain.identity] == 0)
 
-    def __call__(self, a):
-        return self.values[a]
-
     def check_multiplicative(self, tol=1e-12):
         return multiplicative_defect(self.domain, self.values) <= tol
 
     def __repr__(self):
         if self.is_zero:
             return "Character(0)"
-        if self.angles is not None:
-            return f"Character(angles={[str(t) for t in self.angles]})"
+        if self.turns is not None:
+            return f"Character(angles={self.angle_labels()})"
         return f"Character(values~{np.round(self.values, 3)})"
 
 

@@ -40,10 +40,6 @@ class SolveResult:
     singular_values: np.ndarray
     ambiguous: bool
 
-    @property
-    def f_dim(self):
-        return len(self.basis)
-
 
 def wilson_system_matrix(domain, sigma, chi, g):
     """The n^2 x n matrix A with A f = 0 iff f solves the pair equation."""

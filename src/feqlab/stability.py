@@ -80,7 +80,6 @@ class PerturbedPair:
     f: GroupFunction
     g: GroupFunction
     measured_delta: float
-    config: PerturbationConfig
 
 
 def _noise(config, rng, n):
@@ -116,7 +115,7 @@ def perturb(pair, config):
     if rep.sup > bound + 1e-12:
         raise AssertionError(
             f"measured delta {rep.sup:.3e} exceeds the triangle bound {bound:.3e}")
-    return PerturbedPair(f2, g2, rep.sup, config)
+    return PerturbedPair(f2, g2, rep.sup)
 
 
 # --- inequality audits ----------------------------------------------------
@@ -742,10 +741,10 @@ def _additive_fit(ball, h_values):
     return np.asarray(coef[:k]), complex(coef[k]), resid
 
 
-def theorem37_case_scan(kind, radii, f_provider, g_provider, sigma_spec="inv",
+def theorem37_case_scan(space, radii, f_values, g_values, sigma_spec="inv",
                         chi_zs=None, tol=1e-8):
-    """Label an approximate pair on a growing ball family with its structure
-    branch.
+    """Label an approximate pair with its structure branch on the balls of
+    `space`: a built ball with value vectors, or a kind with providers.
 
     Branches: f = 0; both bounded; f growing with g bounded (g must then be
     multiplicative and sigma-symmetric, and an additive fit makes f - a g
@@ -756,7 +755,7 @@ def theorem37_case_scan(kind, radii, f_provider, g_provider, sigma_spec="inv",
     # the last pass, on the largest ball itself, leaves the pair that the
     # branch checks below examine
     for r, ball, f, g, sigma, chi, delta in _growing_pairs(
-            kind, radii, f_provider, g_provider, sigma_spec, chi_zs):
+            space, radii, f_values, g_values, sigma_spec, chi_zs):
         table.append((r, f.sup(), g.sup(), delta))
     f_growth = classify_growth([t[1] for t in table])
     g_growth = classify_growth([t[2] for t in table])

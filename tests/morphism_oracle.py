@@ -8,7 +8,8 @@ the least element its generators do not yet reach.
 Characters come from the abelianization: the quotient by the commutator
 subgroup, whose characters are extended along a chain of subgroups.
 Involutions come from a search that walks the Cayley graph afresh for each
-generator assignment. The twisted companion's angles, the candidate-g dedup
+generator assignment. fraction_angles reads a character's Fraction angles
+off its integer turns. The twisted companion's angles, the candidate-g dedup
 keys and their labels come from Fraction angles added mod 1. Tests compare
 the library's output with these, bit for bit.
 
@@ -34,7 +35,7 @@ def subgroup_closure(G, gens):
     """Smallest subgroup of G containing gens, as a sorted id list."""
     seen = {G.identity}
     frontier = [G.identity]
-    gens = set(gens) | {G.inverse(g) for g in gens}
+    gens = set(gens) | {int(G.inv[g]) for g in gens}
     while frontier:
         x = frontier.pop()
         for g in gens:
@@ -68,7 +69,7 @@ def character_from_angles(G, angles):
 
 
 def commutator_subgroup(G):
-    comms = {G.op(G.op(a, b), G.op(G.inverse(a), G.inverse(b)))
+    comms = {G.op(G.op(a, b), G.op(G.inv[a], G.inv[b]))
              for a in range(G.order) for b in range(G.order)}
     return subgroup_closure(G, comms)
 
@@ -141,7 +142,7 @@ def enumerate_characters(G):
     for phi in chars_q:
         angles = [phi[proj[a]] for a in range(G.order)]
         out.append(character_from_angles(G, angles))
-    out.sort(key=lambda c: tuple(c.angles))
+    out.sort(key=lambda c: tuple(fraction_angles(c)))
     return out
 
 
@@ -204,6 +205,14 @@ def enumerate_involutions(G, kind):
 # --- Fraction angles -------------------------------------------------------
 
 
+def fraction_angles(chi):
+    """The Fraction angles turns[x]/N of a character with integer turns;
+    None for one without."""
+    if chi.turns is None:
+        return None
+    return [Fraction(k, chi.period) for k in chi.turns.tolist()]
+
+
 def angle_values(angles):
     """exp(2*pi*i*t) for each Fraction t, through float(t)."""
     return np.array([cmath.exp(2j * cmath.pi * float(Fraction(t) % 1))
@@ -215,8 +224,9 @@ def twisted_companion(m, chi, sigma):
     added mod 1, or None unless both m and chi have exact angles."""
     vals = chi.values * m.values[sigma.table]
     ang = None
-    if m.angles is not None and chi.angles is not None:
-        ang = [(chi.angles[a] + m.angles[sigma(a)]) % 1
+    m_ang, chi_ang = fraction_angles(m), fraction_angles(chi)
+    if m_ang is not None and chi_ang is not None:
+        ang = [(chi_ang[a] + m_ang[sigma.table[a]]) % 1
                for a in range(m.domain.n)]
     return vals, ang
 
@@ -246,7 +256,7 @@ def candidate_groups(multiplicative, companions):
     and of its twisted companion, given as twisted_companion returns it."""
     groups = {}
     for m, (M_values, M_angles) in zip(multiplicative, companions):
-        key = frozenset((angle_key(m.values, m.angles),
+        key = frozenset((angle_key(m.values, fraction_angles(m)),
                          angle_key(M_values, M_angles)))
         groups.setdefault(key, []).append(m)
     return list(groups.items())

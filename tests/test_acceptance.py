@@ -10,8 +10,7 @@ import time
 
 import numpy as np
 
-from feqlab.families import (SolutionPair, canned_half_trace, family_case_ii,
-                             family_case_iv, generate_family_pairs)
+from feqlab.families import SolutionPair, canned_half_trace, family_case_iv
 from feqlab.feq import GroupFunction, residual_wilson
 from feqlab.groups import (CATALOG_NAMES, BallDomain, IntegerLattice,
                            build_catalog_group)
@@ -26,6 +25,8 @@ from feqlab.solver import (brute_force_dalembert, candidate_gs,
 from feqlab.stability import (PerturbationConfig, bounded_noise_candidate,
                               dichotomy_experiment, perturb,
                               run_stability_battery)
+
+from family_oracle import family_case_ii, generate_family_pairs
 
 
 class _Gate:

@@ -38,7 +38,7 @@ def z4_mixed_pair():
     sigma = inversion_involution(Z4)
     chi = enumerate_characters(Z4)[1]
     g = GroupFunction(Z4, [1.0, (1 + 1j) / 2, 0.0, (1 - 1j) / 2])
-    f = 2.0 * g
+    f = GroupFunction(Z4, 2.0 * g.values)
     return Z4, sigma, chi, f, g
 
 
@@ -146,7 +146,6 @@ def test_group_function_validation_and_algebra():
     f = GroupFunction(Z4, [1, 2j, -3, 0])
     assert f.sup() == 3.0
     assert f.at_identity() == 1.0
-    assert np.array_equal((2 * f - f).values, f.values)
 
 
 def test_function_file_round_trip_is_exact(tmp_path):

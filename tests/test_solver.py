@@ -91,17 +91,17 @@ def test_solve_f_given_g_dimensions_on_z2():
     chi = trivial_character(Z2)
 
     res = solve_f_given_g(Z2, sigma, chi, GroupFunction(Z2, [1.0, 1.0]))
-    assert res.f_dim == 1 and not res.ambiguous
+    assert len(res.basis) == 1 and not res.ambiguous
     v = res.basis[0].values
     assert abs(v[0] - v[1]) <= 1e-12  # constants
 
     res = solve_f_given_g(Z2, sigma, chi, GroupFunction(Z2, [1.0, -1.0]))
-    assert res.f_dim == 1
+    assert len(res.basis) == 1
     v = res.basis[0].values
     assert abs(v[0] + v[1]) <= 1e-12  # sign multiples
 
     res = solve_f_given_g(Z2, sigma, chi, GroupFunction.zero(Z2))
-    assert res.f_dim == 0
+    assert len(res.basis) == 0
 
 
 def test_solver_basis_vectors_are_exact_solutions():
@@ -284,7 +284,7 @@ def test_audit_passes_on_the_quaternion_half_trace_pair():
     chi = trivial_character(Q8)
     g = canned_half_trace(Q8)
     res = solve_f_given_g(Q8, sigma, chi, g)
-    assert res.f_dim == 1
+    assert len(res.basis) == 1
     report = theorem22_audit(Q8, sigma, chi, res.basis[0], g)
     assert report.passed
     assert [r.name for r in report.rows] == AUDIT_ROW_NAMES

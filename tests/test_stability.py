@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from feqlab import stability
-from feqlab.families import SolutionPair, canned_half_trace, family_case_ii
+from feqlab.families import SolutionPair, canned_half_trace
 from feqlab.feq import (GroupFunction, residual_symmetrized_cauchy,
                         residual_wilson)
 from feqlab.groups import BallDomain, DiscreteHeisenberg, FreeGroup, \
@@ -39,6 +39,7 @@ from feqlab.stability import (
     theorem37_case_scan,
 )
 
+from family_oracle import family_case_ii
 from residual_oracle import dense_residual
 
 
@@ -565,6 +566,28 @@ def test_scan_branch_details_match_fresh_balls(kind, radii, f, g, branch):
     rec = theorem37_case_scan(kind, radii, f, g, sigma_spec="inv")
     assert rec == _scan_per_radius(kind, radii, f, g, sigma_spec="inv")
     assert (rec.branch, rec.sub_branch) == branch
+
+
+@pytest.mark.parametrize("kind, radii, pair", [
+    (DiscreteHeisenberg(), [1, 2, 3], None),
+    (IntegerLattice(2), [2, 6, 18], None),
+    (IntegerLattice(1), [2, 4, 6],
+     (lambda el: 2.0 * 2.0 ** el[0] - 2.0 ** (-el[0]),
+      lambda el: (2.0 ** el[0] + 2.0 ** (-el[0])) / 2.0)),
+], ids=["H3-noise", "Z2-noise", "Z1-mixture"])
+def test_scan_on_a_built_ball_matches_the_kind_form(monkeypatch, kind, radii,
+                                                    pair):
+    f, g = pair or [bounded_noise_candidate(kind, radii[-1], seed=seed,
+                                            epsilon=0.02) for seed in (41, 42)]
+    want = theorem37_case_scan(kind, radii, f, g)
+    ball = BallDomain(kind, radii[-1])
+    fv, gv = (np.array([p(el) for el in ball.elements]) for p in (f, g))
+
+    def no_build(*args):
+        raise AssertionError("the ball form builds no ball")
+
+    monkeypatch.setattr(stability, "BallDomain", no_build)
+    assert theorem37_case_scan(ball, radii, fv, gv) == want
 
 
 def test_growth_experiments_build_only_the_largest_ball(monkeypatch):
