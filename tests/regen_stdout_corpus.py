@@ -1,5 +1,6 @@
 """The standing stdout corpus: argvs of the feqlab CLI, each with the sha256
-of its stdout and its exit code, in tests/stdout_corpus.json.
+of its stdout, its exit code and the sha256 of each file it writes, in
+tests/stdout_corpus.json.
 
     PYTHONPATH=src python tests/regen_stdout_corpus.py          # list changes
     PYTHONPATH=src python tests/regen_stdout_corpus.py --write  # re-record
@@ -7,8 +8,9 @@ of its stdout and its exit code, in tests/stdout_corpus.json.
 Every argv runs in-process through cli.main. An argv that names a file
 holds the placeholder FIXTURES for its directory, so that no key holds a
 path; its run writes the fixture files into a fresh temporary directory and
-puts that directory in place of FIXTURES. Without --write the script
-prints each argv whose stdout or exit code differs from the stored corpus;
+puts that directory in place of FIXTURES. A file the run writes there is
+keyed by its name under FIXTURES. Without --write the script prints each
+argv whose stdout, exit code or written files differ from the stored corpus;
 with --write it records the corpus afresh, with the numpy version and the
 OpenBLAS core it ran on (the last bits of a printed float may depend on
 them). A change that alters stdout on purpose re-records the corpus and
@@ -121,6 +123,10 @@ FILE_ARGVS = [
      f"{FIXTURES}/bom-chi.txt"],
     ["audit", "--group", "Z4", "--sigma", "inv", "--f",
      f"{FIXTURES}/bom-f.txt", "--g", f"{FIXTURES}/bom-g.txt"],
+    # the two other flags that write a file
+    ["audit", "--group", "S3", "--sigma", "inv", "--out",
+     f"{FIXTURES}/audit.txt"],
+    PERTURB_Z4 + ["--out-prefix", f"{FIXTURES}/run"],
 ]
 
 
@@ -205,20 +211,38 @@ def argvs():
     return out + CONFIG_ERRORS + FILE_ARGVS
 
 
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def contents(directory):
+    """The bytes of every file under directory, by its name there."""
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in sorted(Path(directory).rglob("*")) if p.is_file()}
+
+
 def run(argv):
-    """The sha256 of the stdout and the exit code of one in-process run."""
+    """The sha256 of the stdout, the exit code and, when the run writes
+    files under FIXTURES, the sha256 of each of them, of one in-process
+    run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()), \
             tempfile.TemporaryDirectory() as d:
         if any(FIXTURES in arg for arg in argv):
             write_fixtures(d)
+        fixtures = contents(d)
         try:
             code = cli.main([arg.replace(FIXTURES, d) for arg in argv])
         except SystemExit as exc:
             code = exc.code
-    return {"stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8"))
-            .hexdigest(), "exit": code}
+        written = {name: sha256(data) for name, data in contents(d).items()
+                   if fixtures.get(name) != data}
+    result = {"stdout_sha256": sha256(out.getvalue().encode("utf-8")),
+              "exit": code}
+    if written:
+        result["files"] = written
+    return result
 
 
 def blas_core():

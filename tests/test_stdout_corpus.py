@@ -1,6 +1,6 @@
-"""CLI stdout and exit codes, byte for byte, against the standing corpus in
-tests/stdout_corpus.json. A change that alters stdout on purpose
-re-records it with tests/regen_stdout_corpus.py --write."""
+"""CLI stdout, exit codes and written files, byte for byte, against the
+standing corpus in tests/stdout_corpus.json. A change that alters them on
+purpose re-records it with tests/regen_stdout_corpus.py --write."""
 
 import json
 
