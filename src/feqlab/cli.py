@@ -34,7 +34,7 @@ from .feq import (read_function, residual_wilson, write_function,
 from .groups import (CATALOG_NAMES, BallDomain, BallTooLarge,
                      DiscreteHeisenberg, FreeGroup, IntegerLattice,
                      build_catalog_group)
-from .morphisms import (AdditiveMap, MorphismSearchTooLarge, ball_character,
+from .morphisms import (MorphismSearchTooLarge, ball_character,
                         ball_involution, enumerate_characters,
                         enumerate_involutions, identity_involution,
                         inversion_involution, read_character)
@@ -190,12 +190,6 @@ def _resolve_chi(G, sigma, args):
     return chi
 
 
-def _angles_str(chi):
-    if chi.turns is None:
-        return " ".join(_fmt_c(v) for v in chi.values)
-    return " ".join(chi.angle_labels())
-
-
 # --- subcommands ----------------------------------------------------------
 
 
@@ -221,7 +215,7 @@ def cmd_catalog(args):
         chars = enumerate_characters(G)
         print(f"characters {len(chars)}")
         for i, chi in enumerate(chars):
-            print(f"  chi:{i} angles {_angles_str(chi)}")
+            print(f"  chi:{i} angles {' '.join(chi.angle_labels())}")
     return EXIT_OK
 
 
@@ -375,22 +369,20 @@ def _ball_maps(ball, sigma_spec, args):
 def _ball_exact_pair(ball, sigma, chi, zs):
     """A mixed-character exact pair on the ball: m with m = chi m o sigma
     (square roots of the chi bases under inversion), f = (a + 1) m with the
-    first-coordinate additive map when sigma is inversion, f = m otherwise."""
-    k = len(zs)
+    first coordinate as the additive map a when sigma is inversion, f = m
+    otherwise."""
     if sigma.is_inversion:
         m = ball_character(ball, [np.sqrt(complex(z)) for z in zs])
-        coeffs = np.zeros(k)
-        coeffs[0] = 1.0
-        additive = AdditiveMap(ball, coeffs)
+        a_values = ball.coords[:, 0]
     elif sigma.is_identity:
         if any(complex(z) != 1.0 + 0.0j for z in zs):
             raise CliError("sigma = id admits this pair only for trivial chi")
-        m = ball_character(ball, [1.0] * k)
-        additive = None
+        m = ball_character(ball, [1.0] * len(zs))
+        a_values = None
     else:
         raise CliError("no canned exact pair for this sigma")
     try:
-        return family_case_iv(m, chi, sigma, additive, 1.0)
+        return family_case_iv(m, chi, sigma, a_values, 1.0)
     except FamilyConstructionError as exc:
         raise CliError(str(exc)) from None
 

@@ -64,8 +64,9 @@ def twisted_companion(m, chi, sigma):
                      turns=turns, period=period)
 
 
-def family_case_iv(m, chi, sigma, additive, f_at_e):
-    """g = m, f = (a + f(e)) m; needs m = chi m o sigma and m (a o sigma + a) = 0."""
+def family_case_iv(m, chi, sigma, a_values, f_at_e):
+    """g = m, f = (a + f(e)) m for the additive map a with values a_values
+    (None for a = 0); needs m = chi m o sigma and m (a o sigma + a) = 0."""
     fe = complex(f_at_e)
     sym = chi.values * m.values[sigma.table]
     bad = np.abs(m.values - sym) > 1e-12
@@ -73,10 +74,7 @@ def family_case_iv(m, chi, sigma, additive, f_at_e):
         raise FamilyConstructionError(
             f"CaseIV requires m = chi * m o sigma; fails at element "
             f"{int(np.flatnonzero(bad)[0])}")
-    if additive is None:
-        a_vals = np.zeros(m.domain.n, dtype=np.complex128)
-    else:
-        a_vals = additive.values()
+    a_vals = np.zeros(m.domain.n) if a_values is None else a_values
     combo = m.values * (a_vals[sigma.table] + a_vals)
     bad = np.abs(combo) > 1e-12
     if bad.any():
@@ -85,9 +83,7 @@ def family_case_iv(m, chi, sigma, additive, f_at_e):
             f"{int(np.flatnonzero(bad)[0])}")
     g = GroupFunction(m.domain, m.values.copy())
     f = GroupFunction(m.domain, (a_vals + fe) * m.values)
-    coeffs = [] if additive is None else list(additive.coefficients)
-    return SolutionPair(f, g, "CaseIV",
-                        parameters={"f_at_e": fe, "additive_coefficients": coeffs},
+    return SolutionPair(f, g, "CaseIV", parameters={"f_at_e": fe},
                         sigma=sigma, chi=chi)
 
 

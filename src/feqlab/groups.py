@@ -289,24 +289,14 @@ class IntegerLattice:
             raise ValueError("dimension must be >= 1")
         self.d = d
         self.name = f"Z^{d}"
-        self.ngens = 2 * d  # len(generators()), without building them
-
-    def generators(self):
-        gens = []
-        for i in range(self.d):
-            e = [0] * self.d
-            e[i] = 1
-            gens.append(tuple(e))
-            e[i] = -1
-            gens.append(tuple(e))
-        return gens
+        self.ngens = 2 * d
 
     def row_width(self, depth):
         return self.d
 
     def mult_rows(self, rows, s):
-        """Each coordinate row times generators()[s], i.e. plus or minus
-        e_(s // 2)."""
+        """Each coordinate row times generator s: e_(s // 2) for even s,
+        its inverse for odd s."""
         out = rows.copy()
         out[:, s // 2] += 1 - 2 * (s % 2)
         return out
@@ -329,17 +319,16 @@ class DiscreteHeisenberg:
 
     name = "H3"
     ngens = 4
-
-    def generators(self):
-        return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+    # (a', b') of each generator: x, x^-1, y, y^-1 (c' = 0)
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
     def row_width(self, depth):
         return 3
 
     def mult_rows(self, rows, s):
-        """Each (a, b, c) row times generators()[s] = (a', b', 0), i.e.
-        (a + a', b + b', c + a * b')."""
-        ap, bp, _ = self.generators()[s]
+        """Each (a, b, c) row times generator s, (a', b', 0) with
+        (a', b') = steps[s]: (a + a', b + b', c + a * b')."""
+        ap, bp = self.steps[s]
         out = rows.copy()
         out[:, 0] += ap
         out[:, 1] += bp
@@ -370,18 +359,15 @@ class FreeGroup:
         self.name = f"F{rank}"
         self.ngens = 2 * rank
 
-    def generators(self):
-        return [(i,) for i in range(1, self.rank + 1)] + \
-               [(-i,) for i in range(1, self.rank + 1)]
-
     def row_width(self, depth):
         # a word of the depth ball with one more letter appended
         return depth + 1
 
     def mult_rows(self, rows, s):
-        """Each word times generators()[s], as zero-padded rows with room
-        for one more letter: the product drops the last letter when it is
-        the inverse of the new one, else appends the new one."""
+        """Each word times generator s (the letter s + 1 for s < rank,
+        else the inverse of letter s + 1 - rank), as zero-padded rows with
+        room for one more letter: the product drops the last letter when it
+        is the inverse of the new one, else appends the new one."""
         letter = s + 1 if s < self.rank else self.rank - s - 1
         length = np.count_nonzero(rows, axis=1)
         last = np.maximum(length - 1, 0)

@@ -1,4 +1,4 @@
-"""Involutive morphisms, characters, multiplicative functions, additive maps.
+"""Involutive morphisms, characters and multiplicative functions.
 
 An involution and a character are both morphisms out of a finite group, so
 each is fixed by where it sends a generating set: one generator-image search
@@ -11,8 +11,8 @@ assignments would exceed MORPHISM_SEARCH_BUDGET is refused before it starts.
 Every character decision (multiplicativity, compatibility with sigma) reads
 the complex values. Characters enumerated on finite groups also carry exact
 integer turns over a period N: the value at x is exp(2*pi*i*turns[x]/N).
-The turns name the character in dedup keys and, as the reduced
-fractions turns[x]/N, in printed labels.
+As the reduced fractions turns[x]/N, they name the character in dedup
+keys and printed labels.
 """
 
 import cmath
@@ -351,28 +351,6 @@ def ball_character(ball, zs):
         values *= np.power(z, coords[:, i])
     unitary = all(abs(abs(z) - 1.0) <= 1e-12 for z in zs)
     return Character(ball, values, unitary=unitary)
-
-
-class AdditiveMap:
-    """a(x) = sum_i coeff_i * c_i(x) over abelianized integer coordinates.
-
-    Finite groups only admit a = 0 (torsion): their coords have width 0, so
-    the coefficient vector is empty there.
-    """
-
-    def __init__(self, domain, coefficients):
-        self.domain = domain
-        self.coefficients = np.asarray(coefficients, dtype=np.complex128)
-        k = domain.coords.shape[1]
-        if len(self.coefficients) != k:
-            raise ValueError(f"expected {k} coefficients, got "
-                             f"{len(self.coefficients)}")
-
-    def values(self):
-        return self.domain.coords @ self.coefficients
-
-    def __repr__(self):
-        return f"AdditiveMap({self.coefficients})"
 
 
 # --- file formats ---------------------------------------------------------

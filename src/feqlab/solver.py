@@ -9,9 +9,7 @@ formulas, and a multistart Newton solver recovers the self-paired solution
 set without using the formula at all.
 """
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -75,59 +73,41 @@ def solve_f_given_g(domain, sigma, chi, g):
     return SolveResult(basis, s, ambiguous)
 
 
-class _TurnsKey(tuple):
-    """(period, turns) of an exact character reduced by their common gcd:
-    two keys are equal exactly when the Fraction angle tuples are."""
-
-    @classmethod
-    def of(cls, m):
-        d = math.gcd(m.period, *m.turns.tolist())
-        return cls((m.period // d, tuple((m.turns // d).tolist())))
-
-    def angles(self):
-        period, turns = self
-        return tuple(Fraction(k, period) for k in turns)
-
-
 def _angle_key(m):
+    """The dedup key of m: "zero", the reduced angle labels of an exact
+    character as "(0,1/4,1/2,3/4)", equal exactly when the angles are, or
+    the rounded values of any other one."""
     if m.is_zero:
         return "zero"
     if m.turns is not None:
-        return _TurnsKey.of(m)
+        return "(" + ",".join(m.angle_labels()) + ")"
     return tuple(np.round(m.values, 9))
 
 
 def _key_label(key):
-    """Readable form of a dedup key: zero|(0,1/4,1/2,3/4)-style. The parts
-    are ordered by str() of their Fraction angle tuples."""
-    parts = [p.angles() if isinstance(p, _TurnsKey) else p for p in key]
-    out = []
-    for part in sorted(parts, key=str):
-        if isinstance(part, str):
-            out.append(part)
-        else:
-            out.append("(" + ",".join(str(t) for t in part) + ")")
-    return "|".join(out)
+    """Readable form of a dedup key: zero|(0,1/4,1/2,3/4)-style, its parts
+    sorted by str()."""
+    return "|".join(part if isinstance(part, str)
+                    else "(" + ",".join(str(t) for t in part) + ")"
+                    for part in sorted(key, key=str))
 
 
 def candidate_gs(G, sigma, chi):
     """Self-paired-solution candidates for g, deduplicated.
 
     m and its twisted companion produce the same g; the dedup key is the
-    unordered pair of their exact turns, reduced to lowest terms.
+    unordered pair of their angle keys. The candidates keep the order in
+    which their keys first appear.
     """
     seen = {}
-    order = []
     for m in enumerate_multiplicative(G):
         M = twisted_companion(m, chi, sigma)
         key = frozenset((_angle_key(m), _angle_key(M)))
-        if key not in seen:
-            g = dalembert_family(m, chi, sigma)
-            seen[key] = (g, [m])
-            order.append(key)
-        else:
+        if key in seen:
             seen[key][1].append(m)
-    return [(key, *seen[key]) for key in order]
+        else:
+            seen[key] = (dalembert_family(m, chi, sigma), [m])
+    return [(key, g, ms) for key, (g, ms) in seen.items()]
 
 
 def span_distance(vectors, target):

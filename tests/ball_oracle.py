@@ -1,8 +1,9 @@
 """Reference build of a word-length ball, by the algorithm the library used
 before its column recursion: a breadth-first search to the ball's radius,
 then one tuple product per entry of the n x n multiplication table. The
-tuple arithmetic of each kind (identity, mult, abelian_coords) lives here
-only, as the reference the library's int64 rows are compared with. Tests
+tuple arithmetic of each kind (identity, generators, mult, abelian_coords)
+lives here only, as the reference the library's int64 rows are compared
+with. Tests
 compare the library's balls with these, bit for bit.
 """
 
@@ -17,6 +18,19 @@ def identity(kind):
     if isinstance(kind, DiscreteHeisenberg):
         return (0, 0, 0)
     return ()
+
+
+def generators(kind):
+    """The kind's generators as element tuples, generator s at index s of
+    its mult_rows: +-e_i of Z^d, x, x^-1, y, y^-1 of H3, and the letters,
+    then their inverses, of a free group."""
+    if isinstance(kind, IntegerLattice):
+        return [tuple(sign * (j == i) for j in range(kind.d))
+                for i in range(kind.d) for sign in (1, -1)]
+    if isinstance(kind, DiscreteHeisenberg):
+        return [(a, b, 0) for a, b in kind.steps]
+    return [(i,) for i in range(1, kind.rank + 1)] + \
+           [(-i,) for i in range(1, kind.rank + 1)]
 
 
 def mult(kind, a, b):
@@ -52,7 +66,7 @@ def abelian_coords(kind, a):
 
 def ball_elements(kind, radius):
     """The elements of the radius ball in BFS order and their word lengths."""
-    gens = kind.generators()
+    gens = generators(kind)
     e = identity(kind)
     dist = {e: 0}
     levels = [[e]]

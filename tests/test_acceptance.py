@@ -14,7 +14,7 @@ from feqlab.families import SolutionPair, canned_half_trace, family_case_iv
 from feqlab.feq import GroupFunction, residual_wilson
 from feqlab.groups import (CATALOG_NAMES, BallDomain, IntegerLattice,
                            build_catalog_group)
-from feqlab.morphisms import (AdditiveMap, ball_character, ball_involution,
+from feqlab.morphisms import (ball_character, ball_involution,
                               compatible_characters,
                               enumerate_characters, enumerate_involutions,
                               enumerate_multiplicative, inversion_involution,
@@ -162,7 +162,7 @@ def _lattice_exact_pair():
     sigma = ball_involution(ball, "inv")
     chi = ball_character(ball, [1.0, 1.0])
     m = ball_character(ball, [1.0, 1.0])
-    pair = family_case_iv(m, chi, sigma, AdditiveMap(ball, [1.0, 0.0]), 1.0)
+    pair = family_case_iv(m, chi, sigma, ball.coords @ [1.0, 0.0], 1.0)
     return ball, sigma, chi, pair
 
 

@@ -16,7 +16,6 @@ from feqlab.families import (
 from feqlab.feq import GroupFunction, residual_wilson
 from feqlab.groups import BallDomain, IntegerLattice, build_catalog_group
 from feqlab.morphisms import (
-    AdditiveMap,
     Character,
     ball_character,
     ball_involution,
@@ -116,8 +115,7 @@ def test_case_iv_on_a_lattice_ball():
     sigma = ball_involution(ball, "inv")
     chi = ball_character(ball, [1.0, 1.0])
     m = chi
-    additive = AdditiveMap(ball, [1.0, 0.0])
-    pair = family_case_iv(m, chi, sigma, additive, 1.0)
+    pair = family_case_iv(m, chi, sigma, ball.coords @ [1.0, 0.0], 1.0)
     assert pair.residual_sup == 0.0
     assert pair.f.values[ball.elements.index((1, 0))] == 2.0  # a + f(e) at x1 = 1
     assert np.allclose(pair.g.values, 1.0)
@@ -128,9 +126,8 @@ def test_case_iv_rejects_non_odd_additive():
     sigma = ball_involution(ball, "id")
     chi = ball_character(ball, [1.0])
     m = chi
-    additive = AdditiveMap(ball, [1.0])
     with pytest.raises(FamilyConstructionError, match="fails at element"):
-        family_case_iv(m, chi, sigma, additive, 0.0)
+        family_case_iv(m, chi, sigma, ball.coords @ [1.0], 0.0)
 
 
 def test_case_iv_rejects_asymmetric_m():

@@ -12,7 +12,6 @@ from feqlab import cli, morphisms
 from feqlab.groups import CATALOG_NAMES, BallDomain, FreeGroup, IntegerLattice, \
     DiscreteHeisenberg, Domain, build_catalog_group
 from feqlab.morphisms import (
-    AdditiveMap,
     Character,
     Involution,
     MorphismSearchTooLarge,
@@ -388,8 +387,7 @@ def test_additive_basis_sizes():
 
 def test_additive_map_is_additive_on_ball():
     ball = BallDomain(IntegerLattice(2), 3)
-    a = AdditiveMap(ball, [1.0, -2.0])
-    vals = a.values()
+    vals = ball.coords @ [1, -2]
     mul = ball.mul
     for i in range(ball.n):
         for j in range(ball.n):
@@ -398,10 +396,8 @@ def test_additive_map_is_additive_on_ball():
 
 
 def test_additive_map_on_finite_group_must_be_zero():
-    G = build_catalog_group("Z6")
-    assert np.all(AdditiveMap(G, []).values() == 0)
-    with pytest.raises(ValueError):
-        AdditiveMap(G, [1.0])
+    # torsion: a finite group has no abelianized integer coordinate
+    assert build_catalog_group("Z6").coords.shape == (6, 0)
 
 
 # --- file formats ---------------------------------------------------------

@@ -13,7 +13,6 @@ from feqlab.feq import (GroupFunction, residual_symmetrized_cauchy,
 from feqlab.groups import BallDomain, DiscreteHeisenberg, FreeGroup, \
     IntegerLattice, build_catalog_group
 from feqlab.morphisms import (
-    AdditiveMap,
     ball_character,
     ball_involution,
     enumerate_characters,
