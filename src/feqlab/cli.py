@@ -170,6 +170,9 @@ def _resolve_sigma(G, spec):
 def _resolve_chi(G, sigma, args):
     path = getattr(args, "chi_file", None)
     if path:
+        if getattr(args, "chi", None) is not None:
+            raise CliError("--chi and --chi-file both name the character; "
+                           "pass one")
         try:
             chi = read_character(path, G)
         except (OSError, ValueError) as exc:

@@ -117,6 +117,9 @@ FILE_ARGVS = [
     STABILITY_Z2 + ["--csv-out", f"{FIXTURES}/growth.csv"],
     # the directory of the CSV does not exist: exit code 4
     STABILITY_Z2 + ["--csv-out", f"{FIXTURES}/missing/growth.csv"],
+    # two flags name the character: exit code 4
+    ["solve", "--group", "Z4", "--sigma", "inv", "--chi-file",
+     f"{FIXTURES}/chi.txt", "--chi", "3"],
     # the same files behind a UTF-8 byte-order mark
     ["solve", "--config", f"{FIXTURES}/bom-solve.cfg"],
     ["solve", "--group", "Z4", "--sigma", "inv", "--chi-file",

@@ -261,6 +261,24 @@ def test_chi_file_round_trips_through_solve(capsys, tmp_path):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("chi_from", ["flag", "config"])
+def test_chi_and_chi_file_together_are_refused(capsys, tmp_path, chi_from):
+    Z4 = build_catalog_group("Z4")
+    path = tmp_path / "chi.txt"
+    write_character(enumerate_characters(Z4)[1], path)
+    argv = ["solve", "--group", "Z4", "--sigma", "inv", "--chi-file", str(path)]
+    if chi_from == "flag":
+        argv += ["--chi", "3"]
+    else:
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("chi = 3\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert "--chi and --chi-file both name the character; pass one" in err
+
+
 def test_audit_passes_on_q8_and_names_the_half_trace(capsys):
     code, out, _ = run(capsys, "audit", "--group", "Q8", "--sigma", "inv",
                        "--chi", "0")
