@@ -3,8 +3,7 @@ before its column recursion: a breadth-first search to the ball's radius,
 then one tuple product per entry of the n x n multiplication table. The
 tuple arithmetic of each kind (identity, generators, mult, abelian_coords)
 lives here only, as the reference the library's int64 rows are compared
-with. Tests
-compare the library's balls with these, bit for bit.
+with. Tests compare the library's balls with these, bit for bit.
 """
 
 import numpy as np
@@ -28,7 +27,7 @@ def generators(kind):
         return [tuple(sign * (j == i) for j in range(kind.d))
                 for i in range(kind.d) for sign in (1, -1)]
     if isinstance(kind, DiscreteHeisenberg):
-        return [(a, b, 0) for a, b in kind.steps]
+        return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
     return [(i,) for i in range(1, kind.rank + 1)] + \
            [(-i,) for i in range(1, kind.rank + 1)]
 
