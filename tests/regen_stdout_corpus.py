@@ -130,6 +130,9 @@ FILE_ARGVS = [
     ["audit", "--group", "S3", "--sigma", "inv", "--out",
      f"{FIXTURES}/audit.txt"],
     PERTURB_Z4 + ["--out-prefix", f"{FIXTURES}/run"],
+    # a non-catalog group of order 32 and every basis file its solve writes
+    ["solve", "--group", "Z4xZ8", "--sigma", "inv", "--chi", "0",
+     "--out-dir", f"{FIXTURES}/out"],
 ]
 
 
@@ -162,6 +165,8 @@ def argvs():
                                  for k in range(INVOLUTIONS.get(name, 0))]
         out += [[sub, "--group", name, "--sigma", spec]
                 for sub in ("solve", "audit") for spec in specs]
+    # the largest catalog solve: S5's 14,400 x 120 systems
+    out += [["solve", "--group", "S5", "--sigma", "id", "--chi", "0"]]
     # exit code 2: rounding leaves some check above a zero tolerance
     out += [["solve", "--group", "Z4", "--sigma", "inv", "--tol", "0"],
             ["audit", "--group", "S3", "--sigma", "inv", "--tol", "0"]]
