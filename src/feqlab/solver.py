@@ -27,9 +27,10 @@ GUARD_BAND = 10.0
 # byte budget of one stacked Jacobian block in the Newton search
 NEWTON_BLOCK_BYTES = 2**18
 
-# the stacked least-squares gufunc behind np.linalg.lstsq (numpy 1.x names
-# the tall-matrix variant lstsq_n)
+# the stacked gufuncs of np.linalg.lstsq and np.linalg.qr (numpy 2.0 names
+# their tall-matrix variants lstsq_n and qr_r_raw_n)
 _LSTSQ_GUFUNC = getattr(_umath_linalg, "lstsq", None) or _umath_linalg.lstsq_n
+_QR_GUFUNC = getattr(_umath_linalg, "qr_r_raw", None) or _umath_linalg.qr_r_raw_n
 
 
 @dataclass
@@ -60,11 +61,13 @@ def solve_f_given_g(domain, sigma, chi, g):
     """Orthonormal basis of {f : pair residual 0} for this g, via SVD.
 
     Flags (instead of silently resolving) the case where singular values sit
-    on both sides of SVD_KERNEL_CUTOFF within a factor of GUARD_BAND. The
-    thin SVD gives the same s and vh as the full one without the n^2 x n^2 U.
+    on both sides of SVD_KERNEL_CUTOFF within a factor of GUARD_BAND. s and
+    vh come from the n x n R of A = QR, as in LAPACK's own SVD of a tall A,
+    so they keep its bits without Q or the n^2 x n U.
     """
     A = wilson_system_matrix(domain, sigma, chi, g)
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    _QR_GUFUNC(A, signature="D->D")
+    _, s, vh = np.linalg.svd(np.triu(A[:domain.n]), full_matrices=False)
     small = s <= SVD_KERNEL_CUTOFF
     near_low = small & (s > SVD_KERNEL_CUTOFF / GUARD_BAND)
     near_high = (~small) & (s < SVD_KERNEL_CUTOFF * GUARD_BAND)
@@ -93,36 +96,32 @@ def _key_label(key):
 
 
 def candidate_gs(G, sigma, chi):
-    """Self-paired-solution candidates for g, deduplicated.
-
-    m and its twisted companion produce the same g; the dedup key is the
-    unordered pair of their angle keys. The candidates keep the order in
-    which their keys first appear.
-    """
+    """Self-paired-solution candidates for g in first-seen order, each with
+    its family f-vectors: the distinct nonzero m's and companions, m first.
+    m and its twisted companion give one g, keyed by their angle keys."""
     seen = {}
     for m in enumerate_multiplicative(G):
         M = twisted_companion(m, chi, sigma)
-        key = frozenset((_angle_key(m), _angle_key(M)))
-        if key in seen:
-            seen[key][1].append(m)
-        else:
-            seen[key] = (dalembert_family(m, chi, sigma), [m])
-    return [(key, g, ms) for key, (g, ms) in seen.items()]
+        keys = (_angle_key(m), _angle_key(M))
+        key = frozenset(keys)
+        if key not in seen:
+            seen[key] = (dalembert_family(m, chi, sigma), {})
+        for k, cand in zip(keys, (m, M)):
+            if k != "zero":
+                seen[key][1].setdefault(k, cand.values)
+    return [(key, g, list(fam.values())) for key, (g, fam) in seen.items()]
 
 
-def span_distance(vectors, target):
-    """sup-norm residual of the best linear fit of target by the vectors,
-    after normalizing target to unit sup norm."""
-    t = np.asarray(target, dtype=np.complex128)
-    scale = np.abs(t).max()
-    if scale == 0:
-        return 0.0
-    t = t / scale
-    if not vectors:
-        return float(np.abs(t).max())
+def span_distances(vectors, targets):
+    """sup-norm residual of each target's best linear fit by the vectors,
+    the target normalized to unit sup norm; one stacked lstsq call."""
+    T = [np.asarray(t, dtype=np.complex128) for t in targets]
+    T = [t / np.abs(t).max() if t.any() else t for t in T]
+    if not T or not vectors:
+        return [float(np.abs(t).max()) for t in T]
     A = np.stack([np.asarray(v, dtype=np.complex128) for v in vectors], axis=1)
-    coef, *_ = np.linalg.lstsq(A, t, rcond=None)
-    return float(np.abs(A @ coef - t).max())
+    T = np.stack(T)
+    return [float(np.abs(A @ c - t).max()) for c, t in zip(_lstsq_stack(A, T), T)]
 
 
 @dataclass
@@ -162,46 +161,32 @@ class CompletenessReport:
         return head + "\n" + line + "\n"
 
 
-def family_span_for_g(G, sigma, chi, ms):
-    """Family f-vectors available over a fixed g: the span of every
-    generating m and its twisted companion."""
-    seen = {}
-    for m in ms:
-        for cand in (m, twisted_companion(m, chi, sigma)):
-            key = _angle_key(cand)
-            if key != "zero" and key not in seen:
-                seen[key] = cand.values
-    return list(seen.values())
-
-
 def completeness_check(G, sigma, chi, tol=1e-9):
     """Dimension and span match between the nullspace solver and the
     family formulas, for every candidate g."""
     report = CompletenessReport(G.name, sigma.label or sigma.kind,
                                 _chi_label(chi))
     zero_tol = zero_tolerance(G)
-    for key, g, ms in candidate_gs(G, sigma, chi):
+    for key, g, fam in candidate_gs(G, sigma, chi):
         # y = e gives 2 f(x) = 2 f(x) g(e), so g = 0 forces f = 0
         basis, ambiguous = [], False
         if g.values.any():
             res = solve_f_given_g(G, sigma, chi, g)
             basis, ambiguous = res.basis, res.ambiguous
-        fam = family_span_for_g(G, sigma, chi, ms)
-        fam_rank = np.linalg.matrix_rank(np.stack(fam, axis=1), tol=1e-8) if fam else 0
-        worst = 0.0
-        # every solver vector must be a family combination
+        F = np.stack(fam, axis=1) if fam else np.zeros((G.order, 0))
+        fam_rank = int((np.linalg.svd(F, compute_uv=False) > 1e-8).sum())
         basis_vals = [b.values for b in basis]
-        for b in basis_vals:
-            worst = max(worst, span_distance(fam, b))
+        # every solver vector must be a family combination
+        worst = max([0.0, *span_distances(fam, basis_vals)])
         # every family vector must be an exact solution inside the nullspace
-        for v in fam:
+        for v, d in zip(fam, span_distances(basis_vals, fam)):
             rep = residual_wilson(G, sigma, chi, GroupFunction(G, v), g)
             if rep.sup > zero_tol:
                 worst = max(worst, rep.sup)
-            worst = max(worst, span_distance(basis_vals, v))
+            worst = max(worst, d)
         row = CompletenessRow(
             g_label=_key_label(key), solver_dim=len(basis),
-            family_dim=int(fam_rank), max_mismatch=worst,
+            family_dim=fam_rank, max_mismatch=worst,
             ambiguous=ambiguous,
             passed=(len(basis) == fam_rank and worst <= tol),
             g=g, basis=basis)
@@ -240,7 +225,8 @@ def _raise_lstsq_error(err, flag):
 
 
 def _lstsq_stack(J, r):
-    """np.linalg.lstsq(J[i], r[i], rcond=None)[0] for every i, in one call.
+    """np.linalg.lstsq(J[i], r[i], rcond=None)[0] for every i, in one call
+    (J may be one matrix for every r[i]).
 
     np.linalg.lstsq refuses stacked input; its gufunc (one zgelsd per item)
     takes it, so each item's solution is the same bits as the single call.

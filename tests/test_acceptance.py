@@ -21,7 +21,7 @@ from feqlab.morphisms import (ball_character, ball_involution,
                               trivial_character)
 from feqlab.solver import (brute_force_dalembert, candidate_gs,
                            completeness_check, function_sets_equal,
-                           solve_f_given_g, span_distance, theorem22_audit)
+                           solve_f_given_g, span_distances, theorem22_audit)
 from feqlab.stability import (PerturbationConfig, bounded_noise_candidate,
                               dichotomy_experiment, perturb,
                               run_stability_battery)
@@ -231,7 +231,7 @@ def test_criterion_7_injected_non_solutions_are_caught_with_witnesses():
         assert rep.sup > 0.1
         assert (0 <= rep.argmax_x < 4) and (0 <= rep.argmax_y < 4)
         basis = solve_f_given_g(Z4, sigma, chi, good.g).basis
-        assert span_distance([b.values for b in basis], bad) > 1e-3
+        assert span_distances([b.values for b in basis], [bad])[0] > 1e-3
 
         # audit control: corrupted companion g names a failing check
         G, s_q8, c_q8, pair = _q8_exact_pair()

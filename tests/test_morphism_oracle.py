@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import morphism_oracle as oracle
+from completeness_oracle import family_span_for_g
 from feqlab.families import twisted_companion
 from feqlab.groups import CATALOG_NAMES, build_catalog_group
 from feqlab.morphisms import (compatible_characters, enumerate_characters,
@@ -97,9 +98,9 @@ def test_turns_match_the_fraction_angles(name):
                 twisted_companion(m, chi, sigma)) == angles
         got = candidate_gs(G, sigma, chi)
         want = oracle.candidate_groups(ms, companions)
-        assert [list(map(oracle.fraction_angles, group))
-                for _, _, group in got] == \
-            [list(map(oracle.fraction_angles, group)) for _, group in want]
+        assert [[v.tobytes() for v in fam] for _, _, fam in got] == \
+            [[v.tobytes() for v in family_span_for_g(G, sigma, chi, group)]
+             for _, group in want]
         assert [_key_label(key) for key, _, _ in got] == \
             [oracle.key_label(key) for key, _ in want]
 

@@ -24,11 +24,13 @@ from feqlab.solver import (
     completeness_check,
     function_sets_equal,
     solve_f_given_g,
-    span_distance,
+    span_distances,
     theorem22_audit,
     wilson_system_matrix,
 )
 from feqlab.stability import AuditInapplicable
+
+import completeness_oracle as oracle
 
 
 def test_system_matrix_matches_hand_computation():
@@ -118,39 +120,71 @@ def test_candidate_gs_merge_twisted_partners():
     Z4 = build_catalog_group("Z4")
     out = candidate_gs(Z4, inversion_involution(Z4), trivial_character(Z4))
     assert len(out) == 4
-    merged = [ms for _, _, ms in out if len(ms) == 2]
+    merged = [fam for _, _, fam in out if len(fam) == 2]
     assert len(merged) == 1  # i^k and i^{-k} share one g
 
 
 def test_span_distance_basics():
-    assert span_distance([], np.zeros(3)) == 0.0
-    assert span_distance([], np.array([0, 2.0, 1.0])) == 1.0  # normalized sup
+    # normalized sup, and 0 for a zero target, with no vectors
+    assert span_distances([], [np.zeros(3), np.array([0, 2.0, 1.0])]) == \
+        [0.0, 1.0]
     basis = [np.array([1.0, 1j, -1.0]), np.array([1.0, 0, 1.0])]
     combo = 2.0 * basis[0] - 1j * basis[1]
-    assert span_distance(basis, combo) <= 1e-12
-    assert span_distance([np.array([1.0, 0, 0])], np.array([0, 0, 1.0])) >= 0.9
+    inside, zero = span_distances(basis, [combo, np.zeros(3)])
+    assert inside <= 1e-12 and zero == 0.0
+    assert span_distances([np.array([1.0, 0, 0])],
+                          [np.array([0, 0, 1.0])])[0] >= 0.9
+
+
+def _automorphism_combos(G, chis_per_sigma=None):
+    """Every automorphism sigma with its compatible chi's, or with the
+    first chis_per_sigma of them."""
+    chars = enumerate_characters(G)
+    for sigma in enumerate_involutions(G, "automorphism"):
+        for chi in compatible_characters(G, sigma, chars)[:chis_per_sigma]:
+            yield sigma, chi
 
 
 def test_thin_svd_matches_the_full_svd_bit_for_bit():
+    # the full SVD up to order 16; the thin one on S4 and Z4xZ8, whose
+    # tall systems (576 x 24, 1024 x 32) have the largest Q and U
     compared = 0
-    for name in CATALOG_NAMES:
+    for name in CATALOG_NAMES + ["Z4xZ8"]:
         G = build_catalog_group(name)
-        if G.order > 16:
+        full = G.order <= 16
+        if not full and name not in ("S4", "Z4xZ8"):
             continue
-        chars = enumerate_characters(G)
-        for sigma in enumerate_involutions(G, "automorphism"):
-            for chi in compatible_characters(G, sigma, chars):
-                for _, g, _ms in candidate_gs(G, sigma, chi):
-                    res = solve_f_given_g(G, sigma, chi, g)
-                    A = wilson_system_matrix(G, sigma, chi, g)
-                    _, s, vh = np.linalg.svd(A, full_matrices=True)
-                    assert np.array_equal(res.singular_values, s), name
-                    kernel = np.flatnonzero(s <= SVD_KERNEL_CUTOFF)
-                    assert len(res.basis) == len(kernel)
-                    for b, i in zip(res.basis, kernel):
-                        assert np.array_equal(b.values, vh[i].conj()), name
-                    compared += 1
-    assert compared > 100
+        # Z4xZ8's 48 sigma with one chi each, of its 448 combos
+        for sigma, chi in _automorphism_combos(G, 1 if name == "Z4xZ8" else None):
+            for _, g, _fam in candidate_gs(G, sigma, chi):
+                res = solve_f_given_g(G, sigma, chi, g)
+                A = wilson_system_matrix(G, sigma, chi, g)
+                _, s, vh = np.linalg.svd(A, full_matrices=full)
+                assert np.array_equal(res.singular_values, s), name
+                kernel = np.flatnonzero(s <= SVD_KERNEL_CUTOFF)
+                assert len(res.basis) == len(kernel)
+                for b, i in zip(res.basis, kernel):
+                    assert np.array_equal(b.values, vh[i].conj()), name
+                compared += 1
+    assert compared > 1500
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ["Z4xZ8"])
+def test_completeness_rows_match_the_per_vector_oracle(name):
+    G = build_catalog_group(name)
+    for sigma, chi in _automorphism_combos(G):
+        got = completeness_check(G, sigma, chi).rows
+        want = oracle.completeness_rows(G, sigma, chi)
+        assert len(got) == len(want)
+        for row, (label, solver_dim, family_dim, mismatch, ambiguous,
+                  passed, g, basis) in zip(got, want):
+            assert (row.g_label, row.solver_dim, row.family_dim,
+                    row.ambiguous, row.passed) == \
+                (label, solver_dim, family_dim, ambiguous, passed)
+            assert row.max_mismatch.hex() == mismatch.hex()
+            assert row.g.values.tobytes() == g.tobytes()
+            assert [b.values.tobytes() for b in row.basis] == \
+                [b.tobytes() for b in basis]
 
 
 def test_completeness_frozen_run_on_z4():
@@ -179,13 +213,13 @@ def test_injected_non_solution_is_caught():
     Z4 = build_catalog_group("Z4")
     sigma = inversion_involution(Z4)
     chi = trivial_character(Z4)
-    key, g, ms = candidate_gs(Z4, sigma, chi)[2]
+    key, g, fam = candidate_gs(Z4, sigma, chi)[2]
     res = solve_f_given_g(Z4, sigma, chi, g)
-    corrupt = ms[0].values + np.array([0, 0.2, 0, 0])
+    corrupt = fam[0] + np.array([0, 0.2, 0, 0])
     rep = residual_wilson(Z4, sigma, chi, GroupFunction(Z4, corrupt), g)
     assert rep.sup > 0.1
     assert 0 <= rep.argmax_x < 4 and 0 <= rep.argmax_y < 4
-    assert span_distance([b.values for b in res.basis], corrupt) > 1e-3
+    assert span_distances([b.values for b in res.basis], [corrupt])[0] > 1e-3
 
 
 # --- formula-free Newton recovery -----------------------------------------
