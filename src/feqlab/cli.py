@@ -107,6 +107,15 @@ def _merge_config(args):
             setattr(args, key, value)
 
 
+def _check_paths(args):
+    """An empty path names no file; taken as absent, it would read the
+    defaults or skip a file in silence."""
+    for key in ("config", "chi_file", "f", "g", "out", "out_dir", "out_prefix",
+                "csv_out"):
+        if getattr(args, key, None) == "":
+            raise CliError(f"--{key.replace('_', '-')} is an empty path")
+
+
 def _get(args, key, default=None, cast=str):
     raw = getattr(args, key, None)
     if raw is None:
@@ -573,7 +582,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_paths(args)
         _merge_config(args)
+        _check_paths(args)
         return args.func(args)
     except (CliError, FamilyConstructionError, BallTooLarge, AuditTooLarge,
             MorphismSearchTooLarge, OSError) as exc:

@@ -549,13 +549,6 @@ def _bfs(kind, radius, depth):
             np.concatenate(step), right)
 
 
-def ball_elements(kind, radius):
-    """The elements of the radius ball in BFS order (level-sorted, so each
-    ball is a prefix of every larger one) and their word lengths."""
-    rows, length, _, _, _ = _bfs(kind, radius, radius)
-    return kind.row_elements(rows), length
-
-
 # a function named like a class: the benchmark tracer wraps it by this name
 def BallDomain(kind, radius):
     """The word-length ball of this radius in `kind`, as a Domain.

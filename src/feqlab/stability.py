@@ -41,7 +41,7 @@ import numpy as np
 from .feq import (GroupFunction, companion_mg, replaces_max,
                   residual_symmetrized_cauchy, residual_wilson,
                   section_function)
-from .groups import BallDomain, Domain, IntegerLattice, ball_elements
+from .groups import BallDomain, Domain, IntegerLattice
 from .morphisms import (ball_character, ball_involution, multiplicative_defect,
                         satisfies_morphism_law)
 
@@ -664,17 +664,24 @@ def _growing_pairs(space, radii, f_values, g_values=None, sigma_spec="id",
     """(radius, ball, f, g, sigma, chi, delta) for each radius in increasing
     order, on the restrictions of one ball: `space` itself, with value
     vectors in BFS order, or the largest ball of the kind `space`, read
-    through element providers. g is f where g_values is None; sigma is the
-    named ball involution, chi the coordinate character of chi_zs (1 by
-    default) and delta the sup of the pair residual of (f, g)."""
+    through element providers. A BoundedNoise is drawn on that ball in
+    either form. g is f where g_values is None; sigma is the named ball
+    involution, chi the coordinate character of chi_zs (1 by default) and
+    delta the sup of the pair residual of (f, g)."""
     radii = sorted(radii)
     largest = space
     if not isinstance(space, Domain):
         largest = BallDomain(space, radii[-1])
-        f_values, g_values = [
-            None if p is None else np.asarray(
-                [p(el) for el in largest.elements], dtype=np.complex128)
-            for p in (f_values, g_values)]
+
+    def on_largest(p):
+        if isinstance(p, BoundedNoise):
+            return p.values(largest)
+        if p is None or largest is space:
+            return p
+        return np.asarray([p(el) for el in largest.elements],
+                          dtype=np.complex128)
+
+    f_values, g_values = on_largest(f_values), on_largest(g_values)
     for r in radii:
         ball = largest.restrict(r)
         f = GroupFunction(ball, f_values[:ball.n])
@@ -705,18 +712,30 @@ def dichotomy_experiment(space, radii, f_values, g_values=None,
     return StabilityReport(measured_delta=delta_max, growth_rows=rows)
 
 
+@dataclass(frozen=True)
+class BoundedNoise:
+    """A deterministic bounded function on the balls of `kind` up to
+    max_radius: 1 + epsilon * unit phases, one uniform draw of the seeded
+    generator per element in BFS order. The draws come in sequence, so a
+    smaller ball holds a prefix of a larger ball's values."""
+    kind: object
+    max_radius: int
+    seed: int
+    epsilon: float
+
+    def values(self, ball):
+        if getattr(ball.kind, "name", None) != self.kind.name \
+                or ball.radius > self.max_radius:
+            raise ValueError(f"{ball.name} is not a ball of {self.kind.name} "
+                             f"up to radius {self.max_radius}")
+        rng = np.random.default_rng(self.seed)
+        phases = np.exp(2j * np.pi * rng.uniform(size=ball.n))
+        return 1.0 + self.epsilon * phases
+
+
 def bounded_noise_candidate(kind, max_radius, seed, epsilon):
-    """A deterministic bounded function: 1 + epsilon * unit phases, fixed
-    once on the largest ball so smaller radii see restrictions of it."""
-    elements, _ = ball_elements(kind, max_radius)
-    rng = np.random.default_rng(seed)
-    phases = np.exp(2j * np.pi * rng.uniform(size=len(elements)))
-    table = {el: 1.0 + epsilon * phases[i] for i, el in enumerate(elements)}
-
-    def provider(el):
-        return table[el]
-
-    return provider
+    """The BoundedNoise of these values; it builds no ball."""
+    return BoundedNoise(kind, max_radius, seed, epsilon)
 
 
 # --- branch scan for pairs on ball families -------------------------------

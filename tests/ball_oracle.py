@@ -3,7 +3,9 @@ before its column recursion: a breadth-first search to the ball's radius,
 then one tuple product per entry of the n x n multiplication table. The
 tuple arithmetic of each kind (identity, generators, mult, abelian_coords)
 lives here only, as the reference the library's int64 rows are compared
-with. Tests compare the library's balls with these, bit for bit.
+with. Tests compare the library's balls with these, bit for bit. The
+bounded noise is here too, as a per-element provider over the reference
+search that the library's noise vectors are compared with.
 """
 
 import numpy as np
@@ -100,3 +102,18 @@ def ball_domain(kind, radius):
     return Domain(mul, name=f"{kind.name}_ball{radius}", kind=kind,
                   elements=elements, length=length, radius=radius,
                   coords=coords)
+
+
+def noise_provider(kind, max_radius, seed, epsilon):
+    """The bounded noise 1 + epsilon * unit phases as an element provider:
+    one uniform draw per element of the max_radius ball in BFS order, each
+    value formed by scalar arithmetic and looked up by its element tuple."""
+    elements, _ = ball_elements(kind, max_radius)
+    rng = np.random.default_rng(seed)
+    phases = np.exp(2j * np.pi * rng.uniform(size=len(elements)))
+    table = {el: 1.0 + epsilon * phases[i] for i, el in enumerate(elements)}
+
+    def provider(el):
+        return table[el]
+
+    return provider

@@ -99,6 +99,15 @@ CONFIG_ERRORS = [
     # 589,555,241 windows on Z^2 r=24 under the identity
     ["stability", "--domain", "lattice:2", "--radii", "24", "--sigma", "id"],
     ["perturb", "--domain", "free:2", "--radius", "40", "--epsilon", "0.01"],
+    # an empty path names no file
+    ["solve", "--group", "Z4", "--sigma", "inv", "--chi", "2", "--chi-file",
+     ""],
+    ["solve", "--group", "Z4", "--config", ""],
+    ["solve", "--group", "Z4", "--out-dir", ""],
+    ["audit", "--group", "S3", "--sigma", "inv", "--out", ""],
+    STABILITY_Z2 + ["--csv-out", ""],
+    ["audit", "--group", "Z4", "--sigma", "inv", "--f", "", "--g", ""],
+    PERTURB_Z4 + ["--out-prefix", ""],
 ]
 
 
@@ -130,6 +139,8 @@ FILE_ARGVS = [
     ["audit", "--group", "S3", "--sigma", "inv", "--out",
      f"{FIXTURES}/audit.txt"],
     PERTURB_Z4 + ["--out-prefix", f"{FIXTURES}/run"],
+    # a config line with an empty path: exit code 4
+    ["solve", "--config", f"{FIXTURES}/empty-chi.cfg"],
     # a non-catalog group of order 32 and every basis file its solve writes
     ["solve", "--group", "Z4xZ8", "--sigma", "inv", "--chi", "0",
      "--out-dir", f"{FIXTURES}/out"],
@@ -137,14 +148,16 @@ FILE_ARGVS = [
 
 
 def write_fixtures(directory):
-    """The files FILE_ARGVS read: a config file, one that is not UTF-8, the
-    character i^x of Z4 and the exact Z4 pair f = i^x, g = cos(pi x / 2)
+    """The files FILE_ARGVS read: a config file, one that is not UTF-8, one
+    with an empty chi_file line, the character i^x of Z4 and the exact Z4 pair f = i^x, g = cos(pi x / 2)
     under inversion, and a copy of each but the second behind a UTF-8
     byte-order mark."""
     d = Path(directory)
     (d / "solve.cfg").write_text("group = Z4\nsigma = inv\nchi = 1\n",
                                  encoding="utf-8")
     (d / "latin1.cfg").write_bytes(b"group = Z4 # \xff\n")
+    (d / "empty-chi.cfg").write_text(
+        "group = Z4\nsigma = inv\nchi = 2\nchi_file =\n", encoding="utf-8")
     Z4 = build_catalog_group("Z4")
     m = enumerate_characters(Z4)[1]
     write_character(m, d / "chi.txt")

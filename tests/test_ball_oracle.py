@@ -11,7 +11,7 @@ import ball_oracle as oracle
 from feqlab import groups
 from feqlab.groups import (BALL_AUX_BYTES, BALL_ELEMENT_CAP, BallDomain,
                            BallTooLarge, DiscreteHeisenberg, FreeGroup,
-                           IntegerLattice, ball_elements)
+                           IntegerLattice)
 
 KINDS = [IntegerLattice(1), IntegerLattice(2), IntegerLattice(3),
          DiscreteHeisenberg(), FreeGroup(2), FreeGroup(3)]
@@ -54,6 +54,12 @@ def test_ball_built_in_small_blocks_equals_the_reference_build(
     assert got.mul.tobytes() == want.mul.tobytes()
     assert got.elements == want.elements
     assert got.length.tobytes() == want.length.tobytes()
+
+
+def ball_elements(kind, radius):
+    """The elements and word lengths of the library's BFS to the radius."""
+    rows, length, _, _, _ = groups._bfs(kind, radius, radius)
+    return kind.row_elements(rows), length
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)

@@ -279,6 +279,41 @@ def test_chi_and_chi_file_together_are_refused(capsys, tmp_path, chi_from):
     assert "--chi and --chi-file both name the character; pass one" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("solve", "--group", "Z4", "--sigma", "inv", "--chi", "2", "--chi-file",
+      ""), "--chi-file"),
+    (("solve", "--config", ""), "--config"),
+    (("solve", "--group", "Z4", "--out-dir", ""), "--out-dir"),
+    (("audit", "--group", "S3", "--sigma", "inv", "--out", ""), "--out"),
+    (("stability", "--domain", "lattice:1", "--radii", "2", "--csv-out", ""),
+     "--csv-out"),
+    (("audit", "--group", "Z4", "--sigma", "inv", "--f", "", "--g", ""),
+     "--f"),
+    (("perturb", "--group", "Z4", "--sigma", "inv", "--epsilon", "0.01",
+      "--out-prefix", ""), "--out-prefix"),
+], ids=["chi-file", "config", "out-dir", "out", "csv-out", "f", "out-prefix"])
+def test_an_empty_path_is_refused(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert f"error: {flag} is an empty path" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("line, flag", [("chi_file =", "--chi-file"),
+                                        ("out_dir =", "--out-dir")],
+                         ids=["chi-file", "out-dir"])
+def test_an_empty_path_in_the_config_file_is_refused(capsys, tmp_path, line,
+                                                     flag):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(f"group = Z4\nsigma = inv\nchi = 2\n{line}\n")
+    code, out, err = run(capsys, "solve", "--config", str(cfg))
+    assert code == EXIT_BADCONFIG
+    assert out == ""
+    assert f"error: {flag} is an empty path" in err
+
+
 def test_audit_passes_on_q8_and_names_the_half_trace(capsys):
     code, out, _ = run(capsys, "audit", "--group", "Q8", "--sigma", "inv",
                        "--chi", "0")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from feqlab import stability
+from feqlab import groups, stability
 from feqlab.families import SolutionPair, canned_half_trace
 from feqlab.feq import (GroupFunction, residual_symmetrized_cauchy,
                         residual_wilson)
@@ -38,6 +38,7 @@ from feqlab.stability import (
     theorem37_case_scan,
 )
 
+from ball_oracle import noise_provider
 from family_oracle import family_case_ii
 from residual_oracle import dense_residual
 
@@ -272,14 +273,65 @@ def test_bounded_noise_lands_on_the_bounded_branch():
 
 
 def test_bounded_noise_provider_is_restriction_consistent():
-    provider = bounded_noise_candidate(IntegerLattice(2), 4, seed=1, epsilon=0.5)
+    noise = bounded_noise_candidate(IntegerLattice(2), 4, seed=1, epsilon=0.5)
     small = BallDomain(IntegerLattice(2), 2)
     large = BallDomain(IntegerLattice(2), 4)
-    for el in small.elements:
-        assert provider(el) == provider(el)
-    vals_small = [provider(el) for el in small.elements]
-    vals_large = [provider(el) for el in large.elements[:small.n]]
-    assert vals_small == vals_large
+    vals_small = noise.values(small)
+    assert vals_small.tobytes() == noise.values(small).tobytes()
+    assert vals_small.tobytes() == noise.values(large)[:small.n].tobytes()
+
+
+NOISE_KINDS = [IntegerLattice(1), IntegerLattice(2), DiscreteHeisenberg(),
+               FreeGroup(2)]
+
+
+@pytest.mark.parametrize("radius", [4, 2], ids=["r=max", "r<max"])
+@pytest.mark.parametrize("kind", NOISE_KINDS, ids=lambda kind: kind.name)
+def test_bounded_noise_equals_the_per_element_reference_bit_for_bit(kind,
+                                                                   radius):
+    # numpy may round an array product apart from a scalar one, so the
+    # vector 1 + epsilon * phases is held to the scalar form entry by entry
+    ball = BallDomain(kind, radius)
+    for seed, eps in [(5, 0.01), (6, 0.3)]:
+        got = bounded_noise_candidate(kind, 4, seed, eps).values(ball)
+        ref = noise_provider(kind, 4, seed, eps)
+        want = np.array([ref(el) for el in ball.elements])
+        assert got.dtype == want.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+
+
+def test_bounded_noise_refuses_another_kind_or_a_larger_ball():
+    noise = bounded_noise_candidate(IntegerLattice(2), 3, seed=1, epsilon=0.1)
+    noise.values(BallDomain(IntegerLattice(2), 3))
+    with pytest.raises(ValueError, match="not a ball of"):
+        noise.values(BallDomain(IntegerLattice(1), 3))
+    with pytest.raises(ValueError, match="up to radius 3"):
+        noise.values(BallDomain(IntegerLattice(2), 4))
+
+
+def _counting_bfs(monkeypatch):
+    """Record the (radius, depth) of every groups._bfs call."""
+    calls, bfs = [], groups._bfs
+
+    def counting(kind, radius, depth):
+        calls.append((radius, depth))
+        return bfs(kind, radius, depth)
+
+    monkeypatch.setattr(groups, "_bfs", counting)
+    return calls
+
+
+def test_each_noise_growth_case_runs_one_bfs(monkeypatch):
+    calls = _counting_bfs(monkeypatch)
+    z2 = IntegerLattice(2)
+    noise = bounded_noise_candidate(z2, 18, seed=2, epsilon=0.01)
+    dichotomy_experiment(z2, [6, 12, 18], noise)
+    assert calls == [(18, 27)]
+    del calls[:]
+    H = DiscreteHeisenberg()
+    f, g = [bounded_noise_candidate(H, 5, seed=s, epsilon=0.01) for s in (3, 4)]
+    assert theorem37_case_scan(H, [2, 3, 4, 5], f, g).branch == "ii"
+    assert calls == [(5, 7)]
 
 
 def test_noisy_exponential_stays_near_the_multiplicative_family():
@@ -504,9 +556,12 @@ def test_dichotomy_on_the_restricted_ball_matches_fresh_balls(kind):
     radii = [1, 2, 3]
     f = bounded_noise_candidate(kind, 3, seed=11, epsilon=0.02)
     g = bounded_noise_candidate(kind, 3, seed=12, epsilon=0.02)
-    for args, kwargs in [((f, g), {"sigma_spec": "inv"}), ((f,), {})]:
+    f_ref, g_ref = noise_provider(kind, 3, 11, 0.02), \
+        noise_provider(kind, 3, 12, 0.02)
+    for args, refs, kwargs in [((f, g), (f_ref, g_ref), {"sigma_spec": "inv"}),
+                               ((f,), (f_ref,), {})]:
         new = dichotomy_experiment(kind, radii, *args, **kwargs)
-        assert new == _dichotomy_per_radius(kind, radii, *args,
+        assert new == _dichotomy_per_radius(kind, radii, *refs,
                                             preset="WilsonVariant", **kwargs)
         assert [row.radius for row in new.growth_rows] == radii
 
@@ -526,7 +581,7 @@ def test_default_dichotomy_is_the_symmetrized_cauchy_path_bit_for_bit(kind):
     # Cauchy residual that the oracle's SymmetrizedCauchy preset evaluates
     radii = [1, 2, 3]
     f = bounded_noise_candidate(kind, 3, seed=11, epsilon=0.02)
-    want = _dichotomy_per_radius(kind, radii, f)
+    want = _dichotomy_per_radius(kind, radii, noise_provider(kind, 3, 11, 0.02))
     assert all(row.delta > 0 for row in want.growth_rows)
     assert _bits(dichotomy_experiment(kind, radii, f)) == _bits(want)
 
@@ -547,9 +602,12 @@ def test_scan_on_the_restricted_ball_matches_fresh_balls(kind):
     radii = [1, 2, 3]
     f = bounded_noise_candidate(kind, 3, seed=21, epsilon=0.01)
     g = bounded_noise_candidate(kind, 3, seed=22, epsilon=0.01)
+    f_ref, g_ref = noise_provider(kind, 3, 21, 0.01), \
+        noise_provider(kind, 3, 22, 0.01)
     for sigma_spec in ("inv", "id"):
         rec = theorem37_case_scan(kind, radii, f, g, sigma_spec=sigma_spec)
-        assert rec == _scan_per_radius(kind, radii, f, g, sigma_spec=sigma_spec)
+        assert rec == _scan_per_radius(kind, radii, f_ref, g_ref,
+                                       sigma_spec=sigma_spec)
         assert rec.branch == "ii"
 
 
@@ -580,7 +638,9 @@ def test_scan_on_a_built_ball_matches_the_kind_form(monkeypatch, kind, radii,
                                             epsilon=0.02) for seed in (41, 42)]
     want = theorem37_case_scan(kind, radii, f, g)
     ball = BallDomain(kind, radii[-1])
-    fv, gv = (np.array([p(el) for el in ball.elements]) for p in (f, g))
+    # the noise is drawn on the ball it is handed, in the ball form too
+    fv, gv = (f, g) if pair is None else \
+        (np.array([p(el) for el in ball.elements]) for p in (f, g))
 
     def no_build(*args):
         raise AssertionError("the ball form builds no ball")
@@ -616,8 +676,8 @@ def test_dichotomy_on_a_built_ball_matches_the_kind_form(monkeypatch, kind,
         else None
     want = dichotomy_experiment(kind, [1, 3, 2], f, g, **kwargs)
     ball = BallDomain(kind, 3)
-    fv = np.array([f(el) for el in ball.elements])
-    gv = np.array([g(el) for el in ball.elements]) if with_g else None
+    fv = f.values(ball)
+    gv = g.values(ball) if with_g else None
 
     def no_build(*args):
         raise AssertionError("the ball form builds no ball")
